@@ -5,8 +5,10 @@ cross-check each other:
 - an exhaustive backtracking oracle (``trailcounts.oracle``),
 - a symbolic engine over commuting nilpotent generators, x*x = 0
   (``trailcounts.nilpotent``),
-- a literal occupation-basis evaluator applying ladder operators to dense
-  statevectors (``trailcounts.fock``).
+- a literal occupation-basis evaluator applying ladder operators, one per
+  walk step, to sparse maps from basis index to exact amplitude; dense
+  statevectors remain for ``apply_ladder`` and ``graph_state``
+  (``trailcounts.fock``).
 """
 
 from .errors import BudgetExceededError, CapacityError, EdgeListError

@@ -14,17 +14,18 @@ state renders as "110011".
 
 Matrix powers of the observable matrices are never materialized: an entry of
 a power is the sum over walks of the corresponding operator products, so the
-evaluators expand walks and abandon any term whose prefix already annihilates
-to zero (a repeated slot under normal ordering, or an annihilation on an
-empty slot). This pruning changes nothing about the value; it only skips
-terms that contribute 0.
+evaluators evolve the reference state level by level, one ladder operator
+per walk step, as a sparse map from (current vertex, basis index) to exact
+amplitude. Terms that reach the same state merge into one amplitude, and a
+term that annihilates to zero (an operator on an empty slot) is dropped as
+soon as it does. Dense statevectors remain for apply_ladder and graph_state;
+the evaluators never allocate one.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +47,13 @@ class Register:
 
     kind: RegisterKind
     slots: tuple
+    _slot_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cap = limits.register_cap()
         if self.width > cap:
             raise CapacityError(self.width, cap)
+        object.__setattr__(self, "_slot_of", {label: i for i, label in enumerate(self.slots)})
 
     @property
     def width(self) -> int:
@@ -62,7 +65,7 @@ class Register:
 
     def slot_index(self, label) -> int:
         try:
-            return _slot_lookup(self)[label]
+            return self._slot_of[label]
         except KeyError:
             raise ValueError(f"no slot {label!r} in this register") from None
 
@@ -89,9 +92,12 @@ class Register:
         return cls(RegisterKind.VERTEX_SPACE, tuple(range(1, n + 1)))
 
 
-@functools.cache
-def _slot_lookup(register: Register) -> dict:
-    return {label: i for i, label in enumerate(register.slots)}
+def _occupied_index(register: Register, labels) -> int:
+    """Basis index with exactly the given slots occupied."""
+    index = 0
+    for label in labels:
+        index |= 1 << register.bit(register.slot_index(label))
+    return index
 
 
 def basis_label(register: Register, index: int) -> str:
@@ -127,10 +133,7 @@ class StateVector:
 
     @classmethod
     def from_occupied(cls, register: Register, occupied_labels) -> "StateVector":
-        index = 0
-        for label in occupied_labels:
-            index |= 1 << register.bit(register.slot_index(label))
-        return cls.basis(register, index)
+        return cls.basis(register, _occupied_index(register, occupied_labels))
 
     @classmethod
     def all_ones(cls, register: Register) -> "StateVector":
@@ -331,6 +334,70 @@ def normal_ordered_term_expectation(term: OperatorTerm, state: StateVector) -> i
     return total
 
 
+def _evolve(
+    g: Graph,
+    register: Register,
+    matrix_kind: MatrixKind,
+    start: int,
+    reference: int,
+    max_len: int,
+    ladder_kind: LadderKind,
+    node_budget: int | None,
+    what: str,
+):
+    """Yield the evolved state after each of the lengths 1..max_len, as a
+    sparse map from (current vertex, basis index) to exact amplitude.
+
+    Level 0 is the basis state `reference` at `start`. Each step applies one
+    ladder operator on the traversed slot (the edge for edge kinds, the
+    destination vertex otherwise): ANNIHILATE clears the slot, NUMBER keeps
+    the index, and either drops the term when the slot is empty. Terms that
+    reach the same (vertex, index) merge into one amplitude. Every live state
+    expanded costs one node of the budget, charged before the next level is
+    built."""
+    budget = node_budget if node_budget is not None else limits.node_budget()
+    remaining = budget
+    clears = ladder_kind is LadderKind.ANNIHILATE
+    steps = {
+        w: [
+            (x, 1 << register.bit(_step_slot(register, matrix_kind, w, x)))
+            for x in g.neighbors(w)
+        ]
+        for w in range(1, g.n + 1)
+    }
+    level = {(start, reference): 1}
+    for _ in range(max_len):
+        remaining -= len(level)
+        if remaining < 0:
+            raise BudgetExceededError(what, budget)
+        nxt: dict[tuple[int, int], int] = {}
+        for (w, index), amp in level.items():
+            for x, mask in steps[w]:
+                if index & mask:
+                    key = (x, index & ~mask if clears else index)
+                    nxt[key] = nxt.get(key, 0) + amp
+        level = nxt
+        yield level
+
+
+def _amplitudes_at(levels, v: int) -> dict[int, int]:
+    """Basis index -> amplitude of the last level's states at vertex v; the
+    evolution must have at least one level."""
+    for level in levels:
+        pass
+    return {index: amp for (w, index), amp in level.items() if w == v}
+
+
+def _tally(levels, squared: bool) -> dict[tuple[int, int], int]:
+    """Per-(length, vertex) sums of the amplitudes, or of their squares."""
+    table: dict[tuple[int, int], int] = {}
+    for length, level in enumerate(levels, 1):
+        for (w, _), amp in level.items():
+            key = (length, w)
+            table[key] = table.get(key, 0) + (amp * amp if squared else amp)
+    return table
+
+
 def normal_ordered_expectation(
     g: Graph,
     length: int,
@@ -362,38 +429,16 @@ def normal_ordered_expectation(
         g.require_vertex(guard_vertex)
 
     register, reference = _reference_state(g, matrix_kind, present_edges_only)
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
-    used0 = 0
     if guard_vertex is not None:
-        gbit = register.bit(register.slot_index(guard_vertex))
-        if not (reference >> gbit) & 1:
-            return 0
-        used0 = 1 << gbit
-
-    total = [0]
-
-    def rec(current: int, depth: int, used: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("normal-ordered evaluation", budget)
-        last = depth + 1 == length
-        for w in g.neighbors(current):
-            if last and w != v:
-                continue
-            bit = register.bit(_step_slot(register, matrix_kind, current, w))
-            mask = 1 << bit
-            if used & mask:
-                continue  # repeated slot: the normally ordered term vanishes
-            if not (reference >> bit) & 1:
-                continue  # number operator on an empty slot: eigenvalue 0
-            if last:
-                total[0] += 1
-            else:
-                rec(w, depth + 1, used | mask)
-
-    rec(u, 0, used0)
-    return total[0]
+        # the guard's number operator uses up its slot before the first step
+        reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
+    # a term whose slots are distinct and occupied survives annihilating each
+    # slot in turn from the reference state, and every other term vanishes
+    levels = _evolve(
+        g, register, matrix_kind, u, reference, length, LadderKind.ANNIHILATE,
+        node_budget, "normal-ordered evaluation",
+    )
+    return sum(_amplitudes_at(levels, v).values())
 
 
 def _reference_state(
@@ -401,7 +446,7 @@ def _reference_state(
 ) -> tuple[Register, int]:
     register = _register_for(g, matrix_kind, present_edges_only)
     if matrix_kind in _EDGE_KINDS:
-        reference = graph_state(g, present_edges_only).basis_index()
+        reference = _occupied_index(register, g.sorted_edges())  # the graph state
     else:
         reference = register.dimension - 1  # |11...1>
     return register, reference
@@ -416,35 +461,17 @@ def normal_ordered_expectation_table(
     node_budget: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """All (length <= max_len, end vertex) expectations from one start in a
-    single pruned expansion; identical recursion and semantics as the
-    per-query evaluator, tallied at every depth."""
+    single evolution; the same evolution and semantics as the per-query
+    evaluator, tallied at every length."""
     g.require_vertex(start)
     if matrix_kind not in _NUMBER_KINDS:
         raise ValueError("normal-ordered expectation applies to the number-operator matrices")
     register, reference = _reference_state(g, matrix_kind, present_edges_only)
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
-    table: dict[tuple[int, int], int] = {}
-
-    def rec(current: int, depth: int, used: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("normal-ordered tally", budget)
-        if depth == max_len:
-            return
-        for w in g.neighbors(current):
-            bit = register.bit(_step_slot(register, matrix_kind, current, w))
-            mask = 1 << bit
-            if used & mask:
-                continue
-            if not (reference >> bit) & 1:
-                continue
-            key = (depth + 1, w)
-            table[key] = table.get(key, 0) + 1
-            rec(w, depth + 1, used | mask)
-
-    rec(start, 0, 0)
-    return table
+    levels = _evolve(
+        g, register, matrix_kind, start, reference, max_len, LadderKind.ANNIHILATE,
+        node_budget, "normal-ordered tally",
+    )
+    return _tally(levels, squared=False)
 
 
 def walk_count_expectation(
@@ -466,28 +493,11 @@ def walk_count_expectation(
     if length == 0:
         return 1 if u == v else 0
     register, reference = _reference_state(g, MatrixKind.N_EDGE, present_edges_only)
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
-    total = [0]
-
-    def rec(current: int, depth: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("plain expectation", budget)
-        last = depth + 1 == length
-        for w in g.neighbors(current):
-            if last and w != v:
-                continue
-            bit = register.bit(_step_slot(register, MatrixKind.N_EDGE, current, w))
-            if not (reference >> bit) & 1:
-                continue
-            if last:
-                total[0] += 1
-            else:
-                rec(w, depth + 1)
-
-    rec(u, 0)
-    return total[0]
+    levels = _evolve(
+        g, register, MatrixKind.N_EDGE, u, reference, length, LadderKind.NUMBER,
+        node_budget, "plain expectation",
+    )
+    return sum(_amplitudes_at(levels, v).values())
 
 
 def d_matrix_quadratic_form(
@@ -510,30 +520,11 @@ def d_matrix_quadratic_form(
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     register, reference = _reference_state(g, MatrixKind.D_EDGE, present_edges_only)
-    result = StateVector.zero(register)
-    amplitudes = result.amplitudes
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
-
-    def rec(current: int, depth: int, index: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("annihilation evolution", budget)
-        last = depth + 1 == length
-        for w in g.neighbors(current):
-            if last and w != v:
-                continue
-            bit = register.bit(_step_slot(register, MatrixKind.D_EDGE, current, w))
-            mask = 1 << bit
-            if not index & mask:
-                continue  # annihilating an empty slot gives the zero vector
-            if last:
-                amplitudes[index & ~mask] += 1
-            else:
-                rec(w, depth + 1, index & ~mask)
-
-    rec(u, 0, reference)
-    return result.squared_norm()
+    levels = _evolve(
+        g, register, MatrixKind.D_EDGE, u, reference, length, LadderKind.ANNIHILATE,
+        node_budget, "annihilation evolution",
+    )
+    return sum(amp * amp for amp in _amplitudes_at(levels, v).values())
 
 
 def annihilation_form_table(
@@ -544,32 +535,15 @@ def annihilation_form_table(
     node_budget: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """Squared norms of the annihilation evolution for every (length <=
-    max_len, end vertex) from one start; sparse accumulation, same recursion
-    as the per-query evaluator."""
+    max_len, end vertex) from one start; the same evolution as the
+    per-query evaluator."""
     g.require_vertex(start)
     register, reference = _reference_state(g, MatrixKind.D_EDGE, present_edges_only)
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
-    amps: dict[tuple[int, int], dict[int, int]] = {}
-
-    def rec(current: int, depth: int, index: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("annihilation tally", budget)
-        if depth == max_len:
-            return
-        for w in g.neighbors(current):
-            bit = register.bit(_step_slot(register, MatrixKind.D_EDGE, current, w))
-            mask = 1 << bit
-            if not index & mask:
-                continue
-            cleared = index & ~mask
-            bucket = amps.setdefault((depth + 1, w), {})
-            bucket[cleared] = bucket.get(cleared, 0) + 1
-            rec(w, depth + 1, cleared)
-
-    rec(start, 0, reference)
-    return {key: sum(a * a for a in bucket.values()) for key, bucket in amps.items()}
+    levels = _evolve(
+        g, register, MatrixKind.D_EDGE, start, reference, max_len, LadderKind.ANNIHILATE,
+        node_budget, "annihilation tally",
+    )
+    return _tally(levels, squared=True)
 
 
 def f_matrix_amplitude(g: Graph, length: int, u: int, node_budget: int | None = None) -> int:
@@ -581,32 +555,12 @@ def f_matrix_amplitude(g: Graph, length: int, u: int, node_budget: int | None = 
     g.require_vertex(u)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    register = Register.vertices(g.n)
-    result = StateVector.zero(register)
-    amplitudes = result.amplitudes
-    reference = register.dimension - 1
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
-
-    def rec(current: int, depth: int, index: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("transition-amplitude evaluation", budget)
-        last = depth + 1 == length
-        for w in g.neighbors(current):
-            if last and w != u:
-                continue
-            bit = register.bit(register.slot_index(w))
-            mask = 1 << bit
-            if not index & mask:
-                continue
-            if last:
-                amplitudes[index & ~mask] += 1
-            else:
-                rec(w, depth + 1, index & ~mask)
-
-    rec(u, 0, reference)
-    return int(amplitudes[0])
+    register, reference = _reference_state(g, MatrixKind.F_VERTEX, False)
+    levels = _evolve(
+        g, register, MatrixKind.F_VERTEX, u, reference, length, LadderKind.ANNIHILATE,
+        node_budget, "transition-amplitude evaluation",
+    )
+    return _amplitudes_at(levels, u).get(0, 0)
 
 
 def is_hamiltonian(g: Graph, node_budget: int | None = None) -> bool:

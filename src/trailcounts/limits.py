@@ -14,7 +14,8 @@ NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 
 _DEFAULT_REGISTER_CAP = 24  # qubit slots; 2**24 amplitudes
 _DEFAULT_TERM_BUDGET = 10_000_000  # live monomials during symbolic products
-_DEFAULT_NODE_BUDGET = 100_000_000  # visited nodes in backtracking searches
+# visited nodes in backtracking searches; live states expanded in a Fock evolution
+_DEFAULT_NODE_BUDGET = 100_000_000
 
 
 def _env_int(name: str, default: int) -> int:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trailcounts import families
-from trailcounts.errors import CapacityError
+from trailcounts.errors import BudgetExceededError, CapacityError
 from trailcounts.fock import (
     LadderKind,
     LadderOp,
@@ -22,7 +22,7 @@ from trailcounts.fock import (
     normal_ordered_term_expectation,
     walk_count_expectation,
 )
-from trailcounts.graphs import Graph
+from trailcounts.graphs import Graph, walk_count
 from trailcounts.oracle import (
     WalkClass,
     count_hamiltonian_cycles_through,
@@ -304,3 +304,42 @@ class TestWalkExpectation:
         for g in (c4, k4):
             for l in range(0, 5):
                 assert walk_count_expectation(g, l, 1, 2) == walk_count(g, l, 1, 2)
+
+
+class TestEvolutionBudget:
+    @pytest.mark.parametrize(
+        "evaluate, what",
+        [
+            (lambda g, b: normal_ordered_expectation(g, 3, 1, 2, MatrixKind.N_EDGE, node_budget=b),
+             "normal-ordered evaluation"),
+            (lambda g, b: normal_ordered_expectation_table(g, 1, 3, MatrixKind.M_VERTEX, node_budget=b),
+             "normal-ordered tally"),
+            (lambda g, b: walk_count_expectation(g, 3, 1, 2, node_budget=b), "plain expectation"),
+            (lambda g, b: d_matrix_quadratic_form(g, 3, 1, 2, node_budget=b), "annihilation evolution"),
+            (lambda g, b: annihilation_form_table(g, 1, 3, node_budget=b), "annihilation tally"),
+            (lambda g, b: f_matrix_amplitude(g, 4, 1, node_budget=b), "transition-amplitude evaluation"),
+        ],
+    )
+    def test_each_evaluator_enforces_the_budget(self, k4, evaluate, what):
+        with pytest.raises(BudgetExceededError, match=what):
+            evaluate(k4, 3)
+        evaluate(k4, 10_000)
+
+    def test_budget_counts_merged_live_states(self, k4):
+        # 3**20 walks, but at most 4 live states per level: 1 + 3 + 18 * 4
+        assert walk_count_expectation(k4, 20, 1, 2, node_budget=76) == walk_count(k4, 20, 1, 2)
+        with pytest.raises(BudgetExceededError):
+            walk_count_expectation(k4, 20, 1, 2, node_budget=75)
+
+
+class TestLongWalks:
+    def test_plain_expectation_beyond_the_recursion_limit(self, k2):
+        assert walk_count_expectation(k2, 3000, 1, 1) == 1
+
+    def test_annihilation_beyond_the_recursion_limit(self, monkeypatch):
+        monkeypatch.setenv("TRAILCOUNTS_REGISTER_CAP", "1500")
+        c = families.cycle_graph(1500)
+        assert f_matrix_amplitude(c, 1500, 1) == 2
+        assert normal_ordered_expectation(c, 1500, 1, 1, MatrixKind.N_EDGE, present_edges_only=True) == 2
+        # both directions clear the same edge set, so its amplitude is 2
+        assert d_matrix_quadratic_form(c, 1500, 1, 1, present_edges_only=True) == 4

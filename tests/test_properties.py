@@ -9,8 +9,13 @@ from trailcounts.fock import (
     MatrixKind,
     Register,
     StateVector,
+    _amplitudes_at,
+    _evolve,
+    _reference_state,
     apply_ladder,
     d_matrix_quadratic_form,
+    expand_walk_terms,
+    graph_state,
     normal_ordered_expectation,
 )
 from trailcounts.graphs import Graph, pair_slots, walk_count
@@ -102,6 +107,31 @@ def test_quadratic_form_squares_histogram(query):
     hist = trail_edge_set_histogram(g, l, u, v)
     assert d_matrix_quadratic_form(g, l, u, v) == sum(c * c for c in hist.values())
     assert sum(hist.values()) == count_walks(g, l, u, v, WalkClass.TRAIL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_queries(min_l=1))
+def test_evolution_matches_dense_ladder_algebra(query):
+    # the sparse evolution, amplitude for amplitude, against the sum of every
+    # walk term applied literally to the dense reference state
+    g, l, u, v = query
+    for kind, ladder in (
+        (MatrixKind.D_EDGE, LadderKind.ANNIHILATE),
+        (MatrixKind.F_VERTEX, LadderKind.ANNIHILATE),
+        (MatrixKind.N_EDGE, LadderKind.NUMBER),
+        (MatrixKind.M_VERTEX, LadderKind.NUMBER),
+    ):
+        if kind in (MatrixKind.D_EDGE, MatrixKind.N_EDGE):
+            state = graph_state(g)
+        else:
+            state = StateVector.all_ones(Register.vertices(g.n))
+        dense = StateVector.zero(state.register)
+        for _, term in expand_walk_terms(g, l, u, v, kind):
+            dense.amplitudes += term.apply(state).amplitudes
+        register, reference = _reference_state(g, kind, False)
+        assert register == state.register and reference == state.basis_index()
+        levels = _evolve(g, register, kind, u, reference, l, ladder, None, "test")
+        assert _amplitudes_at(levels, v) == dict(dense.nonzero())
 
 
 @settings(max_examples=60, deadline=None)
