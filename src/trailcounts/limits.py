@@ -13,7 +13,8 @@ TERM_BUDGET_ENV = "TRAILCOUNTS_TERM_BUDGET"
 NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 
 _DEFAULT_REGISTER_CAP = 24  # qubit slots; 2**24 amplitudes
-_DEFAULT_TERM_BUDGET = 10_000_000  # live monomials during symbolic products
+# live monomials in the level or matrix product being built, checked while it is built
+_DEFAULT_TERM_BUDGET = 10_000_000
 # visited nodes in backtracking searches; live states expanded in a Fock evolution
 _DEFAULT_NODE_BUDGET = 100_000_000
 

@@ -1,15 +1,24 @@
 """Polynomial matrices over commuting nilpotent generators (x*x = 0).
 
-The quotient ring models normally ordered products of qubit number operators:
-a product touching the same slot twice is identically zero, so a monomial is
-just a set of generator indices, stored as a bitmask, and multiplication
-drops any term whose factors share a generator. Matrix powers of the formal
-adjacency matrix therefore keep exactly one monomial per trail; summing
-coefficients of an entry counts trails.
+The quotient ring is the zeon algebra behind Schott & Staples' nilpotent
+adjacency matrices, and it models normally ordered products of qubit number
+operators: a product touching the same slot twice is identically zero, so a
+monomial is just a set of generator indices, stored as a bitmask, and
+multiplication drops any term whose factors share a generator. Matrix powers
+of the formal adjacency matrix therefore keep exactly one monomial per trail;
+summing coefficients of an entry counts trails.
 
 Two generator universes are used: edge generators indexed by pair slots
 (trail counting) and vertex generators indexed by vertex-1 (path counting
 with the destination-vertex observable).
+
+A PolyMatrix stores only its nonzero entries, row by row, and the builders
+fill them from adjacency lists. All multiplication goes through one
+monomial-product helper, `_mul_into`, and one row step, `_row_times` (a
+sparse row vector times a matrix): a matrix product is one row step per row
+of the left factor, and a single entry of a power is repeated row steps on
+one row. The term budget is checked inside the row step, while a level or
+product is being built.
 
 Coefficients are plain Python integers; they never go negative here, but zero
 coefficients are always dropped so equality is structural.
@@ -77,12 +86,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         out: dict[int, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                if m1 & m2:
-                    continue  # x*x = 0
-                m = m1 | m2
-                out[m] = out.get(m, 0) + c1 * c2
+        _mul_into(out, self._terms, other._terms)
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -130,6 +134,16 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
+def _mul_into(acc: dict[int, int], left: dict[int, int], right: dict[int, int]) -> None:
+    """acc += left * right on raw term dicts: the one monomial-product loop."""
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            if m1 & m2:
+                continue  # x*x = 0
+            m = m1 | m2
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
 def _mask_generators(mask: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -142,69 +156,73 @@ def _mask_generators(mask: int) -> tuple[int, ...]:
 
 
 class PolyMatrix:
-    """Square matrix of Polynomial entries; 1-based entry access."""
+    """Square matrix of Polynomial entries; 1-based entry access.
+
+    Stored sparsely: rows[i] maps a 0-based column to the nonzero Polynomial
+    at (i+1, column+1); a missing column is a zero entry."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: list[list[Polynomial]]):
+    def __init__(self, rows: list[dict[int, Polynomial]]):
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        self.rows = rows
+        if any(not 0 <= j < n for row in rows for j in row):
+            raise ValueError("column index outside the square matrix")
+        self.rows = [{j: p for j, p in row.items() if p} for row in rows]
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def entry(self, u: int, v: int) -> Polynomial:
-        return self.rows[u - 1][v - 1]
+        return self.rows[u - 1].get(v - 1) or Polynomial.zero()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMatrix) and self.rows == other.rows
 
     def total_terms(self) -> int:
-        return sum(p.term_count() for row in self.rows for p in row)
+        return sum(p.term_count() for row in self.rows for p in row.values())
 
     def mul(self, other: "PolyMatrix", term_budget: int | None = None) -> "PolyMatrix":
         if self.n != other.n:
             raise ValueError("matrix dimensions differ")
         budget = term_budget if term_budget is not None else limits.term_budget()
-        n = self.n
         live = 0
-        out: list[list[Polynomial]] = []
-        for i in range(n):
-            out_row: list[Polynomial] = []
-            for j in range(n):
-                acc: dict[int, int] = {}
-                for k in range(n):
-                    left = self.rows[i][k]._terms
-                    if not left:
-                        continue
-                    right = other.rows[k][j]._terms
-                    if not right:
-                        continue
-                    for m1, c1 in left.items():
-                        for m2, c2 in right.items():
-                            if m1 & m2:
-                                continue
-                            m = m1 | m2
-                            acc[m] = acc.get(m, 0) + c1 * c2
-                entry = Polynomial(acc)
-                live += entry.term_count()
-                if live > budget:
-                    raise BudgetExceededError("polynomial matrix product", budget)
-                out_row.append(entry)
-            out.append(out_row)
+        out: list[dict[int, Polynomial]] = []
+        for row in self.rows:
+            terms = {k: p._terms for k, p in row.items()}
+            product, live = _row_times(terms, other, budget, "polynomial matrix product", live)
+            out.append({j: Polynomial(acc) for j, acc in product.items()})
         return PolyMatrix(out)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.mul(other)
 
 
+def _row_times(
+    row: dict[int, dict[int, int]], m: PolyMatrix, budget: int, label: str, live: int = 0
+) -> tuple[dict[int, dict[int, int]], int]:
+    """The sparse row vector `row` (column -> term dict) times m: one row of
+    a matrix product, one level of a row power. `live` counts the monomials
+    built so far and is checked after every entry product, so a blow-up
+    stops while the level is being built. Returns the product row (no empty
+    entries) and the updated count."""
+    out: dict[int, dict[int, int]] = {}
+    for k, left in row.items():
+        for j, right in m.rows[k].items():
+            acc = out.get(j)
+            if acc is None:
+                acc = out[j] = {}
+            before = len(acc)
+            _mul_into(acc, left, right._terms)
+            live += len(acc) - before
+            if live > budget:
+                raise BudgetExceededError(label, budget)
+    return {j: acc for j, acc in out.items() if acc}, live
+
+
 def matrix_power_nilpotent(m: PolyMatrix, exponent: int, term_budget: int | None = None) -> PolyMatrix:
     """m**exponent with the x*x = 0 reduction applied inside every product.
-    Exponent must be >= 1 (the recursion is power(l) = m * power(l-1))."""
+    Exponent must be >= 1 (the recursion is power(l) = power(l-1) * m)."""
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     result = m
@@ -217,17 +235,10 @@ def formal_adjacency_edges(g: Graph) -> PolyMatrix:
     """Adjacency matrix with each 1 replaced by the generator of its edge's
     pair slot; entries (u, v) and (v, u) share one generator, matching one
     qubit slot per unordered pair."""
-    zero = Polynomial.zero()
-    rows = []
-    for u in range(1, g.n + 1):
-        row = []
-        for v in range(1, g.n + 1):
-            if u != v and g.has_edge(u, v):
-                row.append(Polynomial.generator(slot_of_pair(g.n, u, v)))
-            else:
-                row.append(zero)
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix([
+        {v - 1: Polynomial.generator(slot_of_pair(g.n, u, v)) for v in g.neighbors(u)}
+        for u in range(1, g.n + 1)
+    ])
 
 
 class PathVariant(enum.Enum):
@@ -253,19 +264,10 @@ def vertex_observable_matrix(
         if start is None:
             raise ValueError("START_GUARDED needs the start vertex")
         g.require_vertex(start)
-    zero = Polynomial.zero()
-    rows = []
-    for a in range(1, g.n + 1):
-        row = []
-        for b in range(1, g.n + 1):
-            if a != b and g.has_edge(a, b):
-                p = Polynomial.generator(b - 1)
-                if variant is PathVariant.START_GUARDED and a == start:
-                    p = p * Polynomial.generator(start - 1)
-                row.append(p)
-            else:
-                row.append(zero)
-        rows.append(row)
+    rows = [{b - 1: Polynomial.generator(b - 1) for b in g.neighbors(a)} for a in range(1, g.n + 1)]
+    if variant is PathVariant.START_GUARDED:
+        guard = Polynomial.generator(start - 1)
+        rows[start - 1] = {b: p * guard for b, p in rows[start - 1].items()}
     return PolyMatrix(rows)
 
 
@@ -273,35 +275,15 @@ def _row_power_entry(
     m: PolyMatrix, length: int, u: int, v: int, term_budget: int | None
 ) -> Polynomial:
     """Entry (u, v) of m**length via row-vector products; same value as
-    matrix_power_nilpotent(m, length).entry(u, v) at a fraction of the work."""
+    matrix_power_nilpotent(m, length).entry(u, v) at a fraction of the work.
+    Returns zero at the first empty level: every later level is empty too."""
     budget = term_budget if term_budget is not None else limits.term_budget()
-    n = m.n
-    row = [m.rows[u - 1][j]._terms for j in range(n)]
+    row = {j: p._terms for j, p in m.rows[u - 1].items()}
     for _ in range(length - 1):
-        nxt: list[dict[int, int]] = [dict() for _ in range(n)]
-        live = 0
-        for k in range(n):
-            left = row[k]
-            if not left:
-                continue
-            mat_row = m.rows[k]
-            for j in range(n):
-                right = mat_row[j]._terms
-                if not right:
-                    continue
-                acc = nxt[j]
-                for m1, c1 in left.items():
-                    for m2, c2 in right.items():
-                        if m1 & m2:
-                            continue
-                        key = m1 | m2
-                        acc[key] = acc.get(key, 0) + c1 * c2
-        for acc in nxt:
-            live += len(acc)
-        if live > budget:
-            raise BudgetExceededError("polynomial row product", budget)
-        row = nxt
-    return Polynomial(row[v - 1])
+        if not row:
+            break
+        row, _ = _row_times(row, m, budget, "polynomial row product")
+    return Polynomial(row.get(v - 1))
 
 
 def trail_count_symbolic(

@@ -5,6 +5,7 @@ from trailcounts.errors import BudgetExceededError
 from trailcounts.graphs import Graph, slot_of_pair
 from trailcounts.nilpotent import (
     PathVariant,
+    PolyMatrix,
     Polynomial,
     cycle_count_symbolic,
     euler_trail_count_symbolic,
@@ -237,6 +238,85 @@ class TestCycleCounts:
                 assert cycle_count_symbolic(bowtie, l, u) == count_walks(
                     bowtie, l, u, u, WalkClass.DISTINCT_NON_INITIAL
                 )
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda g, b: trail_count_symbolic(g, 4, 1, 2, term_budget=b),
+            lambda g, b: path_count_symbolic(g, 4, 1, 2, term_budget=b),
+            lambda g, b: path_count_symbolic(g, 4, 1, 2, PathVariant.START_GUARDED, term_budget=b),
+            lambda g, b: cycle_count_symbolic(g, 4, 1, term_budget=b),
+            lambda g, b: euler_trail_count_symbolic(g, 1, 1, term_budget=b),
+        ],
+        ids=["trails", "paths-literal", "paths-guarded", "cycles", "euler"],
+    )
+    def test_every_symbolic_entry_point_raises(self, k4, evaluate):
+        with pytest.raises(BudgetExceededError, match="polynomial row product"):
+            evaluate(k4, 2)
+        evaluate(k4, 10_000)
+
+    def test_row_power_boundary(self):
+        # the largest level of K6 trails at l=6 holds exactly 935 monomials
+        k6 = families.complete_graph(6)
+        assert trail_count_symbolic(k6, 6, 1, 2, term_budget=935) == count_walks(
+            k6, 6, 1, 2, WalkClass.TRAIL
+        )
+        with pytest.raises(BudgetExceededError, match="polynomial row product"):
+            trail_count_symbolic(k6, 6, 1, 2, term_budget=934)
+
+    def test_matrix_power_raises(self, k4):
+        with pytest.raises(BudgetExceededError, match="polynomial matrix product"):
+            matrix_power_nilpotent(formal_adjacency_edges(k4), 2, term_budget=2)
+
+    def test_matrix_power_budget_is_cumulative_over_the_product(self):
+        m = formal_adjacency_edges(families.complete_graph(6))
+        assert matrix_power_nilpotent(m, 4, term_budget=1260).total_terms() == 1260
+        with pytest.raises(BudgetExceededError, match="polynomial matrix product"):
+            matrix_power_nilpotent(m, 4, term_budget=1259)
+
+
+class TestSparseStorage:
+    def test_builders_store_one_entry_per_neighbor(self):
+        g = families.cycle_graph(600)
+        for m in (formal_adjacency_edges(g), vertex_observable_matrix(g)):
+            assert [len(row) for row in m.rows] == [2] * 600
+            assert m.entry(1, 300).is_zero()
+
+    def test_products_store_no_zero_entries(self, c4, bowtie):
+        for g in (c4, bowtie):
+            for m in (formal_adjacency_edges(g), vertex_observable_matrix(g)):
+                for l in (2, 3, 4, 5):
+                    power = matrix_power_nilpotent(m, l)
+                    assert all(p for row in power.rows for p in row.values())
+
+    def test_constructor_drops_zero_entries(self):
+        x = Polynomial.generator(0)
+        m = PolyMatrix([{1: x, 0: Polynomial.zero()}, {}])
+        assert m.rows == [{1: x}, {}]
+        assert m == PolyMatrix([{1: x}, {}])
+
+    def test_constructor_rejects_columns_outside_the_matrix(self):
+        with pytest.raises(ValueError):
+            PolyMatrix([{2: Polynomial.one()}, {}])
+
+
+class TestEmptyLevels:
+    def test_counts_vanish_past_the_last_nonempty_level(self, k4):
+        # trail levels empty after |E| steps, vertex levels after n steps;
+        # the row power stops there instead of stepping to the full length
+        l = 10**6
+        assert trail_count_symbolic(k4, l, 1, 2) == count_walks(k4, l, 1, 2, WalkClass.TRAIL) == 0
+        assert path_count_symbolic(k4, l, 1, 2) == count_walks(
+            k4, l, 1, 2, WalkClass.DISTINCT_NON_INITIAL
+        ) == 0
+        assert path_count_symbolic(k4, l, 1, 2, PathVariant.START_GUARDED) == count_walks(
+            k4, l, 1, 2, WalkClass.PATH
+        ) == 0
+        assert cycle_count_symbolic(k4, l, 1) == count_walks(
+            k4, l, 1, 1, WalkClass.DISTINCT_NON_INITIAL
+        ) == 0
 
 
 class TestStructuralProperties:

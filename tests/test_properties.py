@@ -19,7 +19,14 @@ from trailcounts.fock import (
     normal_ordered_expectation,
 )
 from trailcounts.graphs import Graph, pair_slots, walk_count
-from trailcounts.nilpotent import PathVariant, Polynomial, path_count_symbolic, trail_count_symbolic
+from trailcounts.nilpotent import (
+    PathVariant,
+    Polynomial,
+    formal_adjacency_edges,
+    matrix_power_nilpotent,
+    path_count_symbolic,
+    trail_count_symbolic,
+)
 from trailcounts.oracle import WalkClass, count_walks, enumerate_walks, trail_edge_set_histogram
 
 
@@ -82,6 +89,19 @@ def test_three_engines_agree_on_trails(query):
     expected = count_walks(g, l, u, v, WalkClass.TRAIL)
     assert trail_count_symbolic(g, l, u, v) == expected
     assert normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_queries(min_l=1))
+def test_edge_power_terms_match_trail_edge_sets(query):
+    # monomial by monomial against the oracle: each surviving term is one
+    # edge set, its coefficient the number of trails traversing exactly it
+    g, l, u, v = query
+    slots = pair_slots(g.n)
+    entry = matrix_power_nilpotent(formal_adjacency_edges(g), l).entry(u, v)
+    by_edge_set = {frozenset(slots[i] for i in gens): c for gens, c in entry.terms()}
+    assert by_edge_set == trail_edge_set_histogram(g, l, u, v)
+    assert trail_count_symbolic(g, l, u, v) == entry.coefficient_sum()
 
 
 @settings(max_examples=60, deadline=None)
