@@ -259,6 +259,12 @@ class OperatorTerm:
         return out
 
 
+def _needs_compact_register(g: Graph) -> bool:
+    """True when the full pair register (C(n,2) slots) exceeds the register
+    cap, so edge-space evaluations fall back to one slot per present edge."""
+    return g.n * (g.n - 1) // 2 > limits.register_cap()
+
+
 def _register_for(g: Graph, matrix_kind: MatrixKind, present_edges_only: bool) -> Register:
     if matrix_kind in _EDGE_KINDS:
         return Register.present_edges(g) if present_edges_only else Register.all_pairs(g.n)

@@ -15,7 +15,7 @@ NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 _DEFAULT_REGISTER_CAP = 24  # qubit slots; 2**24 amplitudes
 # live monomials in the level or matrix product being built, checked while it is built
 _DEFAULT_TERM_BUDGET = 10_000_000
-# visited nodes in backtracking searches; live states expanded in a Fock evolution
+# the root and every admitted step of a search; live states expanded in a Fock evolution
 _DEFAULT_NODE_BUDGET = 100_000_000
 
 

@@ -1,9 +1,20 @@
 """Ground-truth counting by exhaustive backtracking.
 
 Everything here enumerates walk sequences directly and filters them by a
-predicate; the other engines are validated against this module. Counting is
-depth-first with pruning by the class predicate and a configurable visited-
-node budget, so it is strictly a desk-scale oracle.
+predicate; the other engines are validated against this module. One
+explicit-stack depth-first search (`_search`) backs every count, table and
+enumeration. It extends the current sequence one step at a time, in sorted-
+neighbour order, and refuses a step whose bit is already in the sequence's
+mask. The bit depends on the step rule:
+
+    walk                  0 (no step is ever refused)
+    trail                 the traversed edge's bit (its position in
+                          g.sorted_edges()), so no edge repeats
+    distinct-non-initial  the destination vertex's bit, so v1..vl are
+                          pairwise distinct
+
+The search never merges equal states and charges a configurable node budget
+(the root and every admitted step), so it is strictly a desk-scale oracle.
 
 Walks are vertex sequences v0 v1 ... vl with every consecutive pair an edge;
 the length l is the number of edges traversed. Direction matters: a trail and
@@ -19,7 +30,7 @@ from collections import Counter
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph, pair_slot_index
+from .graphs import Graph
 
 WalkSeq = tuple[int, ...]
 
@@ -64,53 +75,28 @@ def enumerate_walks(
         return [(u,)] if u == v else []
 
     budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
-    slots = pair_slot_index(g.n)
+    rule, mask = walk_class, 0
+    if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
+        rule = WalkClass.TRAIL
+    elif walk_class is WalkClass.PATH:
+        # an open path is a distinct-non-initial walk that never enters its
+        # start; a closed one (a cycle) returns to it only at the end
+        rule, mask = WalkClass.DISTINCT_NON_INITIAL, (1 << (u - 1) if u != v else 0)
+    too_short_cycle = walk_class is WalkClass.PATH and u == v and length < 3
     out: list[WalkSeq] = []
     seen_edge_sets: set[int] = set()
-    seq = [u]
-
-    def step(current: int, depth: int, edge_mask: int, vertex_mask: int, dest_mask: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("walk enumeration", budget)
-        last = depth + 1 == length
-        for w in g.neighbors(current):
-            if last and w != v:
+    # the search yields in depth-first order, so seq[:depth] is always the
+    # prefix of the step just yielded
+    seq = [u] * (length + 1)
+    for depth, w, step_mask in _search(g, u, length, rule, budget, "walk enumeration", mask):
+        seq[depth] = w
+        if depth < length or w != v or too_short_cycle:
+            continue
+        if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
+            if step_mask in seen_edge_sets:
                 continue
-            lo, hi = (current, w) if current < w else (w, current)
-            ebit = 1 << slots[(lo, hi)]
-            wbit = 1 << (w - 1)
-            if walk_class in (WalkClass.TRAIL, WalkClass.START_ONCE_TRAIL_EDGE_SET):
-                if edge_mask & ebit:
-                    continue
-            elif walk_class is WalkClass.DISTINCT_NON_INITIAL:
-                if dest_mask & wbit:
-                    continue
-            elif walk_class is WalkClass.PATH:
-                if u == v:
-                    # closed path = cycle: v0..v_{l-1} distinct, closure back to u
-                    if last:
-                        if w != u or length < 3:
-                            continue
-                    elif vertex_mask & wbit:
-                        continue
-                elif vertex_mask & wbit:
-                    continue
-            seq.append(w)
-            if last:
-                if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
-                    s = edge_mask | ebit
-                    if s not in seen_edge_sets:
-                        seen_edge_sets.add(s)
-                        out.append(tuple(seq))
-                else:
-                    out.append(tuple(seq))
-            else:
-                step(w, depth + 1, edge_mask | ebit, vertex_mask | wbit, dest_mask | wbit)
-            seq.pop()
-
-    step(u, 0, 0, 1 << (u - 1), 0)
+            seen_edge_sets.add(step_mask)
+        out.append(tuple(seq))
     return out
 
 
@@ -163,9 +149,9 @@ def trail_edge_set_histogram(
     counter = sets.get((length, v))
     if not counter:
         return {}
-    slots = list(pair_slot_index(g.n).items())
+    edges = g.sorted_edges()  # trail mask bit i is edges[i]
     return {
-        frozenset(pair for pair, i in slots if mask & (1 << i)): count
+        frozenset(e for i, e in enumerate(edges) if mask >> i & 1): count
         for mask, count in counter.items()
     }
 
@@ -193,7 +179,44 @@ def count_hamiltonian_cycles_through(
     return seq // 2 if g.n >= 3 else 0
 
 
-# One DFS per (graph, start) covers every length <= max_len and every end
+def _search(g: Graph, start: int, max_len: int, rule: WalkClass, budget: int, what: str, mask: int = 0):
+    """Every walk from start of length 1..max_len whose steps obey the rule
+    (WALK, TRAIL or DISTINCT_NON_INITIAL), as (length, end vertex, mask)
+    after each admitted step, in lexicographic depth-first order. The mask
+    ORs the initial mask with every step's bit. The root and every admitted
+    step charge one node against the budget."""
+    adjacency = {a: g.neighbors(a) for a in range(1, g.n + 1)}
+    if rule is WalkClass.TRAIL:
+        edge_bit = {e: 1 << i for i, e in enumerate(g.sorted_edges())}
+        steps = {a: tuple((w, edge_bit[min(a, w), max(a, w)]) for w in ws) for a, ws in adjacency.items()}
+    elif rule is WalkClass.DISTINCT_NON_INITIAL:
+        steps = {a: tuple((w, 1 << (w - 1)) for w in ws) for a, ws in adjacency.items()}
+    else:
+        steps = {a: tuple((w, 0) for w in ws) for a, ws in adjacency.items()}
+    remaining = budget - 1
+    if remaining < 0:
+        raise BudgetExceededError(what, budget)
+    # one (unvisited steps, mask) pair per vertex of the current sequence
+    stack = [(iter(steps[start]), mask)] if max_len > 0 else []
+    while stack:
+        depth = len(stack)
+        pending, current = stack[-1]
+        for w, bit in pending:
+            if current & bit:
+                continue
+            remaining -= 1
+            if remaining < 0:
+                raise BudgetExceededError(what, budget)
+            extended = current | bit
+            yield depth, w, extended
+            if depth < max_len:
+                stack.append((iter(steps[w]), extended))
+                break
+        else:
+            stack.pop()
+
+
+# One search per (graph, start) covers every length <= max_len and every end
 # vertex at once; the lru_cache key includes max_len and budget so repeated
 # queries at the same scale reuse the tables. Concurrent callers may at worst
 # recompute a table; results are immutable after construction.
@@ -201,49 +224,19 @@ def count_hamiltonian_cycles_through(
 
 @functools.lru_cache(maxsize=None)
 def _walk_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
-    counts: dict[tuple[int, int], int] = {}
-    remaining = [budget]
-
-    def rec(current: int, depth: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("walk tally", budget)
-        if depth == max_len:
-            return
-        for w in g.neighbors(current):
-            key = (depth + 1, w)
-            counts[key] = counts.get(key, 0) + 1
-            rec(w, depth + 1)
-
-    rec(start, 0)
-    return counts
+    return Counter((depth, w) for depth, w, _ in _search(g, start, max_len, WalkClass.WALK, budget, "walk tally"))
 
 
 @functools.lru_cache(maxsize=None)
 def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
-    counts: dict[tuple[int, int], int] = {}
+    """Trail counts plus, per (length, end vertex), how many trails traverse
+    each edge-set mask."""
+    counts: dict[tuple[int, int], int] = Counter()
     sets: dict[tuple[int, int], Counter] = {}
-    slots = pair_slot_index(g.n)
-    remaining = [budget]
-
-    def rec(current: int, depth: int, edge_mask: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("trail tally", budget)
-        if depth == max_len:
-            return
-        for w in g.neighbors(current):
-            lo, hi = (current, w) if current < w else (w, current)
-            ebit = 1 << slots[(lo, hi)]
-            if edge_mask & ebit:
-                continue
-            mask = edge_mask | ebit
-            key = (depth + 1, w)
-            counts[key] = counts.get(key, 0) + 1
-            sets.setdefault(key, Counter())[mask] += 1
-            rec(w, depth + 1, mask)
-
-    rec(start, 0, 0)
+    for depth, w, mask in _search(g, start, max_len, WalkClass.TRAIL, budget, "trail tally"):
+        key = depth, w  # one key object shared by both tables
+        counts[key] += 1
+        sets.setdefault(key, Counter())[mask] += 1
     return counts, sets
 
 
@@ -251,30 +244,12 @@ def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict
 def _dni_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """DISTINCT_NON_INITIAL counts plus PATH counts (open paths avoid the
     start vertex entirely; closed paths are cycles, l >= 3)."""
-    dni: dict[tuple[int, int], int] = {}
-    path: dict[tuple[int, int], int] = {}
+    dni: dict[tuple[int, int], int] = Counter()
+    path: dict[tuple[int, int], int] = Counter()
     start_bit = 1 << (start - 1)
-    remaining = [budget]
-
-    def rec(current: int, depth: int, dest_mask: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("path tally", budget)
-        if depth == max_len:
-            return
-        for w in g.neighbors(current):
-            wbit = 1 << (w - 1)
-            if dest_mask & wbit:
-                continue
-            mask = dest_mask | wbit
-            key = (depth + 1, w)
-            dni[key] = dni.get(key, 0) + 1
-            if w == start:
-                if depth + 1 >= 3:
-                    path[key] = path.get(key, 0) + 1
-            elif not (mask & start_bit):
-                path[key] = path.get(key, 0) + 1
-            rec(w, depth + 1, mask)
-
-    rec(start, 0, 0)
+    for depth, w, mask in _search(g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally"):
+        key = depth, w  # one key object shared by both tables
+        dni[key] += 1
+        if (depth >= 3) if w == start else not mask & start_bit:
+            path[key] += 1
     return dni, path

@@ -183,15 +183,20 @@ def _symbolic_value(g: Graph, kind: str, length: int, u: int, v: int, variant: P
     if kind == "cycles":
         return nilpotent.cycle_count_symbolic(g, length, u)
     if kind == "hamiltonian":
-        return nilpotent.cycle_count_symbolic(g, g.n, u)
+        # the literal closed entry: cycle_count_symbolic at n >= 3, and it
+        # also counts K2's back-and-forth traversal as the oracle does
+        return nilpotent.path_count_symbolic(g, g.n, u, u)
     raise ValueError(f"unknown kind {kind!r}")
 
 
 def _fock_value(g: Graph, kind: str, length: int, u: int, v: int, variant: PathVariant) -> int:
+    compact = fock._needs_compact_register(g)
     if kind == "walks":
-        return fock.walk_count_expectation(g, length, u, v)
+        return fock.walk_count_expectation(g, length, u, v, present_edges_only=compact)
     if kind == "trails":
-        return fock.normal_ordered_expectation(g, length, u, v, fock.MatrixKind.N_EDGE)
+        return fock.normal_ordered_expectation(
+            g, length, u, v, fock.MatrixKind.N_EDGE, present_edges_only=compact
+        )
     if kind == "paths":
         guard = u if variant is PathVariant.START_GUARDED else None
         return fock.normal_ordered_expectation(
@@ -200,7 +205,9 @@ def _fock_value(g: Graph, kind: str, length: int, u: int, v: int, variant: PathV
     if kind == "euler":
         if g.edge_count == 0:
             return int(u == v)
-        return fock.normal_ordered_expectation(g, g.edge_count, u, v, fock.MatrixKind.N_EDGE)
+        return fock.normal_ordered_expectation(
+            g, g.edge_count, u, v, fock.MatrixKind.N_EDGE, present_edges_only=compact
+        )
     if kind == "cycles":
         return fock.normal_ordered_expectation(g, length, u, u, fock.MatrixKind.M_VERTEX)
     if kind == "hamiltonian":
@@ -268,7 +275,9 @@ def _annotate(report, g, kind, length, u, v, variant) -> None:
         l_eff = g.edge_count if kind == "euler" else length
         if l_eff >= 1:
             try:
-                quad = fock.d_matrix_quadratic_form(g, l_eff, u, v)
+                quad = fock.d_matrix_quadratic_form(
+                    g, l_eff, u, v, present_edges_only=fock._needs_compact_register(g)
+                )
                 trail = oracle.count_walks(g, l_eff, u, v, WalkClass.TRAIL)
             except (CapacityError, BudgetExceededError):
                 return

@@ -240,8 +240,7 @@ def _sweep_graph(ctx: _Ctx, gid: str, g: Graph):
         edge_powers = _power_chain(nilpotent.formal_adjacency_edges(g), l_max, cfg.term_budget)
         vertex_powers = _power_chain(nilpotent.vertex_observable_matrix(g), l_max, cfg.term_budget)
 
-    pairs_fit = n * (n - 1) // 2 <= limits.register_cap()
-    edge_space_compact = not pairs_fit
+    edge_space_compact = fock._needs_compact_register(g)
     fock_n = fock_m = fock_d = {}
     if use_fock:
         fock_n = {
@@ -260,7 +259,7 @@ def _sweep_graph(ctx: _Ctx, gid: str, g: Graph):
             )
             for u in range(1, n + 1)
         }
-        if not pairs_fit:
+        if edge_space_compact:
             # the full pair register must refuse cleanly; the |E|-slot
             # register carries the sweep instead
             try:
@@ -413,7 +412,7 @@ def _power_chain(m, l_max: int, term_budget: int | None):
 def _spot_check_ops(ctx, gid, g, walk_t, trail_t, dni_t, edge_powers, vertex_powers, fock_n, fock_m, fock_d):
     """Sampled per-query calls of the public operations against the sweep
     tables: the ops are what users call, the tables are what the sweep
-    trusts, and enumerate/count are distinct code paths."""
+    trusts, and enumerate/count are different reductions of one search."""
     cfg = ctx.config
     rng = ctx.rng
     n = g.n
@@ -429,12 +428,10 @@ def _spot_check_ops(ctx, gid, g, walk_t, trail_t, dni_t, edge_powers, vertex_pow
         seqs = oracle.enumerate_walks(g, l, u, v, WalkClass.WALK)
         ctx.check("enumerate-lexicographic-unique", seqs == sorted(set(seqs)), loc)
         if edge_powers is not None:
-            via_matrix = nilpotent.matrix_power_nilpotent(
-                nilpotent.formal_adjacency_edges(g), l, cfg.term_budget
-            ).entry(u, v)
+            via_rows = nilpotent._row_power_entry(nilpotent.formal_adjacency_edges(g), l, u, v, cfg.term_budget)
             ctx.check(
                 "row-power-matches-matrix-power",
-                via_matrix == edge_powers[l].entry(u, v),
+                via_rows == edge_powers[l].entry(u, v),
                 loc,
             )
             ctx.check(
@@ -461,7 +458,7 @@ def _spot_check_ops(ctx, gid, g, walk_t, trail_t, dni_t, edge_powers, vertex_pow
                     loc,
                 )
         if fock_n:
-            compact = g.n * (g.n - 1) // 2 > limits.register_cap()
+            compact = fock._needs_compact_register(g)
             ctx.check(
                 "fock-op-matches-table",
                 fock.normal_ordered_expectation(
@@ -526,7 +523,7 @@ def _euler_checks(ctx, gid, g: Graph):
                 {"graph": gid, "u": u, "symbolic": diag[u - 1], "oracle": o},
             )
         if "fock" in cfg.engines:
-            compact = g.n * (g.n - 1) // 2 > limits.register_cap()
+            compact = fock._needs_compact_register(g)
             f = fock.normal_ordered_expectation_table(
                 g, u, m, MatrixKind.N_EDGE, present_edges_only=compact, node_budget=cfg.node_budget
             ).get((m, u), 0)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from trailcounts import reports
+from trailcounts import families, nilpotent, reports, verify
 from trailcounts.cli import main
 from trailcounts.nilpotent import PathVariant
 from trailcounts.reports import (
@@ -22,6 +22,12 @@ C4_TEXT = "1 2\n1 3\n2 4\n3 4\n"
 def c4_file(tmp_path):
     path = tmp_path / "c4.txt"
     path.write_text(C4_TEXT)
+    return str(path)
+
+
+def _edge_file(tmp_path, name, g):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"n {g.n}\n" + "".join(f"{a} {b}\n" for a, b in sorted(g.edges)))
     return str(path)
 
 
@@ -127,6 +133,41 @@ class TestCount:
         )
         assert code == 2
         assert "28" in out
+
+    def test_petersen_falls_back_to_compact_register(self, capsys, tmp_path):
+        # 45 vertex pairs exceed the register cap, 15 present edges do not
+        path = _edge_file(tmp_path, "petersen", families.petersen_graph())
+        code, out, _ = run(
+            capsys, "count", "--input", path, "--kind", "trails",
+            "--length", "5", "--from", "1", "--to", "2", "--format", "json",
+        )
+        assert code == 0
+        engines = json.loads(out)["engines"]
+        assert engines["fock"]["value"] == engines["oracle"]["value"] == "4"
+
+    def test_walks_beyond_the_recursion_limit(self, capsys, tmp_path):
+        path = _edge_file(tmp_path, "k2", families.complete_graph(2))
+        code, out, _ = run(
+            capsys, "count", "--input", path, "--kind", "walks",
+            "--length", "3000", "--from", "1", "--to", "1", "--format", "json",
+        )
+        assert code == 0
+        assert {e: v["value"] for e, v in json.loads(out)["engines"].items()} == {
+            "oracle": "1", "symbolic": "1", "fock": "1",
+        }
+
+    @pytest.mark.parametrize("n, expected", [(1, "0"), (2, "1")])
+    def test_hamiltonian_below_three_vertices(self, capsys, tmp_path, n, expected):
+        # K2's back-and-forth traversal is a closed sequence through every
+        # vertex once; K1 has none
+        path = _edge_file(tmp_path, f"k{n}", families.complete_graph(n))
+        code, out, _ = run(
+            capsys, "count", "--input", path, "--kind", "hamiltonian", "--from", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        values = {v["value"] for v in json.loads(out)["engines"].values()}
+        assert values == {expected}
 
     def test_usage_errors(self, capsys, c4_file):
         assert run(capsys, "count", "--input", c4_file, "--kind", "trails", "--from", "1")[0] == 1
@@ -239,6 +280,22 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_row_power_invariant_tests_the_row_power(self, monkeypatch):
+        real = nilpotent._row_power_entry
+
+        def corrupted(*args):
+            return real(*args) + nilpotent.Polynomial.generator(0)
+
+        monkeypatch.setattr(nilpotent, "_row_power_entry", corrupted)
+        config = verify.SweepConfig(
+            n_max=3, l_max=3, engines=("oracle", "symbolic"), include_named=False,
+            hamiltonian_random_sizes=(),
+        )
+        summary = verify.run_sweep(config)
+        invariant = summary.invariant("row-power-matches-matrix-power")
+        assert invariant.cases > 0
+        assert invariant.failure_count == invariant.cases
+
     def test_unknown_engine_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--engines", "quantum")
         assert code == 1
@@ -265,6 +322,15 @@ class TestBench:
         rows = {r[1]: r[5] for r in list(csv.reader(io.StringIO(out)))[1:]}
         assert rows["7"] != "DNF"  # 21 slots fit the default cap
         assert rows["8"] == "DNF"  # 28 slots refused
+
+    def test_complete_family_hamiltonian_from_k2(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--family", "complete", "--min-n", "2", "--max-n", "3",
+            "--kind", "hamiltonian", "--engines", "oracle,symbolic,fock",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert {(r[1], r[5]) for r in rows} == {("2", "1"), ("3", "2")}
 
     def test_petersen_hamiltonian(self, capsys):
         code, out, _ = run(

@@ -114,6 +114,35 @@ class TestCount:
         with pytest.raises(BudgetExceededError):
             count_walks(k6, 6, 1, 2, WalkClass.WALK, node_budget=10)
 
+    def test_budget_boundary(self, k4):
+        # the root and every admitted step cost one node: 1 + 3 + 9 + 27 = 40;
+        # enumeration charges the admitted last-level steps that miss v too
+        for fn, label in ((count_walks, "walk tally"), (enumerate_walks, "walk enumeration")):
+            fn(k4, 3, 1, 2, WalkClass.WALK, node_budget=40)
+            with pytest.raises(BudgetExceededError, match=label):
+                fn(k4, 3, 1, 2, WalkClass.WALK, node_budget=39)
+
+
+class TestLongWalks:
+    # the search keeps an explicit stack, so lengths far past Python's
+    # recursion limit work
+    def test_walks_on_k2(self, k2):
+        assert count_walks(k2, 3000, 1, 1) == 1
+        assert count_walks(k2, 3000, 1, 2) == 0
+        assert enumerate_walks(k2, 3000, 1, 1) == [(1, 2) * 1500 + (1,)]
+
+    def test_closed_trails_and_cycles_on_c1500(self):
+        c = families.cycle_graph(1500)
+        assert count_closed_euler_trails(c, 1) == 2
+        assert count_walks(c, 1500, 1, 1, WalkClass.PATH) == 2
+        assert count_walks(c, 1500, 1, 1, WalkClass.DISTINCT_NON_INITIAL) == 2
+        assert len(enumerate_walks(c, 1500, 1, 1, WalkClass.TRAIL)) == 2
+
+    def test_end_to_end_path_on_p2000(self):
+        p = families.path_graph(2000)
+        assert count_walks(p, 1999, 1, 2000, WalkClass.PATH) == 1
+        assert enumerate_walks(p, 1999, 1, 2000, WalkClass.PATH) == [tuple(range(1, 2001))]
+
 
 class TestEuler:
     def test_c4_two_directions(self, c4):

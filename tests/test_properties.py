@@ -1,7 +1,9 @@
 """Property-based cross-validation of the engines on random graphs."""
 
+import itertools
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trailcounts.fock import (
     LadderKind,
@@ -164,6 +166,46 @@ def test_enumerate_unique_sorted_and_valid(query):
         for seq in seqs:
             assert seq[0] == u and seq[-1] == v
             assert all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+
+
+def _class_members(g, l, u, v, cls):
+    """Every vertex sequence of the class, in lexicographic order, from the
+    WalkClass docstring's predicates applied to itertools.product; no search."""
+    seqs = [
+        (u, *mid, v)
+        for mid in itertools.product(range(1, g.n + 1), repeat=l - 1)
+        if all(g.has_edge(a, b) for a, b in zip((u, *mid), (*mid, v)))
+    ] if l >= 1 else [(u,)] * (u == v)
+    edge_lists = {s: [frozenset(e) for e in zip(s, s[1:])] for s in seqs}
+    if cls is WalkClass.WALK:
+        return seqs
+    trails = [s for s in seqs if len(set(edge_lists[s])) == l]
+    if cls is WalkClass.TRAIL:
+        return trails
+    if cls is WalkClass.DISTINCT_NON_INITIAL:
+        return [s for s in seqs if len(set(s[1:])) == l]
+    if cls is WalkClass.PATH:
+        if u == v:
+            return [s for s in seqs if l == 0 or (l >= 3 and len(set(s[:-1])) == l)]
+        return [s for s in seqs if len(set(s)) == l + 1]
+    first_per_set = {}
+    for s in trails:
+        first_per_set.setdefault(frozenset(edge_lists[s]), s)
+    return sorted(first_per_set.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_queries())
+@example((Graph(2, frozenset({(1, 2)})), 2, 1, 1))  # a closed walk too short to be a cycle
+@example((Graph(4, frozenset(pair_slots(4))), 4, 1, 1))
+def test_enumerate_matches_product_filter(query):
+    # the independent reference for the oracle's one search: counting and
+    # enumeration share it, so they cannot check each other
+    g, l, u, v = query
+    for cls in WalkClass:
+        expected = _class_members(g, l, u, v, cls)
+        assert enumerate_walks(g, l, u, v, cls) == expected
+        assert count_walks(g, l, u, v, cls) == len(expected)
 
 
 @settings(max_examples=100, deadline=None)
