@@ -108,6 +108,18 @@ def _engines(arg: str) -> tuple[str, ...]:
     return names
 
 
+def _check_length(kind: str, length: int | None) -> None:
+    """Refuse a given length below the kind's least; a derived length is
+    not checked."""
+    spec = reports.KIND_TABLE[kind]
+    if spec.derived_length is not None:
+        return
+    if length < min(spec.min_length, 1):
+        raise _UsageError(f"--length must be >= 1 for --kind {kind}")
+    if length < spec.min_length:
+        raise _UsageError(f"{kind} need --length >= {spec.min_length}")
+
+
 def _cmd_count(args) -> int:
     graph_id, g = _load_graph(args.input)
     kind = args.kind
@@ -119,23 +131,17 @@ def _cmd_count(args) -> int:
     v = args.v if args.v is not None else u
     g.require_vertex(u)
     g.require_vertex(v)
-    if kind in ("euler", "hamiltonian"):
-        if args.length is not None:
-            raise _UsageError(f"--length is derived for --kind {kind} (|E| resp. n)")
-        length = g.edge_count if kind == "euler" else g.n
-    else:
-        if args.length is None:
-            raise _UsageError(f"--kind {kind} requires --length")
-        length = args.length
-        if length < 0 or (length < 1 and kind != "walks"):
-            raise _UsageError(f"--length must be >= 1 for --kind {kind}")
-        if kind == "cycles" and length < 3:
-            raise _UsageError("cycles need --length >= 3")
-    if kind in ("cycles", "hamiltonian") and v != u:
+    spec = reports.KIND_TABLE[kind]
+    if spec.derived_length is not None and args.length is not None:
+        raise _UsageError(f"--length is derived for --kind {kind} (|E| resp. n)")
+    if spec.derived_length is None and args.length is None:
+        raise _UsageError(f"--kind {kind} requires --length")
+    _check_length(kind, args.length)
+    if spec.closed and v != u:
         raise _UsageError(f"--kind {kind} is closed; --to must equal --from")
 
     engines = reports.ENGINES if args.engine == "all" else (args.engine,)
-    report = reports.run_count_query(g, graph_id, kind, length, u, v, engines, variant)
+    report = reports.run_count_query(g, graph_id, kind, spec.length(g, args.length), u, v, engines, variant)
 
     if args.format == "json":
         print(report.to_json())
@@ -205,23 +211,19 @@ def _bench_graph(family: str, n: int) -> Graph:
 
 def _cmd_bench(args) -> int:
     engines = _engines(args.engines)
+    _check_length(args.kind, args.length)
+    spec = reports.KIND_TABLE[args.kind]
     sizes = [args.min_n] if args.family == "petersen" else range(args.min_n, args.max_n + 1)
     writer = csv.writer(sys.stdout)
     writer.writerow(["family", "n", "kind", "length", "engine", "value", "wall_time_ms"])
     for n in sizes:
         g = _bench_graph(args.family, n)
-        if args.kind == "euler":
-            length = g.edge_count
-        elif args.kind == "hamiltonian":
-            length = g.n
-        else:
-            length = args.length
-        u, v = 1, (1 if args.kind in ("cycles", "hamiltonian") else min(2, g.n))
+        length = spec.length(g, args.length)
+        u, v = 1, (1 if spec.closed else min(2, g.n))
         for engine in engines:
-            fn = reports._ENGINE_FNS[engine]
             start = time.perf_counter()
             try:
-                value = str(fn(g, args.kind, length, u, v, PathVariant.LITERAL))
+                value = str(getattr(spec, engine)(g, length, u, v, PathVariant.LITERAL))
             except (CapacityError, BudgetExceededError):
                 value = "DNF"
             elapsed = round((time.perf_counter() - start) * 1000.0, 3)

@@ -296,29 +296,36 @@ def expand_walk_terms(
     register = _register_for(g, matrix_kind, present_edges_only)
     op_kind = LadderKind.NUMBER if matrix_kind in _NUMBER_KINDS else LadderKind.ANNIHILATE
     budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = [budget]
     out: list[tuple[tuple[int, ...], OperatorTerm]] = []
     seq = [u]
     ops: list[LadderOp] = []
-
-    def rec(current: int, depth: int):
-        remaining[0] -= 1
-        if remaining[0] < 0:
-            raise BudgetExceededError("walk-term expansion", budget)
-        last = depth + 1 == length
-        for w in g.neighbors(current):
+    # depth-first over walk prefixes; each prefix shorter than length costs
+    # one node when it is expanded, and stack[i] iterates seq[i]'s neighbours
+    remaining = budget - 1
+    if remaining < 0:
+        raise BudgetExceededError("walk-term expansion", budget)
+    stack = [iter(g.neighbors(u))]
+    while stack:
+        current, last = seq[-1], len(stack) == length
+        for w in stack[-1]:
             if last and w != v:
                 continue
-            seq.append(w)
-            ops.append(LadderOp(op_kind, _step_slot(register, matrix_kind, current, w)))
+            op = LadderOp(op_kind, _step_slot(register, matrix_kind, current, w))
             if last:
-                out.append((tuple(seq), OperatorTerm(tuple(ops))))
-            else:
-                rec(w, depth + 1)
+                out.append(((*seq, w), OperatorTerm((*ops, op))))
+                continue
+            remaining -= 1
+            if remaining < 0:
+                raise BudgetExceededError("walk-term expansion", budget)
+            seq.append(w)
+            ops.append(op)
+            stack.append(iter(g.neighbors(w)))
+            break
+        else:
+            stack.pop()
             seq.pop()
-            ops.pop()
-
-    rec(u, 0)
+            if ops:
+                ops.pop()
     return out
 
 

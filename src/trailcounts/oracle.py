@@ -218,16 +218,18 @@ def _search(g: Graph, start: int, max_len: int, rule: WalkClass, budget: int, wh
 
 # One search per (graph, start) covers every length <= max_len and every end
 # vertex at once; the lru_cache key includes max_len and budget so repeated
-# queries at the same scale reuse the tables. Concurrent callers may at worst
+# queries at the same scale reuse the tables. Each cache keeps its 128 most
+# recently used tables (functools' default), so a process that sees many
+# graphs does not keep every table it built. Concurrent callers may at worst
 # recompute a table; results are immutable after construction.
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache
 def _walk_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
     return Counter((depth, w) for depth, w, _ in _search(g, start, max_len, WalkClass.WALK, budget, "walk tally"))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache
 def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """Trail counts plus, per (length, end vertex), how many trails traverse
     each edge-set mask."""
@@ -240,7 +242,7 @@ def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict
     return counts, sets
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache
 def _dni_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """DISTINCT_NON_INITIAL counts plus PATH counts (open paths avoid the
     start vertex entirely; closed paths are cycles, l >= 3)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import fock, nilpotent, oracle
 from .errors import BudgetExceededError, CapacityError
@@ -21,7 +22,6 @@ from .oracle import WalkClass
 PROP2_LITERAL_OVERCOUNT = "PROP2_LITERAL_OVERCOUNT"
 DMATRIX_SQUARED = "DMATRIX_SQUARED"
 
-KINDS = ("walks", "trails", "paths", "euler", "cycles", "hamiltonian")
 ENGINES = ("oracle", "symbolic", "fock")
 
 
@@ -152,74 +152,76 @@ def _timed(fn) -> EngineValue:
     return EngineValue(value=int(value), wall_time_ms=round(elapsed, 3))
 
 
-def _oracle_value(g: Graph, kind: str, length: int, u: int, v: int, variant: PathVariant) -> int:
-    if kind == "walks":
-        return oracle.count_walks(g, length, u, v, WalkClass.WALK)
-    if kind == "trails":
-        return oracle.count_walks(g, length, u, v, WalkClass.TRAIL)
-    if kind == "paths":
-        cls = WalkClass.PATH if variant is PathVariant.START_GUARDED else WalkClass.DISTINCT_NON_INITIAL
-        return oracle.count_walks(g, length, u, v, cls)
-    if kind == "euler":
-        return oracle.count_walks(g, g.edge_count, u, v, WalkClass.TRAIL) if g.edge_count else int(u == v)
-    if kind == "cycles":
-        return oracle.count_walks(g, length, u, u, WalkClass.DISTINCT_NON_INITIAL)
-    if kind == "hamiltonian":
-        return oracle.count_hamiltonian_cycles_through(g, u, directed=True)
-    raise ValueError(f"unknown kind {kind!r}")
+@dataclass(frozen=True)
+class Kind:
+    """One count kind: its least given length or its derived one, whether it
+    is closed, and its evaluations (g, length, u, v, variant) on each engine,
+    which look their engine function up when called."""
+
+    min_length: int
+    closed: bool
+    oracle: Callable[..., int]
+    symbolic: Callable[..., int]
+    fock: Callable[..., int]
+    derived_length: Callable[[Graph], int] | None = None
+
+    def length(self, g: Graph, given: int) -> int:
+        return given if self.derived_length is None else self.derived_length(g)
 
 
-def _symbolic_value(g: Graph, kind: str, length: int, u: int, v: int, variant: PathVariant) -> int:
-    if kind == "walks":
-        # The nilpotent ring is trail-specific; the exact adjacency-matrix
-        # power is the algebraic walk counter.
-        return walk_count(g, length, u, v)
-    if kind == "trails":
-        return nilpotent.trail_count_symbolic(g, length, u, v)
-    if kind == "paths":
-        return nilpotent.path_count_symbolic(g, length, u, v, variant)
-    if kind == "euler":
-        return nilpotent.euler_trail_count_symbolic(g, u, v)
-    if kind == "cycles":
-        return nilpotent.cycle_count_symbolic(g, length, u)
-    if kind == "hamiltonian":
+def _trails_oracle(g, l, u, v, variant) -> int:
+    return oracle.count_walks(g, l, u, v, WalkClass.TRAIL)  # 1 if u == v else 0 at l = 0
+
+
+def _trails_fock(g, l, u, v, variant) -> int:
+    return fock.normal_ordered_expectation(g, l, u, v, fock.MatrixKind.N_EDGE, present_edges_only=fock._needs_compact_register(g))
+
+
+KIND_TABLE: dict[str, Kind] = {
+    "walks": Kind(
+        0, False,
+        oracle=lambda g, l, u, v, variant: oracle.count_walks(g, l, u, v, WalkClass.WALK),
+        # the nilpotent ring is trail-specific; the exact adjacency-matrix
+        # power is the algebraic walk counter
+        symbolic=lambda g, l, u, v, variant: walk_count(g, l, u, v),
+        fock=lambda g, l, u, v, variant: fock.walk_count_expectation(g, l, u, v, present_edges_only=fock._needs_compact_register(g)),
+    ),
+    "trails": Kind(
+        1, False, oracle=_trails_oracle, fock=_trails_fock,
+        symbolic=lambda g, l, u, v, variant: nilpotent.trail_count_symbolic(g, l, u, v),
+    ),
+    "paths": Kind(
+        1, False,
+        oracle=lambda g, l, u, v, variant: oracle.count_walks(
+            g, l, u, v, WalkClass.PATH if variant is PathVariant.START_GUARDED else WalkClass.DISTINCT_NON_INITIAL
+        ),
+        symbolic=lambda g, l, u, v, variant: nilpotent.path_count_symbolic(g, l, u, v, variant),
+        fock=lambda g, l, u, v, variant: fock.normal_ordered_expectation(
+            g, l, u, v, fock.MatrixKind.M_VERTEX, guard_vertex=u if variant is PathVariant.START_GUARDED else None
+        ),
+    ),
+    "euler": Kind(
+        1, False, oracle=_trails_oracle, derived_length=lambda g: g.edge_count,
+        symbolic=lambda g, l, u, v, variant: nilpotent.euler_trail_count_symbolic(g, u, v),
+        # an edgeless graph has one empty closed trail at each vertex
+        fock=lambda g, l, u, v, variant: _trails_fock(g, l, u, v, variant) if l else int(u == v),
+    ),
+    "cycles": Kind(
+        3, True,
+        oracle=lambda g, l, u, v, variant: oracle.count_walks(g, l, u, u, WalkClass.DISTINCT_NON_INITIAL),
+        symbolic=lambda g, l, u, v, variant: nilpotent.cycle_count_symbolic(g, l, u),
+        fock=lambda g, l, u, v, variant: fock.normal_ordered_expectation(g, l, u, u, fock.MatrixKind.M_VERTEX),
+    ),
+    "hamiltonian": Kind(
+        1, True, derived_length=lambda g: g.n,
+        oracle=lambda g, l, u, v, variant: oracle.count_hamiltonian_cycles_through(g, u, directed=True),
         # the literal closed entry: cycle_count_symbolic at n >= 3, and it
         # also counts K2's back-and-forth traversal as the oracle does
-        return nilpotent.path_count_symbolic(g, g.n, u, u)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _fock_value(g: Graph, kind: str, length: int, u: int, v: int, variant: PathVariant) -> int:
-    compact = fock._needs_compact_register(g)
-    if kind == "walks":
-        return fock.walk_count_expectation(g, length, u, v, present_edges_only=compact)
-    if kind == "trails":
-        return fock.normal_ordered_expectation(
-            g, length, u, v, fock.MatrixKind.N_EDGE, present_edges_only=compact
-        )
-    if kind == "paths":
-        guard = u if variant is PathVariant.START_GUARDED else None
-        return fock.normal_ordered_expectation(
-            g, length, u, v, fock.MatrixKind.M_VERTEX, guard_vertex=guard
-        )
-    if kind == "euler":
-        if g.edge_count == 0:
-            return int(u == v)
-        return fock.normal_ordered_expectation(
-            g, g.edge_count, u, v, fock.MatrixKind.N_EDGE, present_edges_only=compact
-        )
-    if kind == "cycles":
-        return fock.normal_ordered_expectation(g, length, u, u, fock.MatrixKind.M_VERTEX)
-    if kind == "hamiltonian":
-        return fock.f_matrix_amplitude(g, g.n, u)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-_ENGINE_FNS = {
-    "oracle": _oracle_value,
-    "symbolic": _symbolic_value,
-    "fock": _fock_value,
+        symbolic=lambda g, l, u, v, variant: nilpotent.path_count_symbolic(g, l, u, u),
+        fock=lambda g, l, u, v, variant: fock.f_matrix_amplitude(g, l, u),
+    ),
 }
+KINDS = tuple(KIND_TABLE)
 
 
 def run_count_query(
@@ -234,12 +236,11 @@ def run_count_query(
 ) -> CountReport:
     """Evaluate one counting query on the requested engines and assemble the
     cross-checked report, including characterized-discrepancy notes."""
-    if kind not in KINDS:
+    if kind not in KIND_TABLE:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    values: dict[str, EngineValue] = {}
-    for name in engines:
-        fn = _ENGINE_FNS[name]
-        values[name] = _timed(lambda fn=fn: fn(g, kind, length, u, v, variant))
+    spec = KIND_TABLE[kind]
+    l_eff = spec.length(g, length)
+    values = {name: _timed(lambda name=name: getattr(spec, name)(g, l_eff, u, v, variant)) for name in engines}
 
     report = CountReport(
         graph_id=graph_id,
@@ -250,7 +251,7 @@ def run_count_query(
         variant=variant.value if kind == "paths" else None,
         engines=values,
     )
-    _annotate(report, g, kind, length, u, v, variant)
+    _annotate(report, g, kind, l_eff, u, v, variant)
     return report
 
 
@@ -271,23 +272,19 @@ def _annotate(report, g, kind, length, u, v, variant) -> None:
                     ),
                 }
             )
-    if kind in ("trails", "euler"):
-        l_eff = g.edge_count if kind == "euler" else length
-        if l_eff >= 1:
-            try:
-                quad = fock.d_matrix_quadratic_form(
-                    g, l_eff, u, v, present_edges_only=fock._needs_compact_register(g)
-                )
-                trail = oracle.count_walks(g, l_eff, u, v, WalkClass.TRAIL)
-            except (CapacityError, BudgetExceededError):
-                return
-            if quad != trail:
-                report.notes.append(
-                    {
-                        "code": DMATRIX_SQUARED,
-                        "message": (
-                            f"annihilation quadratic form is {quad} (sum of squared "
-                            f"per-edge-set trail counts) but the trail count is {trail}"
-                        ),
-                    }
-                )
+    if kind in ("trails", "euler") and length >= 1:
+        try:
+            quad = fock.d_matrix_quadratic_form(g, length, u, v, present_edges_only=fock._needs_compact_register(g))
+            trail = oracle.count_walks(g, length, u, v, WalkClass.TRAIL)
+        except (CapacityError, BudgetExceededError):
+            return
+        if quad != trail:
+            report.notes.append(
+                {
+                    "code": DMATRIX_SQUARED,
+                    "message": (
+                        f"annihilation quadratic form is {quad} (sum of squared "
+                        f"per-edge-set trail counts) but the trail count is {trail}"
+                    ),
+                }
+            )

@@ -6,10 +6,20 @@ characterized discrepancies of the literal destination-vertex observable and
 of the annihilation quadratic form, Eulerian and Hamiltonian ground truth,
 plus structural properties (symmetry, monotonicity, degree bounds).
 
+Each graph's engine tables are built once, into one record (_Tables): the
+adjacency powers, the oracle tables, the symbolic power chains and the Fock
+tables per start vertex, and whether edge-space Fock evaluations need the
+compact register. Every (u, v, l) cell of a graph is then checked against
+one ordered table, _CELL_ROWS. A row names an invariant, the engines it
+needs, when it applies (e.g. only for u != v), the predicate, and the
+failure detail, built only when the predicate fails. Rows whose engines are
+off are dropped before the sweep starts. The table order is the order in
+which the invariants first appear in the summary.
+
 Characterized discrepancies are not failures: the sweep records them as
-flags with fixed machine-readable codes and *fails* if an expected
-discrepancy pattern is violated (e.g. the quadratic form not matching the
-sum of squared per-edge-set trail counts).
+flags with fixed machine-readable codes (the two flag rows of the table) and
+*fails* if an expected discrepancy pattern is violated (e.g. the quadratic
+form not matching the sum of squared per-edge-set trail counts).
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,13 +44,16 @@ from .reports import DMATRIX_SQUARED, PROP2_LITERAL_OVERCOUNT, canonical_json, m
 
 _MAX_STORED_FAILURES = 20
 _MAX_STORED_FLAGS_PER_CODE = 2000
+_HAMILTONIAN_RANDOM_COUNT = 4  # random graphs per size in hamiltonian_random_sizes
 
 
 @dataclass
 class SweepConfig:
     """What to sweep. Sources: "all-connected-up-to-n" (exhaustive up to
     isomorphism, n_max <= 6) or "random" (seeded G(n, p) draws at sizes
-    2..n_max). Named acceptance graphs are appended unless disabled."""
+    2..n_max). Named acceptance graphs are appended unless disabled. Node
+    and term budgets come from TRAILCOUNTS_NODE_BUDGET and
+    TRAILCOUNTS_TERM_BUDGET."""
 
     n_max: int = 6
     l_max: int = 6
@@ -49,9 +64,6 @@ class SweepConfig:
     engines: tuple[str, ...] = ("oracle", "symbolic", "fock")
     include_named: bool = True
     hamiltonian_random_sizes: tuple[int, ...] = (7, 8)
-    hamiltonian_random_count: int = 4
-    node_budget: int | None = None
-    term_budget: int | None = None
 
     def __post_init__(self):
         if self.source not in ("all-connected-up-to-n", "random"):
@@ -141,9 +153,155 @@ class VerifySummary:
         return "\n".join(lines)
 
 
+@dataclass
+class _Tables:
+    """One graph's engine tables, built once per sweep. The oracle and Fock
+    tables map a start vertex to its all-lengths table; an engine that is
+    off leaves its tables empty (chains None)."""
+
+    gid: str
+    g: Graph
+    adjacency: np.ndarray
+    powers: list[np.ndarray]
+    compact: bool  # edge-space Fock evaluations use the |E|-slot register
+    walk: dict = field(default_factory=dict)
+    trail: dict = field(default_factory=dict)
+    dni: dict = field(default_factory=dict)
+    edge_powers: dict | None = None
+    vertex_powers: dict | None = None
+    fock_n: dict = field(default_factory=dict)
+    fock_m: dict = field(default_factory=dict)
+    fock_d: dict = field(default_factory=dict)
+
+
+def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
+    n, vertices = g.n, range(1, g.n + 1)
+    a = adjacency_matrix(g)
+    powers = [identity_matrix(n)]
+    for _ in range(l_max):
+        powers.append(np.dot(powers[-1], a))
+    t = _Tables(gid, g, a, powers, fock._needs_compact_register(g))
+    if "oracle" in engines:
+        budget = limits.node_budget()
+        t.walk = {u: oracle._walk_table(g, u, l_max, budget) for u in vertices}
+        t.trail = {u: oracle._trail_tables(g, u, l_max, budget) for u in vertices}
+        t.dni = {u: oracle._dni_tables(g, u, l_max, budget) for u in vertices}
+    if "symbolic" in engines:
+        t.edge_powers = _power_chain(nilpotent.formal_adjacency_edges(g), l_max)
+        t.vertex_powers = _power_chain(nilpotent.vertex_observable_matrix(g), l_max)
+    if "fock" in engines:
+        t.fock_n = {
+            u: fock.normal_ordered_expectation_table(g, u, l_max, MatrixKind.N_EDGE, present_edges_only=t.compact)
+            for u in vertices
+        }
+        t.fock_m = {u: fock.normal_ordered_expectation_table(g, u, l_max, MatrixKind.M_VERTEX) for u in vertices}
+        t.fock_d = {u: fock.annihilation_form_table(g, u, l_max, present_edges_only=t.compact) for u in vertices}
+    return t
+
+
+def _power_chain(m, l_max: int):
+    chain = {1: m}
+    for l in range(2, l_max + 1):
+        chain[l] = chain[l - 1].mul(m)
+    return chain
+
+
+def _cell(t: _Tables, u: int, v: int, l: int) -> SimpleNamespace:
+    """What the rows compare at one (u, v, l), read from the tables of the
+    engines that are on."""
+    key = (l, v)
+    c = SimpleNamespace(n=t.g.n, u=u, v=v, l=l, walks=int(t.powers[l][u - 1, v - 1]))
+    c.walks_back = int(t.powers[l][v - 1, u - 1])
+    if t.walk:
+        (trails, sets), (dni, paths) = t.trail[u], t.dni[u]
+        c.oracle_walks, c.trails = t.walk[u].get(key, 0), trails.get(key, 0)
+        c.dni, c.paths = dni.get(key, 0), paths.get(key, 0)
+        c.reversed = t.trail[v][0].get((l, u), 0), t.dni[v][1].get((l, u), 0)
+        c.histogram = sets.get(key) or {}  # trail count per traversed edge-set mask
+        c.repeats = max(c.histogram.values(), default=0)  # most trails sharing one edge set
+    if t.edge_powers is not None:
+        c.edge_entry, c.literal_entry = t.edge_powers[l].entry(u, v), t.vertex_powers[l].entry(u, v)
+        c.symbolic_trails, c.literal = c.edge_entry.coefficient_sum(), c.literal_entry.coefficient_sum()
+    if t.fock_n:
+        c.fock_trails, c.fock_vertex, c.quad = t.fock_n[u].get(key, 0), t.fock_m[u].get(key, 0), t.fock_d[u].get(key, 0)
+    return c
+
+
+def _guarded(c: SimpleNamespace) -> int:
+    return nilpotent.guarded_sum_from_literal(c.literal_entry, c.u)
+
+
+def _squared(c: SimpleNamespace) -> int:
+    return sum(k * k for k in c.histogram.values())
+
+
+class _Row(NamedTuple):
+    """One per-cell invariant: its name, the engines it needs, the
+    predicate, the failure detail and, unless it always applies, when it
+    applies. A flag row records a characterized discrepancy where its
+    predicate fails; it never fails the sweep."""
+
+    name: str
+    engines: tuple[str, ...]
+    holds: Callable[[SimpleNamespace], bool]
+    detail: Callable[[SimpleNamespace], dict]
+    when: Callable[[SimpleNamespace], bool] | None = None
+    flag: bool = False
+
+
+_O, _OS, _OF = ("oracle",), ("oracle", "symbolic"), ("oracle", "fock")
+
+
+def _open(c: SimpleNamespace) -> bool:
+    return c.u != c.v
+
+
+# The order is the order of each invariant's first check, hence the order of
+# the summary's invariants and of its flags.
+_CELL_ROWS = (
+    _Row("walk-symmetry", (), lambda c: c.walks == c.walks_back, lambda c: {"uv": c.walks, "vu": c.walks_back}),
+    _Row("walk-count-matches-adjacency-power", _O, lambda c: c.oracle_walks == c.walks,
+         lambda c: {"oracle": c.oracle_walks, "matrix": c.walks}),
+    _Row("count-monotonicity-path-trail-walk", _O, lambda c: c.paths <= c.trails <= c.oracle_walks,
+         lambda c: {"path": c.paths, "trail": c.trails, "walk": c.oracle_walks}),
+    _Row("reversal-symmetry-trail-path", _O, lambda c: c.reversed == (c.trails, c.paths), lambda c: {}),
+    # a path has at most n - 1 edges, a cycle at most n
+    _Row("path-length-bound", _O, lambda c: c.paths == 0, lambda c: {"path": c.paths},
+         when=lambda c: c.l > c.n - (c.u != c.v)),
+    _Row("histogram-total-matches-trail-count", _O, lambda c: sum(c.histogram.values()) == c.trails,
+         lambda c: {"sum": sum(c.histogram.values()), "trail": c.trails}),
+    _Row("trail-agreement-oracle-vs-nilpotent", _OS, lambda c: c.symbolic_trails == c.trails,
+         lambda c: {"symbolic": c.symbolic_trails, "oracle": c.trails}),
+    _Row("monomial-degree-equals-length", ("symbolic",),
+         lambda c: all(len(gens) == c.l for gens, _ in c.edge_entry.terms()), lambda c: {}),
+    _Row("coefficient-positivity", _OS, lambda c: all(k >= 1 for _, k in c.edge_entry.terms()), lambda c: {}),
+    _Row("literal-observable-counts-distinct-non-initial", _OS, lambda c: c.literal == c.dni,
+         lambda c: {"symbolic": c.literal, "oracle": c.dni}),
+    _Row("guarded-observable-counts-paths", _OS, lambda c: _guarded(c) == c.paths,
+         lambda c: {"guarded": _guarded(c), "oracle": c.paths}, when=_open),
+    _Row(PROP2_LITERAL_OVERCOUNT, _OS, lambda c: c.literal == c.paths,
+         lambda c: {"literal": c.literal, "paths": c.paths}, when=_open, flag=True),
+    _Row("trail-count-bounded-by-walks", ("symbolic",), lambda c: c.symbolic_trails <= c.walks,
+         lambda c: {"symbolic": c.symbolic_trails, "walk": c.walks}),
+    _Row("trail-agreement-oracle-vs-fock", _OF, lambda c: c.fock_trails == c.trails,
+         lambda c: {"fock": c.fock_trails, "oracle": c.trails}),
+    _Row("vertex-observable-agreement-fock", _OF, lambda c: c.fock_vertex == c.dni,
+         lambda c: {"fock": c.fock_vertex, "oracle": c.dni}),
+    _Row("annihilation-form-matches-squared-histogram", _OF, lambda c: c.quad == _squared(c),
+         lambda c: {"fock": c.quad, "squared": _squared(c)}),
+    _Row("annihilation-form-matches-trails-when-sets-unique", _OF, lambda c: c.quad == c.trails,
+         lambda c: {"fock": c.quad, "trail": c.trails}, when=lambda c: c.repeats == 1),
+    _Row("annihilation-form-exceeds-trails-when-sets-repeat", _OF, lambda c: c.quad > c.trails,
+         lambda c: {"fock": c.quad, "trail": c.trails}, when=lambda c: c.repeats > 1),
+    _Row(DMATRIX_SQUARED, _OF, lambda c: c.quad == c.trails,
+         lambda c: {"quadratic_form": c.quad, "trails": c.trails}, flag=True),
+)
+
+
 class _Ctx:
     def __init__(self, config: SweepConfig):
         self.config = config
+        self.rows = [row for row in _CELL_ROWS if set(row.engines) <= set(config.engines)]
         self.inv: dict[str, InvariantResult] = {}
         self.flags: list[dict] = []
         self.flag_totals: Counter = Counter()
@@ -151,13 +309,15 @@ class _Ctx:
         self.rng = random.Random(config.seed)
 
     def check(self, name: str, ok: bool, detail: dict | None = None):
-        self.inv.setdefault(name, InvariantResult(name)).record(ok, detail)
+        result = self.inv.get(name)
+        if result is None:
+            result = self.inv[name] = InvariantResult(name)
+        result.record(ok, detail)
 
     def flag(self, code: str, gid: str, detail: dict):
         self.flag_totals[code] += 1
         if self.flag_totals[code] <= _MAX_STORED_FLAGS_PER_CODE:
-            payload = {k: v for k, v in detail.items() if k != "graph"}
-            self.flags.append({"code": code, "graph_id": gid, **payload})
+            self.flags.append({"code": code, "graph_id": gid, **detail})
 
 
 def build_corpus(config: SweepConfig) -> list[tuple[str, Graph]]:
@@ -188,6 +348,9 @@ def run_sweep(config: SweepConfig | None = None) -> VerifySummary:
     graphs = build_corpus(config)
     if not graphs:
         ctx.warnings.append("empty corpus: all checks are vacuous")
+    elif "oracle" not in config.engines:
+        ctx.warnings.append("oracle-disabled")
+        ctx.warnings.append("the oracle engine is disabled: ground-truth cross-checks are skipped")
     for gid, g in graphs:
         _sweep_graph(ctx, gid, g)
     extras = _hamiltonian_extras(config)
@@ -207,367 +370,169 @@ def run_sweep(config: SweepConfig | None = None) -> VerifySummary:
 def _hamiltonian_extras(config: SweepConfig) -> list[tuple[str, Graph]]:
     out = []
     for n in config.hamiltonian_random_sizes:
-        out.extend(
-            corpus.random_graphs(config.hamiltonian_random_count, n, config.edge_probability, config.seed + n)
-        )
+        out.extend(corpus.random_graphs(_HAMILTONIAN_RANDOM_COUNT, n, config.edge_probability, config.seed + n))
     return out
 
 
 def _sweep_graph(ctx: _Ctx, gid: str, g: Graph):
-    cfg = ctx.config
-    n, l_max = g.n, cfg.l_max
-    node_budget = cfg.node_budget if cfg.node_budget is not None else limits.node_budget()
-    use_oracle = "oracle" in cfg.engines
-    use_symbolic = "symbolic" in cfg.engines
-    use_fock = "fock" in cfg.engines
-    if not use_oracle and "oracle-disabled" not in ctx.warnings:
-        ctx.warnings.append("oracle-disabled")
-        ctx.warnings.append(
-            "the oracle engine is disabled: ground-truth cross-checks are skipped"
-        )
-
-    powers = [identity_matrix(n)]
-    a = adjacency_matrix(g)
-    for _ in range(l_max):
-        powers.append(np.dot(powers[-1], a))
-
-    walk_t = {u: oracle._walk_table(g, u, l_max, node_budget) for u in range(1, n + 1)} if use_oracle else {}
-    trail_t = {u: oracle._trail_tables(g, u, l_max, node_budget) for u in range(1, n + 1)} if use_oracle else {}
-    dni_t = {u: oracle._dni_tables(g, u, l_max, node_budget) for u in range(1, n + 1)} if use_oracle else {}
-
-    edge_powers = vertex_powers = None
-    if use_symbolic:
-        edge_powers = _power_chain(nilpotent.formal_adjacency_edges(g), l_max, cfg.term_budget)
-        vertex_powers = _power_chain(nilpotent.vertex_observable_matrix(g), l_max, cfg.term_budget)
-
-    edge_space_compact = fock._needs_compact_register(g)
-    fock_n = fock_m = fock_d = {}
-    if use_fock:
-        fock_n = {
-            u: fock.normal_ordered_expectation_table(
-                g, u, l_max, MatrixKind.N_EDGE, present_edges_only=edge_space_compact, node_budget=node_budget
-            )
-            for u in range(1, n + 1)
-        }
-        fock_m = {
-            u: fock.normal_ordered_expectation_table(g, u, l_max, MatrixKind.M_VERTEX, node_budget=node_budget)
-            for u in range(1, n + 1)
-        }
-        fock_d = {
-            u: fock.annihilation_form_table(
-                g, u, l_max, present_edges_only=edge_space_compact, node_budget=node_budget
-            )
-            for u in range(1, n + 1)
-        }
-        if edge_space_compact:
-            # the full pair register must refuse cleanly; the |E|-slot
-            # register carries the sweep instead
-            try:
-                Register.all_pairs(n)
-                refused = False
-            except CapacityError:
-                refused = True
-            ctx.check("edge-register-capacity-refusal", refused, {"graph": gid, "n": n})
-        else:
-            # slot occupations of the graph state reproduce the adjacency
-            # matrix entry by entry
-            psi = fock.graph_state(g)
-            index = psi.basis_index()
-            for u in range(1, n + 1):
-                for v in range(u + 1, n + 1):
-                    bit = psi.register.bit(psi.register.slot_index((u, v)))
-                    occ = (index >> bit) & 1
-                    ctx.check(
-                        "slot-expectation-matches-adjacency",
-                        occ == int(a[u - 1, v - 1]),
-                        {"graph": gid, "u": u, "v": v, "occupation": occ},
-                    )
-
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
+    engines, l_max = ctx.config.engines, ctx.config.l_max
+    t = _build_tables(gid, g, l_max, engines)
+    if "fock" in engines:
+        _register_checks(ctx, t)
+    vertices = range(1, g.n + 1)
+    for u in vertices:
+        for v in vertices:
             for l in range(1, l_max + 1):
-                key = (l, v)
-                w = int(powers[l][u - 1, v - 1])
-                loc = {"graph": gid, "l": l, "u": u, "v": v}
-
-                ctx.check(
-                    "walk-symmetry",
-                    w == int(powers[l][v - 1, u - 1]),
-                    {**loc, "uv": w, "vu": int(powers[l][v - 1, u - 1])},
-                )
-                if use_oracle:
-                    ow = walk_t[u].get(key, 0)
-                    ot = trail_t[u][0].get(key, 0)
-                    o_dni = dni_t[u][0].get(key, 0)
-                    op = dni_t[u][1].get(key, 0)
-                    ctx.check("walk-count-matches-adjacency-power", ow == w, {**loc, "oracle": ow, "matrix": w})
-                    ctx.check(
-                        "count-monotonicity-path-trail-walk",
-                        op <= ot <= ow,
-                        {**loc, "path": op, "trail": ot, "walk": ow},
-                    )
-                    ctx.check(
-                        "reversal-symmetry-trail-path",
-                        ot == trail_t[v][0].get((l, u), 0) and op == dni_t[v][1].get((l, u), 0),
-                        loc,
-                    )
-                    if (u != v and l > n - 1) or (u == v and l > n):
-                        ctx.check("path-length-bound", op == 0, {**loc, "path": op})
-
-                    hist = trail_t[u][1].get(key)
-                    hist_sum = sum(hist.values()) if hist else 0
-                    ctx.check("histogram-total-matches-trail-count", hist_sum == ot, {**loc, "sum": hist_sum, "trail": ot})
-
-                    if use_symbolic:
-                        entry = edge_powers[l].entry(u, v)
-                        st = entry.coefficient_sum()
-                        ctx.check("trail-agreement-oracle-vs-nilpotent", st == ot, {**loc, "symbolic": st, "oracle": ot})
-                        ctx.check(
-                            "monomial-degree-equals-length",
-                            all(len(gens) == l for gens, _ in entry.terms()),
-                            loc,
-                        )
-                        ctx.check(
-                            "coefficient-positivity",
-                            all(c >= 1 for _, c in entry.terms()),
-                            loc,
-                        )
-                        m_entry = vertex_powers[l].entry(u, v)
-                        sm = m_entry.coefficient_sum()
-                        ctx.check(
-                            "literal-observable-counts-distinct-non-initial",
-                            sm == o_dni,
-                            {**loc, "symbolic": sm, "oracle": o_dni},
-                        )
-                        if u != v:
-                            guarded = nilpotent.guarded_sum_from_literal(m_entry, u)
-                            ctx.check(
-                                "guarded-observable-counts-paths",
-                                guarded == op,
-                                {**loc, "guarded": guarded, "oracle": op},
-                            )
-                            if sm != op:
-                                ctx.flag(
-                                    PROP2_LITERAL_OVERCOUNT,
-                                    gid,
-                                    {**loc, "literal": sm, "paths": op},
-                                )
-                        ctx.check("trail-count-bounded-by-walks", st <= w, {**loc, "symbolic": st, "walk": w})
-                    if use_fock:
-                        ft = fock_n[u].get(key, 0)
-                        ctx.check("trail-agreement-oracle-vs-fock", ft == ot, {**loc, "fock": ft, "oracle": ot})
-                        fm = fock_m[u].get(key, 0)
-                        ctx.check(
-                            "vertex-observable-agreement-fock",
-                            fm == o_dni,
-                            {**loc, "fock": fm, "oracle": o_dni},
-                        )
-                        quad = fock_d[u].get(key, 0)
-                        sq = sum(c * c for c in hist.values()) if hist else 0
-                        ctx.check(
-                            "annihilation-form-matches-squared-histogram",
-                            quad == sq,
-                            {**loc, "fock": quad, "squared": sq},
-                        )
-                        if hist and max(hist.values()) <= 1:
-                            ctx.check(
-                                "annihilation-form-matches-trails-when-sets-unique",
-                                quad == ot,
-                                {**loc, "fock": quad, "trail": ot},
-                            )
-                        elif hist:
-                            ctx.check(
-                                "annihilation-form-exceeds-trails-when-sets-repeat",
-                                quad > ot,
-                                {**loc, "fock": quad, "trail": ot},
-                            )
-                        if quad != ot:
-                            ctx.flag(DMATRIX_SQUARED, gid, {**loc, "quadratic_form": quad, "trails": ot})
-                elif use_symbolic:
-                    # without the oracle we can still assert the structural
-                    # properties of the symbolic power entries
-                    entry = edge_powers[l].entry(u, v)
-                    ctx.check(
-                        "monomial-degree-equals-length",
-                        all(len(gens) == l for gens, _ in entry.terms()),
-                        loc,
-                    )
-                    ctx.check(
-                        "trail-count-bounded-by-walks", entry.coefficient_sum() <= w, loc
-                    )
-
-    if use_oracle:
-        _spot_check_ops(ctx, gid, g, walk_t, trail_t, dni_t, edge_powers, vertex_powers, fock_n, fock_m, fock_d)
-        _euler_checks(ctx, gid, g)
+                cell = _cell(t, u, v, l)
+                for row in ctx.rows:
+                    if row.when is not None and not row.when(cell):
+                        continue
+                    ok = row.holds(cell)
+                    if not row.flag:
+                        ctx.check(row.name, ok, None if ok else {"graph": gid, "l": l, "u": u, "v": v, **row.detail(cell)})
+                    elif not ok:
+                        ctx.flag(row.name, gid, {"l": l, "u": u, "v": v, **row.detail(cell)})
+    if "oracle" in engines:
+        _spot_check_ops(ctx, t)
+        _euler_checks(ctx, t)
         _hamiltonian_checks(ctx, gid, g)
 
 
-def _power_chain(m, l_max: int, term_budget: int | None):
-    chain = {1: m}
-    for l in range(2, l_max + 1):
-        chain[l] = chain[l - 1].mul(m, term_budget)
-    return chain
+def _register_checks(ctx: _Ctx, t: _Tables):
+    g = t.g
+    if t.compact:
+        # the full pair register must refuse cleanly; the |E|-slot
+        # register carries the sweep instead
+        try:
+            Register.all_pairs(g.n)
+            refused = False
+        except CapacityError:
+            refused = True
+        ctx.check("edge-register-capacity-refusal", refused, {"graph": t.gid, "n": g.n})
+        return
+    # slot occupations of the graph state reproduce the adjacency matrix
+    # entry by entry
+    psi = fock.graph_state(g)
+    index = psi.basis_index()
+    for u in range(1, g.n + 1):
+        for v in range(u + 1, g.n + 1):
+            occ = (index >> psi.register.bit(psi.register.slot_index((u, v)))) & 1
+            ctx.check(
+                "slot-expectation-matches-adjacency",
+                occ == int(t.adjacency[u - 1, v - 1]),
+                {"graph": t.gid, "u": u, "v": v, "occupation": occ},
+            )
 
 
-def _spot_check_ops(ctx, gid, g, walk_t, trail_t, dni_t, edge_powers, vertex_powers, fock_n, fock_m, fock_d):
+def _spot_check_ops(ctx: _Ctx, t: _Tables):
     """Sampled per-query calls of the public operations against the sweep
     tables: the ops are what users call, the tables are what the sweep
     trusts, and enumerate/count are different reductions of one search."""
-    cfg = ctx.config
-    rng = ctx.rng
-    n = g.n
+    g, rng = t.g, ctx.rng
     for _ in range(2):
-        l = rng.randint(1, min(4, cfg.l_max))
-        u = rng.randint(1, n)
-        v = rng.randint(1, n)
-        loc = {"graph": gid, "l": l, "u": u, "v": v}
+        l = rng.randint(1, min(4, ctx.config.l_max))
+        u = rng.randint(1, g.n)
+        v = rng.randint(1, g.n)
+        loc = {"graph": t.gid, "l": l, "u": u, "v": v}
         for cls in WalkClass:
             listed = len(oracle.enumerate_walks(g, l, u, v, cls))
             counted = oracle.count_walks(g, l, u, v, cls)
             ctx.check("enumerate-matches-count", listed == counted, {**loc, "class": cls.value, "listed": listed, "counted": counted})
         seqs = oracle.enumerate_walks(g, l, u, v, WalkClass.WALK)
         ctx.check("enumerate-lexicographic-unique", seqs == sorted(set(seqs)), loc)
-        if edge_powers is not None:
-            via_rows = nilpotent._row_power_entry(nilpotent.formal_adjacency_edges(g), l, u, v, cfg.term_budget)
-            ctx.check(
-                "row-power-matches-matrix-power",
-                via_rows == edge_powers[l].entry(u, v),
-                loc,
-            )
-            ctx.check(
-                "trail-op-matches-table",
-                nilpotent.trail_count_symbolic(g, l, u, v) == edge_powers[l].entry(u, v).coefficient_sum(),
-                loc,
-            )
-            ctx.check(
-                "path-op-literal-matches-table",
-                nilpotent.path_count_symbolic(g, l, u, v) == vertex_powers[l].entry(u, v).coefficient_sum(),
-                loc,
-            )
+        if t.edge_powers is not None:
+            entry = t.edge_powers[l].entry(u, v)
+            literal = t.vertex_powers[l].entry(u, v)
+            via_rows = nilpotent._row_power_entry(nilpotent.formal_adjacency_edges(g), l, u, v, None)
+            ctx.check("row-power-matches-matrix-power", via_rows == entry, loc)
+            ctx.check("trail-op-matches-table", nilpotent.trail_count_symbolic(g, l, u, v) == entry.coefficient_sum(), loc)
+            ctx.check("path-op-literal-matches-table", nilpotent.path_count_symbolic(g, l, u, v) == literal.coefficient_sum(), loc)
             if u != v:
                 ctx.check(
                     "path-op-guarded-matches-filter",
                     nilpotent.path_count_symbolic(g, l, u, v, PathVariant.START_GUARDED)
-                    == nilpotent.guarded_sum_from_literal(vertex_powers[l].entry(u, v), u),
+                    == nilpotent.guarded_sum_from_literal(literal, u),
                     loc,
                 )
             if l >= 3:
                 ctx.check(
                     "cycle-op-matches-table",
-                    nilpotent.cycle_count_symbolic(g, l, u) == vertex_powers[l].entry(u, u).coefficient_sum(),
+                    nilpotent.cycle_count_symbolic(g, l, u) == t.vertex_powers[l].entry(u, u).coefficient_sum(),
                     loc,
                 )
-        if fock_n:
-            compact = fock._needs_compact_register(g)
+        if t.fock_n:
+            trails, compact = t.fock_n[u].get((l, v), 0), t.compact
             ctx.check(
                 "fock-op-matches-table",
-                fock.normal_ordered_expectation(
-                    g, l, u, v, MatrixKind.N_EDGE, present_edges_only=compact
-                )
-                == fock_n[u].get((l, v), 0),
+                fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE, present_edges_only=compact) == trails,
                 loc,
             )
             ctx.check(
                 "dform-op-matches-table",
-                fock.d_matrix_quadratic_form(g, l, u, v, present_edges_only=compact)
-                == fock_d[u].get((l, v), 0),
+                fock.d_matrix_quadratic_form(g, l, u, v, present_edges_only=compact) == t.fock_d[u].get((l, v), 0),
                 loc,
             )
             ctx.check(
                 "fock-walk-expectation-matches-walk-count",
-                fock.walk_count_expectation(g, l, u, v, present_edges_only=compact)
-                == walk_t[u].get((l, v), 0),
+                fock.walk_count_expectation(g, l, u, v, present_edges_only=compact) == t.walk[u].get((l, v), 0),
                 loc,
             )
             if not compact:
                 ctx.check(
                     "compact-register-matches-full-register",
-                    fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE, present_edges_only=True)
-                    == fock_n[u].get((l, v), 0),
+                    fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE, present_edges_only=True) == trails,
                     loc,
                 )
 
 
-def _euler_checks(ctx, gid, g: Graph):
-    cfg = ctx.config
+def _euler_checks(ctx: _Ctx, t: _Tables):
+    g, engines = t.g, ctx.config.engines
     m = g.edge_count
-    eulerian = (
-        m >= 1
-        and corpus.is_connected(g)
-        and all(g.degree(u) % 2 == 0 for u in range(1, g.n + 1))
-    )
+    eulerian = m >= 1 and corpus.is_connected(g) and all(g.degree(u) % 2 == 0 for u in range(1, g.n + 1))
     if not eulerian:
         # non-Eulerian ground truth: the closed-trail count at length |E| is
         # 0; the symbolic side is only exercised at small |E| because the
         # intermediate powers of dense non-Eulerian graphs are the one place
         # term counts blow up without contributing to any criterion
-        if 1 <= m <= 8:
-            u = 1
-            zero = oracle.count_closed_euler_trails(g, u, cfg.node_budget)
-            if "symbolic" in cfg.engines:
-                sym = nilpotent.euler_trail_count_symbolic(g, u, u, cfg.term_budget)
-                ctx.check("euler-closed-agreement", sym == zero, {"graph": gid, "u": u, "symbolic": sym, "oracle": zero})
+        if 1 <= m <= 8 and "symbolic" in engines:
+            zero = oracle.count_closed_euler_trails(g, 1)
+            sym = nilpotent.euler_trail_count_symbolic(g, 1, 1)
+            ctx.check("euler-closed-agreement", sym == zero, {"graph": t.gid, "u": 1, "symbolic": sym, "oracle": zero})
         return
     diag = None
-    if "symbolic" in cfg.engines:
-        chain = nilpotent.matrix_power_nilpotent(
-            nilpotent.formal_adjacency_edges(g), m, cfg.term_budget
-        )
+    if "symbolic" in engines:
+        chain = nilpotent.matrix_power_nilpotent(nilpotent.formal_adjacency_edges(g), m)
         diag = [chain.entry(u, u).coefficient_sum() for u in range(1, g.n + 1)]
     for u in range(1, g.n + 1):
-        o = oracle.count_closed_euler_trails(g, u, cfg.node_budget)
+        o = oracle.count_closed_euler_trails(g, u)
         if diag is not None:
-            ctx.check(
-                "euler-closed-agreement",
-                diag[u - 1] == o,
-                {"graph": gid, "u": u, "symbolic": diag[u - 1], "oracle": o},
-            )
-        if "fock" in cfg.engines:
-            compact = fock._needs_compact_register(g)
-            f = fock.normal_ordered_expectation_table(
-                g, u, m, MatrixKind.N_EDGE, present_edges_only=compact, node_budget=cfg.node_budget
-            ).get((m, u), 0)
-            ctx.check("euler-closed-agreement-fock", f == o, {"graph": gid, "u": u, "fock": f, "oracle": o})
+            ctx.check("euler-closed-agreement", diag[u - 1] == o, {"graph": t.gid, "u": u, "symbolic": diag[u - 1], "oracle": o})
+        if "fock" in engines:
+            f = fock.normal_ordered_expectation_table(g, u, m, MatrixKind.N_EDGE, present_edges_only=t.compact).get((m, u), 0)
+            ctx.check("euler-closed-agreement-fock", f == o, {"graph": t.gid, "u": u, "fock": f, "oracle": o})
     # spot-check the public op once per graph
-    if "symbolic" in cfg.engines:
+    if diag is not None:
         u = ctx.rng.randint(1, g.n)
-        ctx.check(
-            "euler-op-matches-chain",
-            nilpotent.euler_trail_count_symbolic(g, u, u, cfg.term_budget) == diag[u - 1],
-            {"graph": gid, "u": u},
-        )
+        ctx.check("euler-op-matches-chain", nilpotent.euler_trail_count_symbolic(g, u, u) == diag[u - 1], {"graph": t.gid, "u": u})
 
 
-def _hamiltonian_checks(ctx, gid, g: Graph):
-    cfg = ctx.config
-    if "fock" not in cfg.engines:
+def _hamiltonian_checks(ctx: _Ctx, gid: str, g: Graph):
+    if "fock" not in ctx.config.engines:
         return
     for u in range(1, g.n + 1) if g.n <= 6 else (1,):
-        amp = fock.f_matrix_amplitude(g, g.n, u, cfg.node_budget)
-        directed = oracle.count_hamiltonian_cycles_through(g, u, directed=True, node_budget=cfg.node_budget)
-        ctx.check(
-            "hamiltonian-amplitude-agreement",
-            amp == directed,
-            {"graph": gid, "u": u, "fock": amp, "oracle": directed},
-        )
+        amp = fock.f_matrix_amplitude(g, g.n, u)
+        directed = oracle.count_hamiltonian_cycles_through(g, u, directed=True)
+        ctx.check("hamiltonian-amplitude-agreement", amp == directed, {"graph": gid, "u": u, "fock": amp, "oracle": directed})
     if g.n >= 2:
-        below = fock.f_matrix_amplitude(g, g.n - 1, 1, cfg.node_budget)
+        below = fock.f_matrix_amplitude(g, g.n - 1, 1)
         ctx.check("hamiltonian-amplitude-zero-below-n", below == 0, {"graph": gid, "value": below})
     if g.n >= 3:
-        undirected = oracle.count_hamiltonian_cycles_through(g, 1, node_budget=cfg.node_budget)
-        ctx.check(
-            "hamiltonicity-decision-agreement",
-            fock.is_hamiltonian(g, cfg.node_budget) == (undirected > 0),
-            {"graph": gid},
-        )
-        if "symbolic" in cfg.engines:
-            sym = nilpotent.cycle_count_symbolic(g, g.n, 1, cfg.term_budget)
-            directed1 = oracle.count_hamiltonian_cycles_through(g, 1, directed=True, node_budget=cfg.node_budget)
-            ctx.check(
-                "hamiltonian-symbolic-agreement",
-                sym == directed1,
-                {"graph": gid, "symbolic": sym, "oracle": directed1},
-            )
+        undirected = oracle.count_hamiltonian_cycles_through(g, 1)
+        ctx.check("hamiltonicity-decision-agreement", fock.is_hamiltonian(g) == (undirected > 0), {"graph": gid})
+        if "symbolic" in ctx.config.engines:
+            sym = nilpotent.cycle_count_symbolic(g, g.n, 1)
+            directed1 = oracle.count_hamiltonian_cycles_through(g, 1, directed=True)
+            ctx.check("hamiltonian-symbolic-agreement", sym == directed1, {"graph": gid, "symbolic": sym, "oracle": directed1})
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,20 @@ class TestBench:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert {(r[1], r[5]) for r in rows} == {("2", "1"), ("3", "2")}
 
+    @pytest.mark.parametrize(
+        "kind, length, message",
+        [("cycles", "2", "cycles need --length >= 3"), ("paths", "0", "--length must be >= 1 for --kind paths")],
+    )
+    def test_bad_length_refused_before_output(self, capsys, kind, length, message):
+        # the same length rules as count, checked before the header is written
+        code, out, err = run(
+            capsys, "bench", "--family", "cycle", "--kind", kind, "--length", length,
+            "--engines", "oracle,symbolic,fock",
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_petersen_hamiltonian(self, capsys):
         code, out, _ = run(
             capsys, "bench", "--family", "petersen", "--kind", "hamiltonian",

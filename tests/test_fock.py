@@ -184,6 +184,20 @@ class TestWalkTermExpansion:
         surviving = next(t for w, t in terms if w == (1, 3, 4, 2))
         assert normal_ordered_term_expectation(surviving, psi) == 1
 
+    def test_beyond_the_recursion_limit(self, k2):
+        # the expansion keeps an explicit stack
+        terms = expand_walk_terms(k2, 3000, 1, 1, MatrixKind.N_EDGE)
+        assert len(terms) == 1
+        walk, term = terms[0]
+        assert walk == (1, 2) * 1500 + (1,)
+        assert len(term.ops) == 3000
+
+    def test_budget_boundary(self, k4):
+        # every prefix shorter than the length costs one node: 1 + 3 + 9 = 13
+        assert len(expand_walk_terms(k4, 3, 1, 2, MatrixKind.N_EDGE, node_budget=13)) == 7
+        with pytest.raises(BudgetExceededError, match="walk-term expansion"):
+            expand_walk_terms(k4, 3, 1, 2, MatrixKind.N_EDGE, node_budget=12)
+
 
 class TestNormalOrderedExpectation:
     def test_c4_trails(self, c4):

@@ -5,6 +5,9 @@ from trailcounts.errors import BudgetExceededError
 from trailcounts.graphs import Graph, walk_count
 from trailcounts.oracle import (
     WalkClass,
+    _dni_tables,
+    _trail_tables,
+    _walk_table,
     count_closed_euler_trails,
     count_hamiltonian_cycles_through,
     count_walks,
@@ -121,6 +124,12 @@ class TestCount:
             fn(k4, 3, 1, 2, WalkClass.WALK, node_budget=40)
             with pytest.raises(BudgetExceededError, match=label):
                 fn(k4, 3, 1, 2, WalkClass.WALK, node_budget=39)
+
+
+@pytest.mark.parametrize("table", [_walk_table, _trail_tables, _dni_tables])
+def test_table_cache_is_bounded(table):
+    # a process that sees many graphs must not keep every table it built
+    assert table.cache_info().maxsize is not None
 
 
 class TestLongWalks:
