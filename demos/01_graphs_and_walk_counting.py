@@ -21,12 +21,14 @@ print("edge-slot occupation string:", occupation_string(square))
 
 a = adjacency_matrix(square)
 print("adjacency matrix:")
-print(a)
+for row in a:
+    print(" ", row)
 
-# A(G)^l counts walks of length l; dtype=object keeps entries exact Python
-# integers no matter how large they grow.
+# A(G)^l counts walks of length l; matrices are lists of rows of Python
+# integers, exact no matter how large the entries grow.
 print("A^3:")
-print(matrix_power(a, 3))
+for row in matrix_power(a, 3):
+    print(" ", row)
 print("walks of length 3 from 1 to 2:", walk_count(square, 3, 1, 2))
 print("walks of length 0 (identity convention):", walk_count(square, 0, 2, 2))
 

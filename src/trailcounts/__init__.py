@@ -6,9 +6,12 @@ cross-check each other:
 - a symbolic engine over commuting nilpotent generators, x*x = 0
   (``trailcounts.nilpotent``),
 - a literal occupation-basis evaluator applying ladder operators, one per
-  walk step, to sparse maps from basis index to exact amplitude; dense
-  statevectors remain for ``apply_ladder`` and ``graph_state``
-  (``trailcounts.fock``).
+  walk step, to sparse maps from basis index to exact amplitude; states keep
+  only their nonzero amplitudes (``trailcounts.fock``).
+
+Walk counts come from exact adjacency-power rows (``trailcounts.graphs``).
+Everything is plain Python integers; numpy is used only for corpus
+canonicalization (``trailcounts.corpus``) and is imported there on first use.
 """
 
 from .errors import BudgetExceededError, CapacityError, EdgeListError

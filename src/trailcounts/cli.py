@@ -110,12 +110,14 @@ def _engines(arg: str) -> tuple[str, ...]:
 
 def _check_length(kind: str, length: int | None) -> None:
     """Refuse a given length below the kind's least; a derived length is
-    not checked."""
+    not checked. A length below 1 (below 0 for walks) gets the general
+    message; a kind with a higher least length (cycles) names its own."""
     spec = reports.KIND_TABLE[kind]
     if spec.derived_length is not None:
         return
-    if length < min(spec.min_length, 1):
-        raise _UsageError(f"--length must be >= 1 for --kind {kind}")
+    floor = min(spec.min_length, 1)
+    if length < floor:
+        raise _UsageError(f"--length must be >= {floor} for --kind {kind}")
     if length < spec.min_length:
         raise _UsageError(f"{kind} need --length >= {spec.min_length}")
 
@@ -160,16 +162,19 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = verify.SweepConfig(
-        n_max=args.n_max,
-        l_max=args.l_max,
-        source=args.source,
-        random_count=args.count,
-        edge_probability=args.p,
-        seed=args.seed,
-        engines=_engines(args.engines),
-        include_named=not args.skip_named,
-    )
+    try:
+        config = verify.SweepConfig(
+            n_max=args.n_max,
+            l_max=args.l_max,
+            source=args.source,
+            random_count=args.count,
+            edge_probability=args.p,
+            seed=args.seed,
+            engines=_engines(args.engines),
+            include_named=not args.skip_named,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     summary = verify.run_sweep(config)
     if args.format == "json":
         print(reports.canonical_json(summary.to_json_obj()))
@@ -214,10 +219,13 @@ def _cmd_bench(args) -> int:
     _check_length(args.kind, args.length)
     spec = reports.KIND_TABLE[args.kind]
     sizes = [args.min_n] if args.family == "petersen" else range(args.min_n, args.max_n + 1)
+    try:  # every size is checked before the header is written
+        graphs = [_bench_graph(args.family, n) for n in sizes]
+    except ValueError as exc:
+        raise _UsageError(f"--family {args.family}: {exc}") from None
     writer = csv.writer(sys.stdout)
     writer.writerow(["family", "n", "kind", "length", "engine", "value", "wall_time_ms"])
-    for n in sizes:
-        g = _bench_graph(args.family, n)
+    for g in graphs:
         length = spec.length(g, args.length)
         u, v = 1, (1 if spec.closed else min(2, g.n))
         for engine in engines:

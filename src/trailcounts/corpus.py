@@ -3,7 +3,8 @@
 The exhaustive corpus holds one representative per isomorphism class of
 connected graphs (the representative whose edge-slot bitmask is the
 lexicographic minimum over all vertex permutations); feasible up to n = 6.
-Larger sizes are covered by seeded random draws.
+Larger sizes are covered by seeded random draws. Canonicalization is the
+package's one use of numpy, imported only when a corpus is first built.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import families
 from .graphs import Graph, graph_signature, pair_slot_index, pair_slots
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def is_connected(g: Graph) -> bool:
@@ -41,6 +44,8 @@ def mask_to_graph(n: int, mask: int) -> Graph:
 def _canonical_mask_flags(n: int) -> np.ndarray:
     """Boolean flag per edge bitmask: is it the lexicographic minimum of its
     isomorphism class? Vectorized over all 2**C(n,2) masks."""
+    import numpy as np
+
     m = n * (n - 1) // 2
     if m > 20:
         raise ValueError(f"exhaustive corpus is limited to n <= 6, got n = {n}")
@@ -70,6 +75,8 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return (Graph(1, frozenset()),)
+    import numpy as np
+
     flags = _canonical_mask_flags(n)
     out = []
     for mask in np.flatnonzero(flags):

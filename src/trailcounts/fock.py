@@ -2,11 +2,12 @@
 
 A Register assigns one qubit slot per unordered vertex pair (edge space,
 width C(n,2)), per present edge (the economical edge-space option, width
-|E|), or per vertex (vertex space, width n). StateVector holds a dense
-amplitude array of length 2**width with exact integer amplitudes: every
-operator used here maps basis states to 0/1-weighted basis states, so the
-whole pipeline is exact, matching the arbitrary-precision counts of the
-other engines.
+|E|), or per vertex (vertex space, width n). StateVector holds only the
+nonzero amplitudes, as a map from basis index to exact integer amplitude:
+every operator used here maps basis states to 0/1-weighted basis states, so
+the whole pipeline is exact, matching the arbitrary-precision counts of the
+other engines, and a basis state such as the graph state costs one entry
+however wide its register is.
 
 Slot s occupies bit (width-1-s) of a basis index, so the binary rendering of
 an index, left to right, is the slot occupation string: the 4-cycle's graph
@@ -18,16 +19,14 @@ evaluators evolve the reference state level by level, one ladder operator
 per walk step, as a sparse map from (current vertex, basis index) to exact
 amplitude. Terms that reach the same state merge into one amplitude, and a
 term that annihilates to zero (an operator on an empty slot) is dropped as
-soon as it does. Dense statevectors remain for apply_ladder and graph_state;
-the evaluators never allocate one.
+soon as it does. No evaluator allocates a 2**width array.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import limits
 from .errors import BudgetExceededError, CapacityError
@@ -105,31 +104,37 @@ def basis_label(register: Register, index: int) -> str:
     return format(index, f"0{register.width}b")
 
 
+class Amplitudes(dict):
+    """Basis index -> nonzero exact amplitude."""
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the map's own table, as an array's ``nbytes`` gives its
+        buffer's (perfbench's tracer sums it over every state built)."""
+        return sys.getsizeof(self)
+
+
 class StateVector:
-    """Dense amplitude vector over a register; amplitudes are exact ints."""
+    """Amplitude vector over a register, holding only its nonzero exact int
+    amplitudes; every absent basis index has amplitude 0."""
 
     __slots__ = ("register", "amplitudes")
 
-    def __init__(self, register: Register, amplitudes: np.ndarray):
-        if amplitudes.shape != (register.dimension,):
-            raise ValueError(
-                f"amplitude array must have length {register.dimension}, "
-                f"got {amplitudes.shape}"
-            )
+    def __init__(self, register: Register, amplitudes):
+        """`amplitudes` maps basis indices to amplitudes; zeros are dropped."""
+        for index in amplitudes:
+            if not 0 <= index < register.dimension:
+                raise ValueError(f"basis index {index} out of range 0..{register.dimension - 1}")
         self.register = register
-        self.amplitudes = amplitudes
+        self.amplitudes = Amplitudes((i, a) for i, a in amplitudes.items() if a)
 
     @classmethod
     def zero(cls, register: Register) -> "StateVector":
-        return cls(register, np.zeros(register.dimension, dtype=object))
+        return cls(register, Amplitudes())
 
     @classmethod
     def basis(cls, register: Register, index: int) -> "StateVector":
-        if not 0 <= index < register.dimension:
-            raise ValueError(f"basis index {index} out of range")
-        amplitudes = np.zeros(register.dimension, dtype=object)
-        amplitudes[index] = 1
-        return cls(register, amplitudes)
+        return cls(register, Amplitudes({index: 1}))
 
     @classmethod
     def from_occupied(cls, register: Register, occupied_labels) -> "StateVector":
@@ -141,27 +146,40 @@ class StateVector:
 
     def basis_index(self) -> int:
         """Index of the single nonzero amplitude; errors if not a basis state."""
-        nz = self.nonzero()
-        if len(nz) != 1 or nz[0][1] != 1:
-            raise ValueError("not a computational basis state")
-        return nz[0][0]
+        if len(self.amplitudes) == 1:
+            ((index, amp),) = self.amplitudes.items()
+            if amp == 1:
+                return index
+        raise ValueError("not a computational basis state")
 
-    def inner(self, other: "StateVector") -> int:
+    def _same_register(self, other: "StateVector") -> None:
         if self.register != other.register:
             raise ValueError("states live on different registers")
-        return int((self.amplitudes * other.amplitudes).sum())
+
+    def inner(self, other: "StateVector") -> int:
+        self._same_register(other)
+        theirs = other.amplitudes
+        return sum(a * theirs.get(i, 0) for i, a in self.amplitudes.items())
 
     def squared_norm(self) -> int:
-        return int((self.amplitudes * self.amplitudes).sum())
+        return sum(a * a for a in self.amplitudes.values())
 
     def nonzero(self) -> list[tuple[int, int]]:
-        return [(int(i), int(a)) for i, a in enumerate(self.amplitudes) if a != 0]
+        """(basis index, amplitude) pairs in increasing index order."""
+        return sorted(self.amplitudes.items())
+
+    def __add__(self, other: "StateVector") -> "StateVector":
+        self._same_register(other)
+        total = Amplitudes(self.amplitudes)
+        for i, a in other.amplitudes.items():
+            total[i] = total.get(i, 0) + a
+        return StateVector(self.register, total)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StateVector)
             and self.register == other.register
-            and bool(np.array_equal(self.amplitudes, other.amplitudes))
+            and self.amplitudes == other.amplitudes
         )
 
     def to_json_obj(self) -> dict:
@@ -196,28 +214,28 @@ class LadderOp:
 
 
 def apply_ladder(op: LadderOp, state: StateVector) -> StateVector:
-    """Apply a ladder operator to a state, returning a fresh state."""
+    """Apply a ladder operator to a state, returning a fresh state. Each
+    operator keeps the basis states whose slot holds what it needs (1 for
+    a and n, 0 for a+) and flips that slot (a, a+) or leaves it (n)."""
     width = state.register.width
     if not 0 <= op.slot < width:
         raise ValueError(f"slot {op.slot} out of range 0..{width - 1}")
-    bit = state.register.bit(op.slot)
-    block = 1 << bit
-    src = state.amplitudes.reshape(-1, 2, block)
-    out = np.zeros_like(state.amplitudes)
-    dst = out.reshape(-1, 2, block)
+    bit = 1 << state.register.bit(op.slot)
     if op.kind is LadderKind.ANNIHILATE:
-        dst[:, 0, :] = src[:, 1, :]
+        need, flip = bit, bit
     elif op.kind is LadderKind.CREATE:
-        dst[:, 1, :] = src[:, 0, :]
+        need, flip = 0, bit
     elif op.kind is LadderKind.NUMBER:
-        dst[:, 1, :] = src[:, 1, :]
+        need, flip = bit, 0
     else:
         raise ValueError(f"unknown ladder kind {op.kind!r}")
+    out = Amplitudes((i ^ flip, a) for i, a in state.amplitudes.items() if i & bit == need)
     return StateVector(state.register, out)
 
 
 def graph_state(g: Graph, present_edges_only: bool = False) -> StateVector:
-    """The basis state marking the graph's edges as occupied slots."""
+    """The basis state marking the graph's edges as occupied slots: a single
+    amplitude, whatever the register's width."""
     register = Register.present_edges(g) if present_edges_only else Register.all_pairs(g.n)
     return StateVector.from_occupied(register, g.sorted_edges())
 

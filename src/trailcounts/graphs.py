@@ -6,16 +6,18 @@ pairs of distinct vertices in lexicographic order (1,2), (1,3), ..., (1,n),
 C(n,2). Under this ordering the 4-cycle with edges {1,2},{1,3},{2,4},{3,4}
 reads "110011".
 
-Counts are plain Python integers throughout (arbitrary precision); matrices
-use numpy arrays with dtype=object so that matrix powers stay exact.
+Counts are plain Python integers throughout (arbitrary precision), so walk
+counts and matrix powers stay exact at any length. A matrix is a list of int
+rows. Walk counts never build a matrix: walk_rows steps one sparse row
+{vertex: count} over the adjacency lists, so row `u` of A^l costs l steps of
+at most 2|E| additions each.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EdgeListError
 
@@ -76,7 +78,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)
 def _adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
     adj: dict[int, list[int]] = {u: [] for u in range(1, g.n + 1)}
     for u, v in g.edges:
@@ -165,44 +167,69 @@ def _int_token(token: str, line_no: int) -> int:
         raise EdgeListError(f"expected an integer, got {token!r}", line_no) from None
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """0/1 symmetric matrix with zero diagonal, dtype=object for exactness."""
-    a = np.zeros((g.n, g.n), dtype=object)
-    for u, v in g.edges:
-        a[u - 1, v - 1] = 1
-        a[v - 1, u - 1] = 1
-    return a
+Matrix = list[list[int]]
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+def adjacency_matrix(g: Graph) -> Matrix:
+    """0/1 symmetric matrix with zero diagonal, as rows of Python ints."""
+    vertices = range(1, g.n + 1)
+    return [[int(g.has_edge(u, v)) for v in vertices] for u in vertices]
 
 
-def matrix_power(matrix: np.ndarray, exponent: int) -> np.ndarray:
-    """Exact integer matrix power; exponent 0 gives the identity."""
+def identity_matrix(n: int) -> Matrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _matrix_product(a: Matrix, b: Matrix) -> Matrix:
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+
+
+def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
+    """Exact integer matrix power by repeated squaring; exponent 0 gives the
+    identity."""
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    n = matrix.shape[0]
-    result = identity_matrix(n)
-    for _ in range(exponent):
-        result = np.dot(result, matrix)
+    result = identity_matrix(len(matrix))
+    square = matrix
+    while exponent:
+        if exponent & 1:
+            result = _matrix_product(result, square)
+        exponent >>= 1
+        if exponent:
+            square = _matrix_product(square, square)
     return result
 
 
+def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
+    """Yield row `start` of A^0, A^1, ..., A^max_len as {vertex: count}, zero
+    entries left out: entry w of row l is the number of length-l walks from
+    start to w. Each step adds every count to the entries of its vertex's
+    neighbours."""
+    adj = _adjacency(g)
+    row = {start: 1}
+    yield row
+    for _ in range(max_len):
+        nxt: dict[int, int] = {}
+        for w, count in row.items():
+            for x in adj[w]:
+                nxt[x] = nxt.get(x, 0) + count
+        row = nxt
+        yield row
+
+
 def walk_count(g: Graph, length: int, u: int, v: int) -> int:
-    """Number of walks of the given length from u to v, as the (u, v) entry
-    of the adjacency-matrix power. Length 0 uses the identity convention:
-    one empty walk at each vertex.
+    """Number of walks of the given length from u to v, the (u, v) entry of
+    the adjacency-matrix power, read from the last of walk_rows. Length 0
+    uses the identity convention: one empty walk at each vertex.
     """
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
-    power = matrix_power(adjacency_matrix(g), length)
-    return int(power[u - 1, v - 1])
+    for row in walk_rows(g, u, length):
+        pass
+    return row.get(v, 0)
 
 
 def occupation_string(g: Graph) -> str:

@@ -7,11 +7,11 @@ of the annihilation quadratic form, Eulerian and Hamiltonian ground truth,
 plus structural properties (symmetry, monotonicity, degree bounds).
 
 Each graph's engine tables are built once, into one record (_Tables): the
-adjacency powers, the oracle tables, the symbolic power chains and the Fock
-tables per start vertex, and whether edge-space Fock evaluations need the
-compact register. Every (u, v, l) cell of a graph is then checked against
-one ordered table, _CELL_ROWS. A row names an invariant, the engines it
-needs, when it applies (e.g. only for u != v), the predicate, and the
+adjacency-power rows, the oracle tables and the Fock tables per start
+vertex, the symbolic power chains, and whether edge-space Fock evaluations
+need the compact register. Every (u, v, l) cell of a graph is then checked
+against one ordered table, _CELL_ROWS. A row names an invariant, the engines
+it needs, when it applies (e.g. only for u != v), the predicate, and the
 failure detail, built only when the predicate fails. Rows whose engines are
 off are dropped before the sweep starts. The table order is the order in
 which the invariants first appear in the summary.
@@ -31,13 +31,11 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import corpus, fock, limits, nilpotent, oracle
 from .errors import BudgetExceededError, CapacityError
 from .families import gnp_random_graph
-from .fock import LadderKind, LadderOp, MatrixKind, Register, StateVector, apply_ladder
-from .graphs import Graph, adjacency_matrix, identity_matrix, parse_edge_list, walk_count
+from .fock import Amplitudes, LadderKind, LadderOp, MatrixKind, Register, StateVector, apply_ladder
+from .graphs import Graph, adjacency_matrix, parse_edge_list, walk_count, walk_rows
 from .nilpotent import PathVariant, Polynomial
 from .oracle import WalkClass
 from .reports import DMATRIX_SQUARED, PROP2_LITERAL_OVERCOUNT, canonical_json, matrix_to_decimal_rows
@@ -68,6 +66,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.source not in ("all-connected-up-to-n", "random"):
             raise ValueError(f"unknown corpus source {self.source!r}")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.l_max < 1:
+            raise ValueError(f"l_max must be >= 1, got {self.l_max}")
         if self.source == "all-connected-up-to-n" and self.n_max > 6:
             raise ValueError("the exhaustive corpus is limited to n_max <= 6")
         unknown = set(self.engines) - {"oracle", "symbolic", "fock"}
@@ -155,14 +157,14 @@ class VerifySummary:
 
 @dataclass
 class _Tables:
-    """One graph's engine tables, built once per sweep. The oracle and Fock
-    tables map a start vertex to its all-lengths table; an engine that is
-    off leaves its tables empty (chains None)."""
+    """One graph's engine tables, built once per sweep. rows[u][l] is row u
+    of A^l as {vertex: walk count}, l = 0..l_max. The oracle and Fock tables
+    map a start vertex to its all-lengths table; an engine that is off leaves
+    its tables empty (chains None)."""
 
     gid: str
     g: Graph
-    adjacency: np.ndarray
-    powers: list[np.ndarray]
+    rows: dict[int, list[dict[int, int]]]
     compact: bool  # edge-space Fock evaluations use the |E|-slot register
     walk: dict = field(default_factory=dict)
     trail: dict = field(default_factory=dict)
@@ -175,12 +177,9 @@ class _Tables:
 
 
 def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
-    n, vertices = g.n, range(1, g.n + 1)
-    a = adjacency_matrix(g)
-    powers = [identity_matrix(n)]
-    for _ in range(l_max):
-        powers.append(np.dot(powers[-1], a))
-    t = _Tables(gid, g, a, powers, fock._needs_compact_register(g))
+    vertices = range(1, g.n + 1)
+    rows = {u: list(walk_rows(g, u, l_max)) for u in vertices}
+    t = _Tables(gid, g, rows, fock._needs_compact_register(g))
     if "oracle" in engines:
         budget = limits.node_budget()
         t.walk = {u: oracle._walk_table(g, u, l_max, budget) for u in vertices}
@@ -210,8 +209,8 @@ def _cell(t: _Tables, u: int, v: int, l: int) -> SimpleNamespace:
     """What the rows compare at one (u, v, l), read from the tables of the
     engines that are on."""
     key = (l, v)
-    c = SimpleNamespace(n=t.g.n, u=u, v=v, l=l, walks=int(t.powers[l][u - 1, v - 1]))
-    c.walks_back = int(t.powers[l][v - 1, u - 1])
+    c = SimpleNamespace(n=t.g.n, u=u, v=v, l=l, walks=t.rows[u][l].get(v, 0))
+    c.walks_back = t.rows[v][l].get(u, 0)
     if t.walk:
         (trails, sets), (dni, paths) = t.trail[u], t.dni[u]
         c.oracle_walks, c.trails = t.walk[u].get(key, 0), trails.get(key, 0)
@@ -419,7 +418,7 @@ def _register_checks(ctx: _Ctx, t: _Tables):
             occ = (index >> psi.register.bit(psi.register.slot_index((u, v)))) & 1
             ctx.check(
                 "slot-expectation-matches-adjacency",
-                occ == int(t.adjacency[u - 1, v - 1]),
+                occ == t.rows[u][1].get(v, 0),
                 {"graph": t.gid, "u": u, "v": v, "occupation": occ},
             )
 
@@ -681,10 +680,8 @@ def random_property_checks(seed: int = 1729, per_property: int = 250) -> list[In
 
 
 def _random_state(rng: random.Random, register: Register) -> StateVector:
-    amplitudes = np.array(
-        [rng.randint(-3, 3) for _ in range(register.dimension)], dtype=object
-    )
-    return StateVector(register, amplitudes)
+    draws = (rng.randint(-3, 3) for _ in range(register.dimension))
+    return StateVector(register, Amplitudes(enumerate(draws)))
 
 
 def _property_ladder_anticommutation(rng, cases) -> InvariantResult:
@@ -698,8 +695,7 @@ def _property_ladder_anticommutation(rng, cases) -> InvariantResult:
         c = LadderOp(LadderKind.CREATE, slot)
         left = apply_ladder(c, apply_ladder(a, state))
         right = apply_ladder(a, apply_ladder(c, state))
-        combined = StateVector(register, left.amplitudes + right.amplitudes)
-        inv.record(combined == state, {"width": width, "slot": slot})
+        inv.record(left + right == state, {"width": width, "slot": slot})
     return inv
 
 

@@ -186,6 +186,21 @@ class TestCount:
             == 1
         )
 
+    def test_negative_walk_length_names_the_walk_bound(self, capsys, c4_file):
+        code, out, err = run(
+            capsys, "count", "--input", c4_file, "--kind", "walks", "--length", "-1", "--from", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--length must be >= 0 for --kind walks" in err
+        assert "usage:" in err
+        code, out, _ = run(
+            capsys, "count", "--input", c4_file, "--kind", "walks", "--length", "0", "--from", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert {e["value"] for e in json.loads(out)["engines"].values()} == {"1"}
+
     def test_bad_input_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\n")
@@ -296,6 +311,15 @@ class TestVerify:
         assert invariant.cases > 0
         assert invariant.failure_count == invariant.cases
 
+    @pytest.mark.parametrize("option, name", [("--l-max", "l_max"), ("--n-max", "n_max")])
+    def test_nonpositive_bounds_are_usage_errors(self, capsys, option, name):
+        for source in ("all-connected-up-to-n", "random"):
+            code, out, err = run(capsys, "verify", "--source", source, option, "0")
+            assert code == 1
+            assert out == ""
+            assert f"{name} must be >= 1, got 0" in err
+            assert "usage:" in err
+
     def test_unknown_engine_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--engines", "quantum")
         assert code == 1
@@ -345,6 +369,16 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert message in err
+
+    def test_bad_family_size_refused_before_output(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--family", "cycle", "--min-n", "2", "--max-n", "4",
+            "--engines", "oracle,symbolic",
+        )
+        assert code == 1
+        assert out == ""
+        assert "a cycle needs at least 3 vertices, got 2" in err
+        assert "usage:" in err
 
     def test_petersen_hamiltonian(self, capsys):
         code, out, _ = run(

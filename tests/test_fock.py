@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from trailcounts import families
@@ -74,15 +73,54 @@ class TestStateVector:
 
     def test_inner_and_norm(self):
         reg = Register.vertices(2)
-        s = StateVector(reg, np.array([1, 2, 0, -1], dtype=object))
+        s = StateVector(reg, {0: 1, 1: 2, 2: 0, 3: -1})
         assert s.squared_norm() == 6
         assert s.inner(StateVector.basis(reg, 1)) == 2
 
     def test_basis_index_rejects_superposition(self):
         reg = Register.vertices(1)
-        s = StateVector(reg, np.array([1, 1], dtype=object))
+        s = StateVector(reg, {0: 1, 1: 1})
         with pytest.raises(ValueError):
             s.basis_index()
+
+    def test_zero_amplitudes_are_dropped(self):
+        reg = Register.vertices(2)
+        s = StateVector(reg, {0: 0, 2: 3, 3: 0})
+        assert s.amplitudes == {2: 3}
+        assert s.nonzero() == [(2, 3)]
+        assert s == StateVector(reg, {2: 3})
+        assert StateVector(reg, {1: 0}) == StateVector.zero(reg)
+        assert repr(StateVector.zero(reg)) == "0"
+        assert repr(StateVector(reg, {3: -1, 1: 2})) == "2|01> + -1|11>"
+
+    def test_index_out_of_range(self):
+        reg = Register.vertices(2)
+        with pytest.raises(ValueError):
+            StateVector(reg, {4: 1})
+        with pytest.raises(ValueError):
+            StateVector.basis(reg, -1)
+
+    def test_basis_index_rejects_non_basis_states(self):
+        reg = Register.vertices(2)
+        for amplitudes in ({}, {1: 2}, {1: -1}, {0: 1, 3: 1}):
+            with pytest.raises(ValueError):
+                StateVector(reg, amplitudes).basis_index()
+        assert StateVector(reg, {2: 1, 3: 0}).basis_index() == 2
+
+    def test_graph_state_holds_one_amplitude(self):
+        # the full pair register of K7 spans 2**21 basis states
+        psi = graph_state(families.complete_graph(7))
+        assert psi.register.width == 21
+        assert psi.amplitudes == {2**21 - 1: 1}
+
+    def test_add_and_inner(self):
+        reg = Register.vertices(2)
+        s = StateVector(reg, {0: 1, 1: 2})
+        t = StateVector(reg, {1: -2, 3: 5})
+        assert (s + t).nonzero() == [(0, 1), (3, 5)]
+        assert s.inner(t) == t.inner(s) == -4
+        with pytest.raises(ValueError):
+            s + StateVector.zero(Register.vertices(1))
 
     def test_json_shape(self, c4):
         obj = graph_state(c4).to_json_obj()
@@ -108,14 +146,12 @@ class TestLadderOps:
 
     def test_anticommutation_on_mixed_state(self):
         reg = Register.vertices(3)
-        state = StateVector(reg, np.array([1, -2, 3, 0, 5, 1, -1, 2], dtype=object))
+        state = StateVector(reg, dict(enumerate([1, -2, 3, 0, 5, 1, -1, 2])))
         for slot in range(3):
             a = LadderOp(LadderKind.ANNIHILATE, slot)
             c = LadderOp(LadderKind.CREATE, slot)
-            total = apply_ladder(c, apply_ladder(a, state)).amplitudes + apply_ladder(
-                a, apply_ladder(c, state)
-            ).amplitudes
-            assert StateVector(reg, total) == state
+            total = apply_ladder(c, apply_ladder(a, state)) + apply_ladder(a, apply_ladder(c, state))
+            assert total == state
 
     def test_double_annihilation_vanishes(self, c4):
         psi = graph_state(c4)

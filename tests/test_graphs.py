@@ -1,11 +1,17 @@
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from trailcounts import families
 from trailcounts.errors import EdgeListError
 from trailcounts.graphs import (
     Graph,
+    _adjacency,
     adjacency_matrix,
+    identity_matrix,
     matrix_power,
     occupation_string,
     pair_slot_index,
@@ -102,14 +108,14 @@ class TestSlots:
 
 class TestAdjacency:
     def test_c4_matrix(self, c4):
-        assert adjacency_matrix(c4).tolist() == C4_ADJ
+        assert adjacency_matrix(c4) == C4_ADJ
 
     def test_edgeless_zero(self):
         g = Graph(3, frozenset())
-        assert adjacency_matrix(g).tolist() == [[0] * 3] * 3
+        assert adjacency_matrix(g) == [[0] * 3] * 3
 
     def test_k2(self, k2):
-        assert adjacency_matrix(k2).tolist() == [[0, 1], [1, 0]]
+        assert adjacency_matrix(k2) == [[0, 1], [1, 0]]
 
 
 class TestWalkCount:
@@ -129,7 +135,7 @@ class TestWalkCount:
         a = adjacency_matrix(c4)
         for u in range(1, 5):
             for v in range(1, 5):
-                assert walk_count(c4, 1, u, v) == a[u - 1, v - 1]
+                assert walk_count(c4, 1, u, v) == a[u - 1][v - 1]
 
     def test_symmetry(self, bowtie):
         for l in range(5):
@@ -147,14 +153,66 @@ class TestWalkCount:
         assert walk_count(k6, l, 1, 1) == expected
 
     def test_matrix_power_exact_dtype(self, c4):
+        # every entry is an exact Python int, never a fixed-width one
         p = matrix_power(adjacency_matrix(c4), 5)
-        assert p.dtype == np.dtype(object)
-        assert p.tolist() == np.array(
-            [[int(x) for x in row] for row in p], dtype=object
-        ).tolist()
+        assert all(type(x) is int for row in p for x in row)
+        assert p == [[0, 16, 16, 0], [16, 0, 0, 16], [16, 0, 0, 16], [0, 16, 16, 0]]
+        big = matrix_power(adjacency_matrix(families.complete_graph(6)), 40)
+        assert big[0][0] == (5**40 + 5) // 6 > 2**63
+
+    def test_matrix_power_zero_is_identity(self, c4):
+        assert matrix_power(adjacency_matrix(c4), 0) == identity_matrix(4)
+        with pytest.raises(ValueError):
+            matrix_power(adjacency_matrix(c4), -1)
+
+    def test_isolated_vertex(self):
+        g = Graph(3, frozenset({(1, 2)}))
+        assert walk_count(g, 0, 3, 3) == 1
+        assert all(walk_count(g, l, 3, v) == 0 for l in range(1, 5) for v in (1, 2, 3))
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_k40_long_walks_closed_form(self, closed):
+        n, l = 40, 300
+        k = families.complete_graph(n)
+        if closed:
+            expected = ((n - 1) ** l + (n - 1) * (-1) ** l) // n
+            assert walk_count(k, l, 7, 7) == expected
+        else:
+            expected = ((n - 1) ** l - (-1) ** l) // n
+            assert walk_count(k, l, 1, 2) == expected
 
     def test_out_of_range_vertex(self, c4):
         with pytest.raises(ValueError):
             walk_count(c4, 2, 0, 1)
         with pytest.raises(ValueError):
             walk_count(c4, 2, 1, 9)
+
+
+def test_adjacency_cache_is_bounded():
+    assert _adjacency.cache_info().maxsize == 128
+    for n in range(1, 201):
+        walk_count(Graph(n, frozenset()), 1, 1, 1)
+    assert _adjacency.cache_info().currsize <= 128
+
+
+def test_walk_count_looks_up_adjacency_once():
+    g = families.cycle_graph(11)
+    walk_count(g, 0, 1, 1)  # fill the cache
+    before = _adjacency.cache_info()
+    walk_count(g, 50, 1, 2)
+    after = _adjacency.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, trailcounts, trailcounts.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

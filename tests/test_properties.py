@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from trailcounts.fock import (
@@ -20,7 +19,7 @@ from trailcounts.fock import (
     graph_state,
     normal_ordered_expectation,
 )
-from trailcounts.graphs import Graph, pair_slots, walk_count
+from trailcounts.graphs import Graph, matrix_power, pair_slots, walk_count
 from trailcounts.nilpotent import (
     PathVariant,
     Polynomial,
@@ -48,6 +47,24 @@ def graph_queries(draw, max_n=5, min_l=0, max_l=4):
     u = draw(st.integers(min_value=1, max_value=g.n))
     v = draw(st.integers(min_value=1, max_value=g.n))
     return g, l, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=6))
+@example(Graph(1, frozenset()))
+@example(Graph(4, frozenset({(1, 2), (2, 3)})))  # vertex 4 isolated
+def test_walk_count_matches_nested_list_product(g):
+    # reference: the textbook product, one dense nested-list multiplication
+    # per length
+    n = g.n
+    a = [[int(g.has_edge(u, v)) for v in range(1, n + 1)] for u in range(1, n + 1)]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for l in range(9):
+        assert matrix_power(a, l) == power
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                assert walk_count(g, l, u, v) == power[u - 1][v - 1]
+        power = [[sum(power[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -149,7 +166,7 @@ def test_evolution_matches_dense_ladder_algebra(query):
             state = StateVector.all_ones(Register.vertices(g.n))
         dense = StateVector.zero(state.register)
         for _, term in expand_walk_terms(g, l, u, v, kind):
-            dense.amplitudes += term.apply(state).amplitudes
+            dense = dense + term.apply(state)
         register, reference = _reference_state(g, kind, False)
         assert register == state.register and reference == state.basis_index()
         levels = _evolve(g, register, kind, u, reference, l, ladder, None, "test")
@@ -215,25 +232,19 @@ def test_enumerate_matches_product_filter(query):
 )
 def test_ladder_anticommutation(width, data):
     register = Register.vertices(width)
-    amplitudes = np.array(
-        data.draw(
-            st.lists(
-                st.integers(min_value=-4, max_value=4),
-                min_size=register.dimension,
-                max_size=register.dimension,
-            )
-        ),
-        dtype=object,
+    amplitudes = data.draw(
+        st.lists(
+            st.integers(min_value=-4, max_value=4),
+            min_size=register.dimension,
+            max_size=register.dimension,
+        )
     )
-    state = StateVector(register, amplitudes)
+    state = StateVector(register, dict(enumerate(amplitudes)))
     slot = data.draw(st.integers(min_value=0, max_value=width - 1))
     a = LadderOp(LadderKind.ANNIHILATE, slot)
     c = LadderOp(LadderKind.CREATE, slot)
-    combined = (
-        apply_ladder(c, apply_ladder(a, state)).amplitudes
-        + apply_ladder(a, apply_ladder(c, state)).amplitudes
-    )
-    assert StateVector(register, combined) == state
+    combined = apply_ladder(c, apply_ladder(a, state)) + apply_ladder(a, apply_ladder(c, state))
+    assert combined == state
 
 
 @settings(max_examples=100, deadline=None)
