@@ -218,6 +218,8 @@ def _cmd_bench(args) -> int:
     engines = _engines(args.engines)
     _check_length(args.kind, args.length)
     spec = reports.KIND_TABLE[args.kind]
+    if args.family != "petersen" and args.min_n > args.max_n:
+        raise _UsageError(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
     sizes = [args.min_n] if args.family == "petersen" else range(args.min_n, args.max_n + 1)
     try:  # every size is checked before the header is written
         graphs = [_bench_graph(args.family, n) for n in sizes]

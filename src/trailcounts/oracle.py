@@ -13,8 +13,13 @@ mask. The bit depends on the step rule:
     distinct-non-initial  the destination vertex's bit, so v1..vl are
                           pairwise distinct
 
-The search never merges equal states and charges a configurable node budget
-(the root and every admitted step), so it is strictly a desk-scale oracle.
+The search tallies as it goes: per length it keeps a sparse map from end
+vertex to {mask & keep: count}, where keep selects the mask bits a table
+needs (none for walks, every edge bit for the trail edge-set histogram, the
+start vertex's bit for paths). The last level is tested in place: each step's
+bit is checked and tallied without pushing a frame. The search never merges
+equal states and charges a configurable node budget (the root and every
+admitted step), so it is strictly a desk-scale oracle.
 
 Walks are vertex sequences v0 v1 ... vl with every consecutive pair an edge;
 the length l is the number of edges traversed. Direction matters: a trail and
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections import Counter
 
 from . import limits
 from .errors import BudgetExceededError
@@ -82,22 +86,16 @@ def enumerate_walks(
         # an open path is a distinct-non-initial walk that never enters its
         # start; a closed one (a cycle) returns to it only at the end
         rule, mask = WalkClass.DISTINCT_NON_INITIAL, (1 << (u - 1) if u != v else 0)
-    too_short_cycle = walk_class is WalkClass.PATH and u == v and length < 3
-    out: list[WalkSeq] = []
-    seen_edge_sets: set[int] = set()
-    # the search yields in depth-first order, so seq[:depth] is always the
-    # prefix of the step just yielded
-    seq = [u] * (length + 1)
-    for depth, w, step_mask in _search(g, u, length, rule, budget, "walk enumeration", mask):
-        seq[depth] = w
-        if depth < length or w != v or too_short_cycle:
-            continue
-        if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
-            if step_mask in seen_edge_sets:
-                continue
-            seen_edge_sets.add(step_mask)
-        out.append(tuple(seq))
-    return out
+    _, found = _search(g, u, length, rule, budget, "walk enumeration", keep=0, mask=mask, target=v)
+    if walk_class is WalkClass.PATH and u == v and length < 3:
+        return []  # no cycle in a simple graph is that short
+    if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
+        # the first trail found for each edge-set mask, still in order
+        first: dict[int, WalkSeq] = {}
+        for edge_set, seq in found:
+            first.setdefault(edge_set, seq)
+        return list(first.values())
+    return [seq for _, seq in found]
 
 
 def count_walks(
@@ -179,12 +177,28 @@ def count_hamiltonian_cycles_through(
     return seq // 2 if g.n >= 3 else 0
 
 
-def _search(g: Graph, start: int, max_len: int, rule: WalkClass, budget: int, what: str, mask: int = 0):
-    """Every walk from start of length 1..max_len whose steps obey the rule
-    (WALK, TRAIL or DISTINCT_NON_INITIAL), as (length, end vertex, mask)
-    after each admitted step, in lexicographic depth-first order. The mask
-    ORs the initial mask with every step's bit. The root and every admitted
-    step charge one node against the budget."""
+def _search(
+    g: Graph,
+    start: int,
+    max_len: int,
+    rule: WalkClass,
+    budget: int,
+    what: str,
+    keep: int,
+    mask: int = 0,
+    target: int = 0,
+) -> tuple[list[dict[int, dict[int, int]]], list[tuple[int, WalkSeq]]]:
+    """Visit every walk from start of length 1..max_len whose steps obey the
+    rule (WALK, TRAIL or DISTINCT_NON_INITIAL), in lexicographic depth-first
+    order, and tally it as it is admitted.
+
+    Returns (tally, found). tally[d] maps each end vertex w of a length-d
+    walk to {mask & keep: how many such walks}, the mask being the initial
+    mask ORed with every step's bit; tally[0] is empty. found lists, as
+    (mask, sequence), every length-max_len walk ending at target (none when
+    target is 0), in lexicographic order. The root and every admitted step
+    charge one node against the budget; each expansion charges its admitted
+    steps together."""
     adjacency = {a: g.neighbors(a) for a in range(1, g.n + 1)}
     if rule is WalkClass.TRAIL:
         edge_bit = {e: 1 << i for i, e in enumerate(g.sorted_edges())}
@@ -196,24 +210,77 @@ def _search(g: Graph, start: int, max_len: int, rule: WalkClass, budget: int, wh
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)
-    # one (unvisited steps, mask) pair per vertex of the current sequence
-    stack = [(iter(steps[start]), mask)] if max_len > 0 else []
-    while stack:
+    tally: list[dict[int, dict[int, int]]] = [{} for _ in range(max_len + 1)]
+    found: list[tuple[int, WalkSeq]] = []
+    if max_len == 0:
+        return tally, found
+    last = tally[max_len]
+    seq = [start] * (max_len + 1)
+    # one iterator over the admitted (vertex, mask) steps from seq[depth] per
+    # depth below max_len - 2; the vertices at depth max_len - 1 are expanded
+    # in place as soon as their parent admits them, and get no frame
+    stack: list = []
+    w, current = start, mask
+    while True:
         depth = len(stack)
-        pending, current = stack[-1]
-        for w, bit in pending:
-            if current & bit:
-                continue
-            remaining -= 1
+        if depth + 1 < max_len:
+            admitted = [(x, current | bit) for x, bit in steps[w] if not current & bit]
+            remaining -= len(admitted)
             if remaining < 0:
                 raise BudgetExceededError(what, budget)
-            extended = current | bit
-            yield depth, w, extended
-            if depth < max_len:
-                stack.append((iter(steps[w]), extended))
-                break
+            level = tally[depth + 1]
+            for x, extended in admitted:
+                key = extended & keep
+                row = level.get(x)
+                if row is None:
+                    level[x] = {key: 1}
+                elif key in row:
+                    row[key] += 1
+                else:
+                    row[key] = 1
+            if depth + 2 < max_len:
+                stack.append(iter(admitted))
+                frontier = ()
+            else:
+                frontier = admitted
         else:
+            frontier = ((w, current),)  # max_len == 1: the root is the last expansion
+        # the last level: test each step's bit in place, push no frame. Its
+        # rows are nearly always there already and most of its keys are, so
+        # a miss is taken as an exception; on the levels above, a long path
+        # makes a new row at every step
+        for y, current in frontier:
+            seq[max_len - 1] = y
+            taken = 0
+            for x, bit in steps[y]:
+                if current & bit:
+                    continue
+                taken += 1
+                key = (current | bit) & keep
+                try:
+                    row = last[x]
+                except KeyError:
+                    row = last[x] = {}
+                try:
+                    row[key] += 1
+                except KeyError:
+                    row[key] = 1
+                if x == target:
+                    seq[max_len] = x
+                    found.append((current | bit, tuple(seq)))
+            remaining -= taken
+            if remaining < 0:
+                raise BudgetExceededError(what, budget)
+        # the next vertex to expand is the deepest frame's next admitted step
+        while stack:
+            step = next(stack[-1], None)
+            if step is not None:
+                w, current = step
+                seq[len(stack)] = w
+                break
             stack.pop()
+        else:
+            return tally, found
 
 
 # One search per (graph, start) covers every length <= max_len and every end
@@ -226,32 +293,33 @@ def _search(g: Graph, start: int, max_len: int, rule: WalkClass, budget: int, wh
 
 @functools.lru_cache
 def _walk_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
-    return Counter((depth, w) for depth, w, _ in _search(g, start, max_len, WalkClass.WALK, budget, "walk tally"))
+    tally, _ = _search(g, start, max_len, WalkClass.WALK, budget, "walk tally", keep=0)
+    return {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
 
 
 @functools.lru_cache
 def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """Trail counts plus, per (length, end vertex), how many trails traverse
     each edge-set mask."""
-    counts: dict[tuple[int, int], int] = Counter()
-    sets: dict[tuple[int, int], Counter] = {}
-    for depth, w, mask in _search(g, start, max_len, WalkClass.TRAIL, budget, "trail tally"):
-        key = depth, w  # one key object shared by both tables
-        counts[key] += 1
-        sets.setdefault(key, Counter())[mask] += 1
-    return counts, sets
+    tally, _ = _search(g, start, max_len, WalkClass.TRAIL, budget, "trail tally", keep=-1)  # every edge bit
+    sets = {(depth, w): row for depth, level in enumerate(tally) for w, row in level.items()}
+    return {key: sum(row.values()) for key, row in sets.items()}, sets
 
 
 @functools.lru_cache
 def _dni_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """DISTINCT_NON_INITIAL counts plus PATH counts (open paths avoid the
     start vertex entirely; closed paths are cycles, l >= 3)."""
-    dni: dict[tuple[int, int], int] = Counter()
-    path: dict[tuple[int, int], int] = Counter()
     start_bit = 1 << (start - 1)
-    for depth, w, mask in _search(g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally"):
-        key = depth, w  # one key object shared by both tables
-        dni[key] += 1
-        if (depth >= 3) if w == start else not mask & start_bit:
-            path[key] += 1
+    tally, _ = _search(g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=start_bit)
+    dni: dict[tuple[int, int], int] = {}
+    path: dict[tuple[int, int], int] = {}
+    for depth, level in enumerate(tally):
+        for w, row in level.items():
+            key = depth, w  # one key object shared by both tables
+            dni[key] = sum(row.values())
+            # a walk that never entered the start carries no start bit
+            paths = (dni[key] if depth >= 3 else 0) if w == start else row.get(0, 0)
+            if paths:
+                path[key] = paths
     return dni, path

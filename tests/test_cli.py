@@ -380,6 +380,16 @@ class TestBench:
         assert "a cycle needs at least 3 vertices, got 2" in err
         assert "usage:" in err
 
+    def test_empty_size_range_refused_before_output(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--family", "cycle", "--min-n", "6", "--max-n", "4",
+            "--engines", "oracle,symbolic",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--min-n 6 is greater than --max-n 4" in err
+        assert "usage:" in err
+
     def test_petersen_hamiltonian(self, capsys):
         code, out, _ = run(
             capsys, "bench", "--family", "petersen", "--kind", "hamiltonian",

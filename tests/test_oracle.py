@@ -126,6 +126,27 @@ class TestCount:
                 fn(k4, 3, 1, 2, WalkClass.WALK, node_budget=39)
 
 
+# Smallest passing node budget for K4, l = 4, 1 -> 2, per walk class: the
+# root plus every admitted step of the search. A count searches with the
+# class's table rule; an enumeration of PATH also refuses the start vertex,
+# so it admits fewer steps than the path table.
+_K4_BUDGETS = [
+    (WalkClass.WALK, 121, "walk tally", 121),
+    (WalkClass.TRAIL, 40, "trail tally", 40),
+    (WalkClass.PATH, 49, "path tally", 16),
+    (WalkClass.DISTINCT_NON_INITIAL, 49, "path tally", 49),
+    (WalkClass.START_ONCE_TRAIL_EDGE_SET, 40, "trail tally", 40),
+]
+
+
+@pytest.mark.parametrize("cls, count_budget, label, enum_budget", _K4_BUDGETS, ids=lambda x: getattr(x, "name", None))
+def test_budget_boundaries_k4_length4(k4, cls, count_budget, label, enum_budget):
+    for fn, budget, what in ((count_walks, count_budget, label), (enumerate_walks, enum_budget, "walk enumeration")):
+        fn(k4, 4, 1, 2, cls, node_budget=budget)
+        with pytest.raises(BudgetExceededError, match=f"{what} exceeded its budget of {budget - 1}"):
+            fn(k4, 4, 1, 2, cls, node_budget=budget - 1)
+
+
 @pytest.mark.parametrize("table", [_walk_table, _trail_tables, _dni_tables])
 def test_table_cache_is_bounded(table):
     # a process that sees many graphs must not keep every table it built

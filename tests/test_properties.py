@@ -1,6 +1,7 @@
 """Property-based cross-validation of the engines on random graphs."""
 
 import itertools
+from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,7 +29,15 @@ from trailcounts.nilpotent import (
     path_count_symbolic,
     trail_count_symbolic,
 )
-from trailcounts.oracle import WalkClass, count_walks, enumerate_walks, trail_edge_set_histogram
+from trailcounts.oracle import (
+    WalkClass,
+    _dni_tables,
+    _trail_tables,
+    _walk_table,
+    count_walks,
+    enumerate_walks,
+    trail_edge_set_histogram,
+)
 
 
 @st.composite
@@ -223,6 +232,47 @@ def test_enumerate_matches_product_filter(query):
         expected = _class_members(g, l, u, v, cls)
         assert enumerate_walks(g, l, u, v, cls) == expected
         assert count_walks(g, l, u, v, cls) == len(expected)
+
+
+@st.composite
+def table_queries(draw, max_n=6, max_len=5):
+    g = draw(graphs(max_n=max_n))
+    return g, draw(st.integers(min_value=1, max_value=g.n)), draw(st.integers(min_value=1, max_value=max_len))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_queries())
+@example((Graph(1, frozenset()), 1, 3))
+@example((Graph(4, frozenset(pair_slots(4))), 1, 4))
+def test_oracle_tables_match_product_filter(query):
+    # every (length, end vertex) entry of the three tables, not only the
+    # longest length: the sweep reads them all
+    g, u, max_len = query
+    walks, trails, dni, paths = Counter(), Counter(), Counter(), Counter()
+    sets: dict[tuple[int, int], Counter] = {}  # trails per traversed edge set
+    for l in range(1, max_len + 1):
+        for rest in itertools.product(range(1, g.n + 1), repeat=l):
+            seq = (u, *rest)
+            edges = [(min(a, b), max(a, b)) for a, b in zip(seq, seq[1:])]
+            if not all(g.has_edge(*e) for e in edges):
+                continue
+            key = l, seq[-1]
+            walks[key] += 1
+            if len(set(edges)) == l:
+                trails[key] += 1
+                sets.setdefault(key, Counter())[frozenset(edges)] += 1
+            if len(set(rest)) == l:
+                dni[key] += 1
+                if (l >= 3) if seq[-1] == u else u not in rest:
+                    paths[key] += 1
+    edge_bit = {e: 1 << i for i, e in enumerate(g.sorted_edges())}
+    masks = {key: {sum(edge_bit[e] for e in s): c for s, c in hist.items()} for key, hist in sets.items()}
+    assert _walk_table(g, u, max_len, 10**9) == dict(walks)
+    assert _trail_tables(g, u, max_len, 10**9) == (dict(trails), masks)
+    assert _dni_tables(g, u, max_len, 10**9) == (dict(dni), dict(paths))
+    for l in range(1, max_len + 1):
+        for v in range(1, g.n + 1):
+            assert trail_edge_set_histogram(g, l, u, v) == dict(sets.get((l, v), {}))
 
 
 @settings(max_examples=100, deadline=None)
