@@ -233,11 +233,8 @@ def _search(
                 key = extended & keep
                 row = level.get(x)
                 if row is None:
-                    level[x] = {key: 1}
-                elif key in row:
-                    row[key] += 1
-                else:
-                    row[key] = 1
+                    row = level[x] = {}
+                row[key] = row.get(key, 0) + 1
             if depth + 2 < max_len:
                 stack.append(iter(admitted))
                 frontier = ()
@@ -245,10 +242,7 @@ def _search(
                 frontier = admitted
         else:
             frontier = ((w, current),)  # max_len == 1: the root is the last expansion
-        # the last level: test each step's bit in place, push no frame. Its
-        # rows are nearly always there already and most of its keys are, so
-        # a miss is taken as an exception; on the levels above, a long path
-        # makes a new row at every step
+        # the last level: test each step's bit in place, push no frame
         for y, current in frontier:
             seq[max_len - 1] = y
             taken = 0
@@ -257,14 +251,10 @@ def _search(
                     continue
                 taken += 1
                 key = (current | bit) & keep
-                try:
-                    row = last[x]
-                except KeyError:
+                row = last.get(x)
+                if row is None:
                     row = last[x] = {}
-                try:
-                    row[key] += 1
-                except KeyError:
-                    row[key] = 1
+                row[key] = row.get(key, 0) + 1
                 if x == target:
                     seq[max_len] = x
                     found.append((current | bit, tuple(seq)))
