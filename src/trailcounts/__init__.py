@@ -10,8 +10,9 @@ cross-check each other:
   only their nonzero amplitudes (``trailcounts.fock``).
 
 Walk counts come from exact adjacency-power rows (``trailcounts.graphs``).
-Everything is plain Python integers; numpy is used only for corpus
-canonicalization (``trailcounts.corpus``) and is imported there on first use.
+Everything is plain Python integers, with no third-party dependency; the
+exhaustive corpus (``trailcounts.corpus``) keeps the smallest edge mask of
+each isomorphism class, found by orbit marking.
 """
 
 from .errors import BudgetExceededError, CapacityError, EdgeListError

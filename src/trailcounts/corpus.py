@@ -1,24 +1,21 @@
 """Deterministic graph corpora for verification sweeps.
 
 The exhaustive corpus holds one representative per isomorphism class of
-connected graphs (the representative whose edge-slot bitmask is the
-lexicographic minimum over all vertex permutations); feasible up to n = 6.
-Larger sizes are covered by seeded random draws. Canonicalization is the
-package's one use of numpy, imported only when a corpus is first built.
+connected graphs: the class's smallest edge-slot bitmask, found by visiting
+the masks in increasing order and marking the orbit of each unseen one under
+every vertex permutation; feasible up to n = 6. Larger sizes are covered by
+seeded random draws.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
-from typing import TYPE_CHECKING
 
 from . import families
-from .graphs import Graph, graph_signature, pair_slot_index, pair_slots
-
-if TYPE_CHECKING:
-    import numpy as np
+from .graphs import Graph, graph_signature, pair_slots, slot_of_pair
 
 
 def is_connected(g: Graph) -> bool:
@@ -41,46 +38,31 @@ def mask_to_graph(n: int, mask: int) -> Graph:
 
 
 @functools.cache
-def _canonical_mask_flags(n: int) -> np.ndarray:
-    """Boolean flag per edge bitmask: is it the lexicographic minimum of its
-    isomorphism class? Vectorized over all 2**C(n,2) masks."""
-    import numpy as np
-
-    m = n * (n - 1) // 2
-    if m > 20:
-        raise ValueError(f"exhaustive corpus is limited to n <= 6, got n = {n}")
-    masks = np.arange(1 << m, dtype=np.int64)
-    canon = masks.copy()
-    slots = pair_slots(n)
-    index = pair_slot_index(n)
-    for perm in itertools.permutations(range(1, n + 1)):
-        if perm == tuple(range(1, n + 1)):
-            continue
-        target = [
-            index[(min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]))]
-            for (u, v) in slots
-        ]
-        permuted = np.zeros_like(masks)
-        for s, t in enumerate(target):
-            permuted |= ((masks >> s) & 1) << t
-        np.minimum(canon, permuted, out=canon)
-    return masks == canon
-
-
-@functools.cache
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     """Every connected graph on exactly n vertices, one per isomorphism
-    class, in increasing edge-bitmask order."""
+    class, in increasing edge-bitmask order. Each class is first met at its
+    smallest mask, which then marks its whole orbit as seen: the image under
+    every vertex permutation at once, as the OR of one column of target slot
+    bits per edge."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return (Graph(1, frozenset()),)
-    import numpy as np
-
-    flags = _canonical_mask_flags(n)
+    if n > 6:
+        raise ValueError(f"exhaustive corpus is limited to n <= 6, got n = {n}")
+    slots = pair_slots(n)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    columns = [[1 << slot_of_pair(n, p[u - 1], p[v - 1]) for p in perms] for (u, v) in slots]
+    seen = bytearray(1 << len(slots))
     out = []
-    for mask in np.flatnonzero(flags):
-        g = mask_to_graph(n, int(mask))
+    for mask in range(len(seen)):
+        if seen[mask]:
+            continue
+        images = [0] * len(perms)
+        for s, column in enumerate(columns):
+            if mask >> s & 1:
+                images = map(operator.or_, images, column)
+        for image in images:
+            seen[image] = 1
+        g = mask_to_graph(n, mask)
         if is_connected(g):
             out.append(g)
     return tuple(out)

@@ -61,6 +61,21 @@ class WalkClass(enum.Enum):
     START_ONCE_TRAIL_EDGE_SET = "start-once-trail-edge-set"
 
 
+def _without_search(g: Graph, length: int, u: int, v: int, walk_class: WalkClass) -> list[WalkSeq] | None:
+    """Check a query's vertices and length. Return its walks when they need
+    no search (length 0, or a closed path too short to be a cycle), else
+    None."""
+    g.require_vertex(u)
+    g.require_vertex(v)
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    if length == 0:
+        return [(u,)] if u == v else []
+    if walk_class is WalkClass.PATH and u == v and length < 3:
+        return []  # no cycle in a simple graph is that short
+    return None
+
+
 def enumerate_walks(
     g: Graph,
     length: int,
@@ -71,13 +86,9 @@ def enumerate_walks(
 ) -> list[WalkSeq]:
     """All walks of exactly the given length from u to v satisfying the class
     predicate, each once, in lexicographic order."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if length == 0:
-        return [(u,)] if u == v else []
-
+    trivial = _without_search(g, length, u, v, walk_class)
+    if trivial is not None:
+        return trivial
     budget = node_budget if node_budget is not None else limits.node_budget()
     rule, mask = walk_class, 0
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
@@ -87,8 +98,6 @@ def enumerate_walks(
         # start; a closed one (a cycle) returns to it only at the end
         rule, mask = WalkClass.DISTINCT_NON_INITIAL, (1 << (u - 1) if u != v else 0)
     _, found = _search(g, u, length, rule, budget, "walk enumeration", keep=0, mask=mask, target=v)
-    if walk_class is WalkClass.PATH and u == v and length < 3:
-        return []  # no cycle in a simple graph is that short
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
         # the first trail found for each edge-set mask, still in order
         first: dict[int, WalkSeq] = {}
@@ -109,12 +118,9 @@ def count_walks(
     """Number of walks enumerate_walks would return, without materializing
     the sequences. Tallies one depth-first search per (graph, start) and
     memoizes the table, so sweeps over many (length, v) queries are cheap."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if length == 0:
-        return 1 if u == v else 0
+    trivial = _without_search(g, length, u, v, walk_class)
+    if trivial is not None:
+        return len(trivial)
     budget = node_budget if node_budget is not None else limits.node_budget()
     if walk_class is WalkClass.WALK:
         return _walk_table(g, u, length, budget).get((length, v), 0)

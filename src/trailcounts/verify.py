@@ -70,6 +70,10 @@ class SweepConfig:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.l_max < 1:
             raise ValueError(f"l_max must be >= 1, got {self.l_max}")
+        if self.random_count < 0:
+            raise ValueError(f"random_count must be >= 0, got {self.random_count}")
+        if not 0 <= self.edge_probability <= 1:
+            raise ValueError(f"edge_probability must be in [0, 1], got {self.edge_probability}")
         if self.source == "all-connected-up-to-n" and self.n_max > 6:
             raise ValueError("the exhaustive corpus is limited to n_max <= 6")
         unknown = set(self.engines) - {"oracle", "symbolic", "fock"}

@@ -320,6 +320,23 @@ class TestVerify:
             assert f"{name} must be >= 1, got 0" in err
             assert "usage:" in err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--count", "-2", "random_count must be >= 0, got -2"),
+            ("--p", "1.5", "edge_probability must be in [0, 1], got 1.5"),
+            ("--p", "-0.1", "edge_probability must be in [0, 1], got -0.1"),
+        ],
+    )
+    def test_bad_random_parameters_are_usage_errors(self, capsys, monkeypatch, option, value, message):
+        monkeypatch.setattr(verify, "build_corpus", lambda config: pytest.fail("swept a graph"))
+        for source in ("all-connected-up-to-n", "random"):
+            code, out, err = run(capsys, "verify", "--source", source, option, value)
+            assert code == 1
+            assert out == ""
+            assert message in err
+            assert "usage:" in err
+
     def test_unknown_engine_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--engines", "quantum")
         assert code == 1

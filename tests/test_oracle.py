@@ -147,6 +147,15 @@ def test_budget_boundaries_k4_length4(k4, cls, count_budget, label, enum_budget)
             fn(k4, 4, 1, 2, cls, node_budget=budget - 1)
 
 
+@pytest.mark.parametrize("length", [1, 2])
+def test_short_closed_paths_need_no_search(length):
+    # a closed path shorter than 3 is no cycle, so it is 0 without charging
+    # a single node, even on a budget far below one search level
+    k6 = families.complete_graph(6)
+    assert count_walks(k6, length, 1, 1, WalkClass.PATH, node_budget=0) == 0
+    assert enumerate_walks(k6, length, 1, 1, WalkClass.PATH, node_budget=0) == []
+
+
 @pytest.mark.parametrize("table", [_walk_table, _trail_tables, _dni_tables])
 def test_table_cache_is_bounded(table):
     # a process that sees many graphs must not keep every table it built
