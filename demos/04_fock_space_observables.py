@@ -65,5 +65,6 @@ except CapacityError as exc:
 k7 = complete_graph(7)
 print("K7 fits (21 slots); trails of length 3, 1->2:",
       normal_ordered_expectation(k7, 3, 1, 2, MatrixKind.N_EDGE))
+# Petersen's 45 pairs exceed the cap, so the evaluator takes one slot per edge
 print("petersen via the |E|-slot register:",
-      normal_ordered_expectation(petersen_graph(), 5, 1, 2, MatrixKind.N_EDGE, present_edges_only=True))
+      normal_ordered_expectation(petersen_graph(), 5, 1, 2, MatrixKind.N_EDGE))

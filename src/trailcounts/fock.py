@@ -2,7 +2,8 @@
 
 A Register assigns one qubit slot per unordered vertex pair (edge space,
 width C(n,2)), per present edge (the economical edge-space option, width
-|E|), or per vertex (vertex space, width n). StateVector holds only the
+|E|, taken when C(n,2) exceeds the cap), or per vertex (vertex space, width
+n); values do not depend on the edge register. StateVector holds only the
 nonzero amplitudes, as a map from basis index to exact integer amplitude:
 every operator used here maps basis states to 0/1-weighted basis states, so
 the whole pipeline is exact, matching the arbitrary-precision counts of the
@@ -14,10 +15,11 @@ an index, left to right, is the slot occupation string: the 4-cycle's graph
 state renders as "110011".
 
 Matrix powers of the observable matrices are never materialized: an entry of
-a power is the sum over walks of the corresponding operator products, so the
-evaluators evolve the reference state level by level, one ladder operator
-per walk step, as a sparse map from (current vertex, basis index) to exact
-amplitude. Terms that reach the same state merge into one amplitude, and a
+a power is the sum over walks of the corresponding operator products. Both
+spaces share one kernel, _evolve, which evolves the space's reference state
+level by level, one ladder operator per walk step, as a sparse map from
+(current vertex, basis index) to exact amplitude; every evaluator reduces one
+evolution. Terms that reach the same state merge into one amplitude, and a
 term that annihilates to zero (an operator on an empty slot) is dropped as
 soon as it does. No evaluator allocates a 2**width array.
 """
@@ -255,9 +257,14 @@ class MatrixKind(enum.Enum):
     D_EDGE = "d-edge"
     F_VERTEX = "f-vertex"
 
+    @property
+    def space(self) -> RegisterKind:
+        """The space whose slots the matrix's ladder operators act on."""
+        edge = self in (MatrixKind.N_EDGE, MatrixKind.D_EDGE)
+        return RegisterKind.EDGE_SPACE if edge else RegisterKind.VERTEX_SPACE
+
 
 _NUMBER_KINDS = (MatrixKind.N_EDGE, MatrixKind.M_VERTEX)
-_EDGE_KINDS = (MatrixKind.N_EDGE, MatrixKind.D_EDGE)
 
 
 @dataclass(frozen=True)
@@ -283,14 +290,10 @@ def _needs_compact_register(g: Graph) -> bool:
     return g.n * (g.n - 1) // 2 > limits.register_cap()
 
 
-def _register_for(g: Graph, matrix_kind: MatrixKind, present_edges_only: bool) -> Register:
-    if matrix_kind in _EDGE_KINDS:
-        return Register.present_edges(g) if present_edges_only else Register.all_pairs(g.n)
-    return Register.vertices(g.n)
-
-
-def _step_slot(register: Register, matrix_kind: MatrixKind, a: int, b: int) -> int:
-    if matrix_kind in _EDGE_KINDS:
+def _step_slot(register: Register, a: int, b: int) -> int:
+    """Slot of the step a -> b: the edge in edge space, the destination
+    vertex in vertex space."""
+    if register.kind is RegisterKind.EDGE_SPACE:
         return register.slot_index((min(a, b), max(a, b)))
     return register.slot_index(b)
 
@@ -311,7 +314,8 @@ def expand_walk_terms(
     g.require_vertex(v)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    register = _register_for(g, matrix_kind, present_edges_only)
+    edge = matrix_kind.space is RegisterKind.EDGE_SPACE
+    register = graph_state(g, present_edges_only).register if edge else Register.vertices(g.n)
     op_kind = LadderKind.NUMBER if matrix_kind in _NUMBER_KINDS else LadderKind.ANNIHILATE
     budget = node_budget if node_budget is not None else limits.node_budget()
     out: list[tuple[tuple[int, ...], OperatorTerm]] = []
@@ -328,7 +332,7 @@ def expand_walk_terms(
         for w in stack[-1]:
             if last and w != v:
                 continue
-            op = LadderOp(op_kind, _step_slot(register, matrix_kind, current, w))
+            op = LadderOp(op_kind, _step_slot(register, current, w))
             if last:
                 out.append(((*seq, w), OperatorTerm((*ops, op))))
                 continue
@@ -367,36 +371,46 @@ def normal_ordered_term_expectation(term: OperatorTerm, state: StateVector) -> i
 
 def _evolve(
     g: Graph,
-    register: Register,
-    matrix_kind: MatrixKind,
+    space: RegisterKind,
     start: int,
-    reference: int,
     max_len: int,
-    ladder_kind: LadderKind,
-    node_budget: int | None,
+    clears: bool,
     what: str,
+    present_edges_only: bool = False,
+    guard_vertex: int | None = None,
+    node_budget: int | None = None,
 ):
-    """Yield the evolved state after each of the lengths 1..max_len, as a
+    """Yield the evolved state at each of the lengths 0..max_len, as a
     sparse map from (current vertex, basis index) to exact amplitude.
 
-    Level 0 is the basis state `reference` at `start`. Each step applies one
-    ladder operator on the traversed slot (the edge for edge kinds, the
-    destination vertex otherwise): ANNIHILATE clears the slot, NUMBER keeps
-    the index, and either drops the term when the slot is empty. Terms that
-    reach the same (vertex, index) merge into one amplitude. Every live state
-    expanded costs one node of the budget, charged before the next level is
-    built."""
+    Level 0 is the space's reference state at `start`: the graph state in
+    edge space, on the |E|-slot register when present_edges_only is set or
+    the pair register would exceed the cap, and |1...1> in vertex space,
+    with guard_vertex's slot emptied when one is given. Each step applies
+    one ladder operator on the traversed slot (the edge in edge space, the
+    destination vertex in vertex space): an annihilation operator when
+    steps clear their slot, a number operator otherwise; either drops the
+    term when the slot is empty. Terms that reach the same (vertex, index)
+    merge into one amplitude. Every live state expanded costs one node of
+    the budget, charged before the next level is built."""
+    if space is RegisterKind.EDGE_SPACE:
+        compact = present_edges_only or _needs_compact_register(g)
+        register = Register.present_edges(g) if compact else Register.all_pairs(g.n)
+        reference = _occupied_index(register, g.sorted_edges())  # the graph state
+    else:
+        register = Register.vertices(g.n)
+        reference = register.dimension - 1  # |11...1>
+    if guard_vertex is not None:
+        # the guard's number operator uses up its slot before the first step
+        reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
     budget = node_budget if node_budget is not None else limits.node_budget()
     remaining = budget
-    clears = ladder_kind is LadderKind.ANNIHILATE
     steps = {
-        w: [
-            (x, 1 << register.bit(_step_slot(register, matrix_kind, w, x)))
-            for x in g.neighbors(w)
-        ]
+        w: [(x, 1 << register.bit(_step_slot(register, w, x))) for x in g.neighbors(w)]
         for w in range(1, g.n + 1)
     }
     level = {(start, reference): 1}
+    yield level
     for _ in range(max_len):
         remaining -= len(level)
         if remaining < 0:
@@ -412,21 +426,24 @@ def _evolve(
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:
-    """Basis index -> amplitude of the last level's states at vertex v; the
-    evolution must have at least one level."""
+    """Basis index -> amplitude of the last level's states at vertex v."""
     for level in levels:
         pass
     return {index: amp for (w, index), amp in level.items() if w == v}
 
 
-def _tally(levels, squared: bool) -> dict[tuple[int, int], int]:
-    """Per-(length, vertex) sums of the amplitudes, or of their squares."""
-    table: dict[tuple[int, int], int] = {}
+def _tally(levels) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Per-(length >= 1, vertex) sums of the amplitudes and of their
+    squares, in one pass over the levels."""
+    sums: dict[tuple[int, int], int] = {}
+    squares: dict[tuple[int, int], int] = {}
+    next(levels)  # level 0, the reference state
     for length, level in enumerate(levels, 1):
         for (w, _), amp in level.items():
             key = (length, w)
-            table[key] = table.get(key, 0) + (amp * amp if squared else amp)
-    return table
+            sums[key] = sums.get(key, 0) + amp
+            squares[key] = squares.get(key, 0) + amp * amp
+    return sums, squares
 
 
 def normal_ordered_expectation(
@@ -458,29 +475,11 @@ def normal_ordered_expectation(
         if matrix_kind is not MatrixKind.M_VERTEX:
             raise ValueError("guard_vertex applies to the destination-vertex observable only")
         g.require_vertex(guard_vertex)
-
-    register, reference = _reference_state(g, matrix_kind, present_edges_only)
-    if guard_vertex is not None:
-        # the guard's number operator uses up its slot before the first step
-        reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
     # a term whose slots are distinct and occupied survives annihilating each
     # slot in turn from the reference state, and every other term vanishes
-    levels = _evolve(
-        g, register, matrix_kind, u, reference, length, LadderKind.ANNIHILATE,
-        node_budget, "normal-ordered evaluation",
-    )
+    levels = _evolve(g, matrix_kind.space, u, length, True, "normal-ordered evaluation",
+                     present_edges_only, guard_vertex, node_budget)
     return sum(_amplitudes_at(levels, v).values())
-
-
-def _reference_state(
-    g: Graph, matrix_kind: MatrixKind, present_edges_only: bool
-) -> tuple[Register, int]:
-    register = _register_for(g, matrix_kind, present_edges_only)
-    if matrix_kind in _EDGE_KINDS:
-        reference = _occupied_index(register, g.sorted_edges())  # the graph state
-    else:
-        reference = register.dimension - 1  # |11...1>
-    return register, reference
 
 
 def normal_ordered_expectation_table(
@@ -497,12 +496,9 @@ def normal_ordered_expectation_table(
     g.require_vertex(start)
     if matrix_kind not in _NUMBER_KINDS:
         raise ValueError("normal-ordered expectation applies to the number-operator matrices")
-    register, reference = _reference_state(g, matrix_kind, present_edges_only)
-    levels = _evolve(
-        g, register, matrix_kind, start, reference, max_len, LadderKind.ANNIHILATE,
-        node_budget, "normal-ordered tally",
-    )
-    return _tally(levels, squared=False)
+    levels = _evolve(g, matrix_kind.space, start, max_len, True, "normal-ordered tally",
+                     present_edges_only, node_budget=node_budget)
+    return _tally(levels)[0]
 
 
 def walk_count_expectation(
@@ -523,11 +519,8 @@ def walk_count_expectation(
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return 1 if u == v else 0
-    register, reference = _reference_state(g, MatrixKind.N_EDGE, present_edges_only)
-    levels = _evolve(
-        g, register, MatrixKind.N_EDGE, u, reference, length, LadderKind.NUMBER,
-        node_budget, "plain expectation",
-    )
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation",
+                     present_edges_only, node_budget=node_budget)
     return sum(_amplitudes_at(levels, v).values())
 
 
@@ -550,11 +543,8 @@ def d_matrix_quadratic_form(
     g.require_vertex(v)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    register, reference = _reference_state(g, MatrixKind.D_EDGE, present_edges_only)
-    levels = _evolve(
-        g, register, MatrixKind.D_EDGE, u, reference, length, LadderKind.ANNIHILATE,
-        node_budget, "annihilation evolution",
-    )
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, True, "annihilation evolution",
+                     present_edges_only, node_budget=node_budget)
     return sum(amp * amp for amp in _amplitudes_at(levels, v).values())
 
 
@@ -569,12 +559,9 @@ def annihilation_form_table(
     max_len, end vertex) from one start; the same evolution as the
     per-query evaluator."""
     g.require_vertex(start)
-    register, reference = _reference_state(g, MatrixKind.D_EDGE, present_edges_only)
-    levels = _evolve(
-        g, register, MatrixKind.D_EDGE, start, reference, max_len, LadderKind.ANNIHILATE,
-        node_budget, "annihilation tally",
-    )
-    return _tally(levels, squared=True)
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, start, max_len, True, "annihilation tally",
+                     present_edges_only, node_budget=node_budget)
+    return _tally(levels)[1]
 
 
 def f_matrix_amplitude(g: Graph, length: int, u: int, node_budget: int | None = None) -> int:
@@ -586,11 +573,8 @@ def f_matrix_amplitude(g: Graph, length: int, u: int, node_budget: int | None = 
     g.require_vertex(u)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    register, reference = _reference_state(g, MatrixKind.F_VERTEX, False)
-    levels = _evolve(
-        g, register, MatrixKind.F_VERTEX, u, reference, length, LadderKind.ANNIHILATE,
-        node_budget, "transition-amplitude evaluation",
-    )
+    levels = _evolve(g, RegisterKind.VERTEX_SPACE, u, length, True, "transition-amplitude evaluation",
+                     node_budget=node_budget)
     return _amplitudes_at(levels, u).get(0, 0)
 
 

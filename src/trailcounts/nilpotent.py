@@ -333,15 +333,10 @@ def path_count_symbolic(
     g.require_vertex(v)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if variant is PathVariant.START_GUARDED:
-        if u == v:
-            raise ValueError("START_GUARDED counts open paths; u must differ from v")
-        m = vertex_observable_matrix(g, PathVariant.START_GUARDED, start=u)
-        entry = _row_power_entry(m, length, u, v, term_budget)
-        return entry.coefficient_sum()
-    m = vertex_observable_matrix(g)
-    entry = _row_power_entry(m, length, u, v, term_budget)
-    return entry.coefficient_sum()
+    if variant is PathVariant.START_GUARDED and u == v:
+        raise ValueError("START_GUARDED counts open paths; u must differ from v")
+    m = vertex_observable_matrix(g, variant, start=u)
+    return _row_power_entry(m, length, u, v, term_budget).coefficient_sum()
 
 
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:

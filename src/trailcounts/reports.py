@@ -174,7 +174,7 @@ def _trails_oracle(g, l, u, v, variant) -> int:
 
 
 def _trails_fock(g, l, u, v, variant) -> int:
-    return fock.normal_ordered_expectation(g, l, u, v, fock.MatrixKind.N_EDGE, present_edges_only=fock._needs_compact_register(g))
+    return fock.normal_ordered_expectation(g, l, u, v, fock.MatrixKind.N_EDGE)
 
 
 KIND_TABLE: dict[str, Kind] = {
@@ -184,7 +184,7 @@ KIND_TABLE: dict[str, Kind] = {
         # the nilpotent ring is trail-specific; the exact adjacency-matrix
         # power is the algebraic walk counter
         symbolic=lambda g, l, u, v, variant: walk_count(g, l, u, v),
-        fock=lambda g, l, u, v, variant: fock.walk_count_expectation(g, l, u, v, present_edges_only=fock._needs_compact_register(g)),
+        fock=lambda g, l, u, v, variant: fock.walk_count_expectation(g, l, u, v),
     ),
     "trails": Kind(
         1, False, oracle=_trails_oracle, fock=_trails_fock,
@@ -235,9 +235,12 @@ def run_count_query(
     variant: PathVariant = PathVariant.LITERAL,
 ) -> CountReport:
     """Evaluate one counting query on the requested engines and assemble the
-    cross-checked report, including characterized-discrepancy notes."""
+    cross-checked report, including characterized-discrepancy notes. A
+    START_GUARDED paths query with u == v is refused before any engine runs."""
     if kind not in KIND_TABLE:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if kind == "paths" and variant is PathVariant.START_GUARDED and u == v:
+        raise ValueError("START_GUARDED counts open paths; u must differ from v")
     spec = KIND_TABLE[kind]
     l_eff = spec.length(g, length)
     values = {name: _timed(lambda name=name: getattr(spec, name)(g, l_eff, u, v, variant)) for name in engines}
@@ -274,7 +277,7 @@ def _annotate(report, g, kind, length, u, v, variant) -> None:
             )
     if kind in ("trails", "euler") and length >= 1:
         try:
-            quad = fock.d_matrix_quadratic_form(g, length, u, v, present_edges_only=fock._needs_compact_register(g))
+            quad = fock.d_matrix_quadratic_form(g, length, u, v)
             trail = oracle.count_walks(g, length, u, v, WalkClass.TRAIL)
         except (CapacityError, BudgetExceededError):
             return

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 from . import corpus, fock, limits, nilpotent, oracle
 from .errors import BudgetExceededError, CapacityError
 from .families import gnp_random_graph
-from .fock import Amplitudes, LadderKind, LadderOp, MatrixKind, Register, StateVector, apply_ladder
+from .fock import Amplitudes, LadderKind, LadderOp, MatrixKind, Register, RegisterKind, StateVector, apply_ladder
 from .graphs import Graph, adjacency_matrix, parse_edge_list, walk_count, walk_rows
 from .nilpotent import PathVariant, Polynomial
 from .oracle import WalkClass
@@ -163,7 +163,8 @@ class VerifySummary:
 class _Tables:
     """One graph's engine tables, built once per sweep. rows[u][l] is row u
     of A^l as {vertex: walk count}, l = 0..l_max. The oracle and Fock tables
-    map a start vertex to its all-lengths table; an engine that is off leaves
+    map a start vertex to its all-lengths table (fock_edge to the pair of
+    trail-count and annihilation-form tables); an engine that is off leaves
     its tables empty (chains None)."""
 
     gid: str
@@ -175,9 +176,8 @@ class _Tables:
     dni: dict = field(default_factory=dict)
     edge_powers: dict | None = None
     vertex_powers: dict | None = None
-    fock_n: dict = field(default_factory=dict)
+    fock_edge: dict = field(default_factory=dict)
     fock_m: dict = field(default_factory=dict)
-    fock_d: dict = field(default_factory=dict)
 
 
 def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
@@ -193,12 +193,13 @@ def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
         t.edge_powers = _power_chain(nilpotent.formal_adjacency_edges(g), l_max)
         t.vertex_powers = _power_chain(nilpotent.vertex_observable_matrix(g), l_max)
     if "fock" in engines:
-        t.fock_n = {
-            u: fock.normal_ordered_expectation_table(g, u, l_max, MatrixKind.N_EDGE, present_edges_only=t.compact)
+        # the normal-ordered trail counts are the amplitude sums of the
+        # edge-space annihilation evolution, and its forms their squares
+        t.fock_edge = {
+            u: fock._tally(fock._evolve(g, RegisterKind.EDGE_SPACE, u, l_max, True, "normal-ordered tally"))
             for u in vertices
         }
         t.fock_m = {u: fock.normal_ordered_expectation_table(g, u, l_max, MatrixKind.M_VERTEX) for u in vertices}
-        t.fock_d = {u: fock.annihilation_form_table(g, u, l_max, present_edges_only=t.compact) for u in vertices}
     return t
 
 
@@ -225,8 +226,9 @@ def _cell(t: _Tables, u: int, v: int, l: int) -> SimpleNamespace:
     if t.edge_powers is not None:
         c.edge_entry, c.literal_entry = t.edge_powers[l].entry(u, v), t.vertex_powers[l].entry(u, v)
         c.symbolic_trails, c.literal = c.edge_entry.coefficient_sum(), c.literal_entry.coefficient_sum()
-    if t.fock_n:
-        c.fock_trails, c.fock_vertex, c.quad = t.fock_n[u].get(key, 0), t.fock_m[u].get(key, 0), t.fock_d[u].get(key, 0)
+    if t.fock_edge:
+        sums, squares = t.fock_edge[u]
+        c.fock_trails, c.fock_vertex, c.quad = sums.get(key, 0), t.fock_m[u].get(key, 0), squares.get(key, 0)
     return c
 
 
@@ -463,24 +465,17 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
                     nilpotent.cycle_count_symbolic(g, l, u) == t.vertex_powers[l].entry(u, u).coefficient_sum(),
                     loc,
                 )
-        if t.fock_n:
-            trails, compact = t.fock_n[u].get((l, v), 0), t.compact
-            ctx.check(
-                "fock-op-matches-table",
-                fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE, present_edges_only=compact) == trails,
-                loc,
-            )
-            ctx.check(
-                "dform-op-matches-table",
-                fock.d_matrix_quadratic_form(g, l, u, v, present_edges_only=compact) == t.fock_d[u].get((l, v), 0),
-                loc,
-            )
+        if t.fock_edge:
+            sums, squares = t.fock_edge[u]
+            trails = sums.get((l, v), 0)
+            ctx.check("fock-op-matches-table", fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE) == trails, loc)
+            ctx.check("dform-op-matches-table", fock.d_matrix_quadratic_form(g, l, u, v) == squares.get((l, v), 0), loc)
             ctx.check(
                 "fock-walk-expectation-matches-walk-count",
-                fock.walk_count_expectation(g, l, u, v, present_edges_only=compact) == t.walk[u].get((l, v), 0),
+                fock.walk_count_expectation(g, l, u, v) == t.walk[u].get((l, v), 0),
                 loc,
             )
-            if not compact:
+            if not t.compact:
                 ctx.check(
                     "compact-register-matches-full-register",
                     fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE, present_edges_only=True) == trails,
@@ -511,7 +506,7 @@ def _euler_checks(ctx: _Ctx, t: _Tables):
         if diag is not None:
             ctx.check("euler-closed-agreement", diag[u - 1] == o, {"graph": t.gid, "u": u, "symbolic": diag[u - 1], "oracle": o})
         if "fock" in engines:
-            f = fock.normal_ordered_expectation_table(g, u, m, MatrixKind.N_EDGE, present_edges_only=t.compact).get((m, u), 0)
+            f = fock.normal_ordered_expectation(g, m, u, u, MatrixKind.N_EDGE)
             ctx.check("euler-closed-agreement-fock", f == o, {"graph": t.gid, "u": u, "fock": f, "oracle": o})
     # spot-check the public op once per graph
     if diag is not None:

@@ -201,6 +201,19 @@ class TestCount:
         assert code == 0
         assert {e["value"] for e in json.loads(out)["engines"].values()} == {"1"}
 
+    @pytest.mark.parametrize("engine", ["oracle", "symbolic", "fock", "all"])
+    def test_guarded_closed_path_refused_before_any_engine(self, capsys, tmp_path, engine):
+        # a closed walk always revisits its start, so the guarded variant is
+        # undefined there; no engine may print a value for it
+        path = _edge_file(tmp_path, "triangle", families.complete_graph(3))
+        code, out, err = run(
+            capsys, "count", "--input", path, "--kind", "paths", "--length", "3",
+            "--from", "1", "--to", "1", "--variant", "guarded", "--engine", engine,
+        )
+        assert code == 1
+        assert out == ""
+        assert "open paths" in err
+
     def test_bad_input_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\n")

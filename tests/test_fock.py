@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from trailcounts import families
+from trailcounts import families, fock, verify
 from trailcounts.errors import BudgetExceededError, CapacityError
 from trailcounts.fock import (
     LadderKind,
@@ -47,6 +49,28 @@ class TestRegister:
         assert Register.present_edges(petersen).width == 15
         with pytest.raises(CapacityError):
             Register.all_pairs(petersen.n)
+
+    def test_evaluators_pick_the_edge_register(self, petersen):
+        # the 45-slot pair register exceeds the cap, so the evaluators fall
+        # back to the 15-slot register without being asked
+        for l, u, v in ((5, 1, 2), (4, 1, 1), (6, 3, 8)):
+            trails = count_walks(petersen, l, u, v, WalkClass.TRAIL)
+            assert normal_ordered_expectation(petersen, l, u, v, MatrixKind.N_EDGE) == trails
+            hist = trail_edge_set_histogram(petersen, l, u, v)
+            assert d_matrix_quadratic_form(petersen, l, u, v) == sum(c * c for c in hist.values())
+            assert walk_count_expectation(petersen, l, u, v) == count_walks(petersen, l, u, v, WalkClass.WALK)
+
+    def test_no_edge_register_fits_k9(self):
+        # K9 has 36 edges, so even the |E|-slot register exceeds the cap
+        k9 = families.complete_graph(9)
+        for evaluate in (
+            lambda: normal_ordered_expectation(k9, 2, 1, 2, MatrixKind.N_EDGE),
+            lambda: d_matrix_quadratic_form(k9, 2, 1, 2),
+            lambda: walk_count_expectation(k9, 2, 1, 2),
+            lambda: annihilation_form_table(k9, 1, 2),
+        ):
+            with pytest.raises(CapacityError, match="36"):
+                evaluate()
 
     def test_vertex_register(self):
         reg = Register.vertices(5)
@@ -354,6 +378,26 @@ class TestWalkExpectation:
         for g in (c4, k4):
             for l in range(0, 5):
                 assert walk_count_expectation(g, l, 1, 2) == walk_count(g, l, 1, 2)
+
+
+class TestSweepTables:
+    def test_one_edge_space_evolution_per_start(self, monkeypatch, bowtie):
+        # the trail counts and the annihilation forms come from one edge-space
+        # evolution, the vertex observable from one vertex-space evolution
+        spaces = []
+        evolve = fock._evolve
+
+        def counting(g, space, *args, **kwargs):
+            spaces.append(space)
+            return evolve(g, space, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "_evolve", counting)
+        t = verify._build_tables("bowtie", bowtie, 4, ("fock",))
+        assert Counter(spaces) == {fock.RegisterKind.EDGE_SPACE: 5, fock.RegisterKind.VERTEX_SPACE: 5}
+        for u in range(1, 6):
+            trails, forms = t.fock_edge[u]
+            assert trails == normal_ordered_expectation_table(bowtie, u, 4, MatrixKind.N_EDGE)
+            assert forms == annihilation_form_table(bowtie, u, 4)
 
 
 class TestEvolutionBudget:

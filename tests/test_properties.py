@@ -10,10 +10,10 @@ from trailcounts.fock import (
     LadderOp,
     MatrixKind,
     Register,
+    RegisterKind,
     StateVector,
     _amplitudes_at,
     _evolve,
-    _reference_state,
     apply_ladder,
     d_matrix_quadratic_form,
     expand_walk_terms,
@@ -163,22 +163,21 @@ def test_evolution_matches_dense_ladder_algebra(query):
     # the sparse evolution, amplitude for amplitude, against the sum of every
     # walk term applied literally to the dense reference state
     g, l, u, v = query
-    for kind, ladder in (
-        (MatrixKind.D_EDGE, LadderKind.ANNIHILATE),
-        (MatrixKind.F_VERTEX, LadderKind.ANNIHILATE),
-        (MatrixKind.N_EDGE, LadderKind.NUMBER),
-        (MatrixKind.M_VERTEX, LadderKind.NUMBER),
+    for kind, clears in (
+        (MatrixKind.D_EDGE, True),
+        (MatrixKind.F_VERTEX, True),
+        (MatrixKind.N_EDGE, False),
+        (MatrixKind.M_VERTEX, False),
     ):
-        if kind in (MatrixKind.D_EDGE, MatrixKind.N_EDGE):
+        if kind.space is RegisterKind.EDGE_SPACE:
             state = graph_state(g)
         else:
             state = StateVector.all_ones(Register.vertices(g.n))
         dense = StateVector.zero(state.register)
         for _, term in expand_walk_terms(g, l, u, v, kind):
             dense = dense + term.apply(state)
-        register, reference = _reference_state(g, kind, False)
-        assert register == state.register and reference == state.basis_index()
-        levels = _evolve(g, register, kind, u, reference, l, ladder, None, "test")
+        levels = _evolve(g, kind.space, u, l, clears, "test")
+        assert next(levels) == {(u, state.basis_index()): 1}  # the reference state
         assert _amplitudes_at(levels, v) == dict(dense.nonzero())
 
 
