@@ -51,9 +51,7 @@ class Register:
     _slot_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cap = limits.register_cap()
-        if self.width > cap:
-            raise CapacityError(self.width, cap)
+        _require_fits(self.width)
         object.__setattr__(self, "_slot_of", {label: i for i, label in enumerate(self.slots)})
 
     @property
@@ -78,7 +76,9 @@ class Register:
 
     @classmethod
     def all_pairs(cls, n: int) -> "Register":
-        """Edge space over every unordered pair of distinct vertices."""
+        """Edge space over every unordered pair of distinct vertices. The
+        width C(n,2) is checked against the cap before any slot is built."""
+        _require_fits(n * (n - 1) // 2)
         return cls(RegisterKind.EDGE_SPACE, pair_slots(n))
 
     @classmethod
@@ -91,6 +91,12 @@ class Register:
     @classmethod
     def vertices(cls, n: int) -> "Register":
         return cls(RegisterKind.VERTEX_SPACE, tuple(range(1, n + 1)))
+
+
+def _require_fits(width: int) -> None:
+    cap = limits.register_cap()
+    if width > cap:
+        raise CapacityError(width, cap)
 
 
 def _occupied_index(register: Register, labels) -> int:

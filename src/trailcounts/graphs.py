@@ -4,7 +4,10 @@ Vertices carry 1-based external labels. Edge slots enumerate ALL unordered
 pairs of distinct vertices in lexicographic order (1,2), (1,3), ..., (1,n),
 (2,3), ..., so a graph on n vertices maps to an occupation string of length
 C(n,2). Under this ordering the 4-cycle with edges {1,2},{1,3},{2,4},{3,4}
-reads "110011".
+reads "110011". The pair {a, b} with a < b sits at slot
+(a-1)*(2n-a)//2 + (b-a-1): the pairs whose smaller vertex is below a come
+first, (n-1) + (n-2) + ... + (n-a+1) of them. slot_of_pair computes it
+without a table, so a slot lookup on a large graph costs O(1), not C(n,2).
 
 Counts are plain Python integers throughout (arbitrary precision), so walk
 counts and matrix powers stay exact at any length. A matrix is a list of int
@@ -87,22 +90,27 @@ def _adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
     return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)
 def pair_slots(n: int) -> tuple[Edge, ...]:
     """All C(n,2) unordered pairs in lexicographic order."""
     return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
-@functools.cache
 def pair_slot_index(n: int) -> dict[Edge, int]:
     """Bijection {u,v} (u<v) -> slot position 0..C(n,2)-1."""
     return {pair: i for i, pair in enumerate(pair_slots(n))}
 
 
 def slot_of_pair(n: int, u: int, v: int) -> int:
+    """Slot of the unordered pair {u, v} of distinct vertices in 1..n, in
+    either argument order: (a-1)*(2n-a)//2 + (b-a-1) with a = min(u, v) and
+    b = max(u, v), the position of (a, b) in pair_slots(n)."""
     if u == v:
         raise ValueError(f"pair slots are indexed by distinct vertices, got ({u},{v})")
-    return pair_slot_index(n)[(min(u, v), max(u, v))]
+    a, b = (u, v) if u < v else (v, u)
+    if a < 1 or b > n:
+        raise ValueError(f"vertex {a if a < 1 else b} out of range 1..{n}")
+    return (a - 1) * (2 * n - a) // 2 + (b - a - 1)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -242,7 +250,6 @@ def occupation_string(g: Graph) -> str:
 def graph_signature(g: Graph) -> str:
     """Deterministic short identifier: n plus the hex of the edge-slot mask."""
     mask = 0
-    index = pair_slot_index(g.n)
-    for e in g.edges:
-        mask |= 1 << index[e]
+    for u, v in g.edges:
+        mask |= 1 << slot_of_pair(g.n, u, v)
     return f"n{g.n}-{mask:x}"

@@ -10,7 +10,10 @@ summing coefficients of an entry counts trails.
 
 Two generator universes are used: edge generators indexed by pair slots
 (trail counting) and vertex generators indexed by vertex-1 (path counting
-with the destination-vertex observable).
+with the destination-vertex observable). An edge generator's index is its
+pair slot, computed by graphs.slot_of_pair without a C(n,2) table; its mask
+bit is still that slot, so edge monomial masks on n vertices are up to C(n,2)
+bits wide however few edges the graph has.
 
 A PolyMatrix stores only its nonzero entries, row by row, and the builders
 fill them from adjacency lists. All multiplication goes through one
@@ -27,15 +30,11 @@ coefficients are always dropped so equality is structural.
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from typing import Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
 from .graphs import Graph, slot_of_pair
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 class Polynomial:
@@ -110,7 +109,11 @@ class Polynomial:
             yield _mask_generators(mask), self._terms[mask]
 
     def degrees(self) -> set[int]:
-        return {_popcount(m) for m in self._terms}
+        return {m.bit_count() for m in self._terms}
+
+    def coefficients(self) -> ValuesView[int]:
+        """The nonzero coefficients, read in place (no monomial is decoded)."""
+        return self._terms.values()
 
     def without_generator(self, index: int) -> "Polynomial":
         """Terms not containing the generator; equals multiplying by that

@@ -278,8 +278,8 @@ _CELL_ROWS = (
     _Row("trail-agreement-oracle-vs-nilpotent", _OS, lambda c: c.symbolic_trails == c.trails,
          lambda c: {"symbolic": c.symbolic_trails, "oracle": c.trails}),
     _Row("monomial-degree-equals-length", ("symbolic",),
-         lambda c: all(len(gens) == c.l for gens, _ in c.edge_entry.terms()), lambda c: {}),
-    _Row("coefficient-positivity", _OS, lambda c: all(k >= 1 for _, k in c.edge_entry.terms()), lambda c: {}),
+         lambda c: c.edge_entry.degrees() <= {c.l}, lambda c: {}),
+    _Row("coefficient-positivity", _OS, lambda c: all(k >= 1 for k in c.edge_entry.coefficients()), lambda c: {}),
     _Row("literal-observable-counts-distinct-non-initial", _OS, lambda c: c.literal == c.dni,
          lambda c: {"symbolic": c.literal, "oracle": c.dni}),
     _Row("guarded-observable-counts-paths", _OS, lambda c: _guarded(c) == c.paths,

@@ -45,6 +45,14 @@ class TestRegister:
         monkeypatch.setenv("TRAILCOUNTS_REGISTER_CAP", "30")
         assert Register.all_pairs(8).width == 28
 
+    def test_refused_pair_register_builds_no_slots(self, monkeypatch):
+        def no_slots(n):
+            raise AssertionError(f"pair_slots({n}) built")
+
+        monkeypatch.setattr(fock, "pair_slots", no_slots)
+        with pytest.raises(CapacityError, match="179700"):
+            graph_state(families.cycle_graph(600))
+
     def test_present_edges_register(self, petersen):
         assert Register.present_edges(petersen).width == 15
         with pytest.raises(CapacityError):

@@ -105,6 +105,27 @@ class TestSlots:
     def test_c4_occupation_string(self, c4):
         assert occupation_string(c4) == "110011"
 
+    def test_closed_form_matches_enumeration(self):
+        for n in range(2, 41):
+            for i, (u, v) in enumerate(pair_slots(n)):
+                assert slot_of_pair(n, u, v) == i
+                assert slot_of_pair(n, v, u) == i
+
+    @pytest.mark.parametrize("u, v, bad", [(0, 2, 0), (2, 0, 0), (1, 5, 5), (5, 1, 5)])
+    def test_vertex_out_of_range(self, u, v, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range 1..4"):
+            slot_of_pair(4, u, v)
+
+    def test_equal_vertices(self):
+        with pytest.raises(ValueError, match=r"distinct vertices, got \(5,5\)"):
+            slot_of_pair(4, 5, 5)
+
+    def test_pair_slots_cache_is_bounded(self):
+        assert pair_slots.cache_info().maxsize == 128
+        for n in range(-200, 1):  # no pairs below n = 2, so each key is cheap
+            pair_slots(n)
+        assert pair_slots.cache_info().currsize <= 128
+
 
 class TestAdjacency:
     def test_c4_matrix(self, c4):

@@ -1,6 +1,6 @@
 import pytest
 
-from trailcounts import families
+from trailcounts import corpus, families, fock, graphs, reports
 from trailcounts.errors import BudgetExceededError
 from trailcounts.graphs import Graph, slot_of_pair
 from trailcounts.nilpotent import (
@@ -58,6 +58,11 @@ class TestPolynomial:
     def test_json_serialization(self):
         p = 2 * (Polynomial.generator(0) * Polynomial.generator(3))
         assert p.to_json_obj() == [{"generators": [0, 3], "coeff": "2"}]
+
+    def test_coefficients_and_degrees_read_the_masks(self):
+        p = 2 * Polynomial.generator(0) * Polynomial.generator(3) + 5 * Polynomial.generator(1)
+        assert sorted(p.coefficients()) == sorted(k for _, k in p.terms()) == [2, 5]
+        assert p.degrees() == {len(gens) for gens, _ in p.terms()} == {1, 2}
 
     def test_without_generator(self):
         p = Polynomial.generator(0) + Polynomial.generator(1)
@@ -283,6 +288,22 @@ class TestSparseStorage:
         for m in (formal_adjacency_edges(g), vertex_observable_matrix(g)):
             assert [len(row) for row in m.rows] == [2] * 600
             assert m.entry(1, 300).is_zero()
+
+    def test_c600_queries_build_no_pair_table(self, monkeypatch):
+        # slots come from the closed form; C(600,2) = 179,700 pair tuples
+        # would be built by any call to these
+        def no_table(n):
+            raise AssertionError(f"pair table for n={n} built")
+
+        for module in (graphs, fock, corpus):
+            for name in ("pair_slots", "pair_slot_index"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_table)
+        g = families.cycle_graph(600)
+        assert trail_count_symbolic(g, 600, 1, 1) == 2
+        assert euler_trail_count_symbolic(g, 1, 1) == 2
+        report = reports.run_count_query(g, "c600", "euler", 600, 1, 1, ("oracle", "symbolic"))
+        assert {name: e.value for name, e in report.engines.items()} == {"oracle": 2, "symbolic": 2}
 
     def test_products_store_no_zero_entries(self, c4, bowtie):
         for g in (c4, bowtie):
