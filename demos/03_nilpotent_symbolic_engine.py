@@ -24,7 +24,7 @@ c4 = cycle_graph(4)
 
 m = formal_adjacency_edges(c4)
 print("formal adjacency entry (1,2):", m.entry(1, 2))
-print("entries (1,2) and (2,1) share one generator per unordered pair:", m.entry(1, 2) == m.entry(2, 1))
+print("entries (1,2) and (2,1) share one generator per edge:", m.entry(1, 2) == m.entry(2, 1))
 
 # Of the four length-3 walks from 1 to 2, three repeat an edge; their terms
 # die under x*x = 0 and a single degree-3 monomial survives.

@@ -8,12 +8,11 @@ multiplication drops any term whose factors share a generator. Matrix powers
 of the formal adjacency matrix therefore keep exactly one monomial per trail;
 summing coefficients of an entry counts trails.
 
-Two generator universes are used: edge generators indexed by pair slots
-(trail counting) and vertex generators indexed by vertex-1 (path counting
-with the destination-vertex observable). An edge generator's index is its
-pair slot, computed by graphs.slot_of_pair without a C(n,2) table; its mask
-bit is still that slot, so edge monomial masks on n vertices are up to C(n,2)
-bits wide however few edges the graph has.
+Two generator universes are used: edge generators indexed by the edge's
+position in g.sorted_edges() (trail counting, the same bit the oracle's trail
+search and the compact Fock register use) and vertex generators indexed by
+vertex-1 (path counting with the destination-vertex observable). Edge
+monomial masks are therefore |E| bits wide, not C(n,2).
 
 A PolyMatrix stores only its nonzero entries, row by row, and the builders
 fill them from adjacency lists. All multiplication goes through one
@@ -34,7 +33,7 @@ from typing import Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph, slot_of_pair
+from .graphs import Graph
 
 
 class Polynomial:
@@ -235,13 +234,14 @@ def matrix_power_nilpotent(m: PolyMatrix, exponent: int, term_budget: int | None
 
 
 def formal_adjacency_edges(g: Graph) -> PolyMatrix:
-    """Adjacency matrix with each 1 replaced by the generator of its edge's
-    pair slot; entries (u, v) and (v, u) share one generator, matching one
-    qubit slot per unordered pair."""
-    return PolyMatrix([
-        {v - 1: Polynomial.generator(slot_of_pair(g.n, u, v)) for v in g.neighbors(u)}
-        for u in range(1, g.n + 1)
-    ])
+    """Adjacency matrix with each 1 replaced by the generator of its edge,
+    indexed by the edge's position in g.sorted_edges(); entries (u, v) and
+    (v, u) share one generator, matching one qubit per edge. Filling rows in
+    sorted-edge order keeps each row's columns ascending."""
+    rows: list[dict[int, Polynomial]] = [{} for _ in range(g.n)]
+    for i, (a, b) in enumerate(g.sorted_edges()):
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = Polynomial.generator(i)
+    return PolyMatrix(rows)
 
 
 class PathVariant(enum.Enum):

@@ -656,8 +656,8 @@ def reference_example_checks(graph: Graph | None = None) -> list[ReferenceCheck]
 
 def _surviving_monomials(g: Graph):
     entry = nilpotent._row_power_entry(nilpotent.formal_adjacency_edges(g), 3, 1, 2, None)
-    slots = list(Register.all_pairs(g.n).slots)
-    return [sorted(list(slots[i]) for i in gens) for gens, _ in entry.terms()]
+    edges = g.sorted_edges()
+    return [sorted(list(edges[i]) for i in gens) for gens, _ in entry.terms()]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class TestPolynomial:
 class TestFormalAdjacency:
     def test_c4_entries_share_generator_per_pair(self, c4):
         m = formal_adjacency_edges(c4)
-        e12 = Polynomial.generator(slot_of_pair(4, 1, 2))
+        e12 = Polynomial.generator(c4.sorted_edges().index((1, 2)))
         assert m.entry(1, 2) == e12
         assert m.entry(2, 1) == e12
         assert m.entry(1, 4).is_zero()
@@ -90,8 +90,33 @@ class TestFormalAdjacency:
         # of the four length-3 walk terms only the trail survives x*x = 0
         cube = matrix_power_nilpotent(formal_adjacency_edges(c4), 3)
         entry = cube.entry(1, 2)
-        slots = (slot_of_pair(4, 1, 3), slot_of_pair(4, 3, 4), slot_of_pair(4, 2, 4))
-        assert list(entry.terms()) == [(tuple(sorted(slots)), 1)]
+        edges = c4.sorted_edges()
+        gens = (edges.index((1, 3)), edges.index((3, 4)), edges.index((2, 4)))
+        assert list(entry.terms()) == [(tuple(sorted(gens)), 1)]
+
+    def test_generator_masks_fit_in_edge_count(self, petersen):
+        # one generator per present edge, not per vertex pair
+        for g in (families.cycle_graph(600), petersen, families.complete_graph(7)):
+            rows = formal_adjacency_edges(g).rows
+            masks = [m for row in rows for p in row.values() for m in p._terms]
+            assert len(masks) == 2 * g.edge_count
+            assert all(m.bit_length() <= g.edge_count for m in masks)
+
+    def test_term_order_matches_pair_slot_order(self, c4, bowtie):
+        # sorted_edges() and pair slots are both lexicographic, so indexing
+        # by edge relabels the bits monotonically and terms() keeps its order
+        for g in (c4, bowtie):
+            edges = g.sorted_edges()
+            m = formal_adjacency_edges(g)
+            for l in range(1, g.edge_count + 1):
+                for row in matrix_power_nilpotent(m, l).rows:
+                    for p in row.values():
+                        terms = list(p.terms())
+                        by_slot = sorted(
+                            terms,
+                            key=lambda t: sum(1 << slot_of_pair(g.n, *edges[i]) for i in t[0]),
+                        )
+                        assert terms == by_slot
 
     def test_power_one_is_identity_operation(self, c4):
         m = formal_adjacency_edges(c4)
@@ -304,6 +329,13 @@ class TestSparseStorage:
         assert euler_trail_count_symbolic(g, 1, 1) == 2
         report = reports.run_count_query(g, "c600", "euler", 600, 1, 1, ("oracle", "symbolic"))
         assert {name: e.value for name, e in report.engines.items()} == {"oracle": 2, "symbolic": 2}
+
+    def test_c5000_trails_stay_small(self):
+        # trail monomials are |E| bits wide; with pair-slot bits C5000
+        # carried 12.5M-bit masks and ran out of memory
+        g = families.cycle_graph(5000)
+        assert trail_count_symbolic(g, 5000, 1, 1) == 2
+        assert euler_trail_count_symbolic(g, 1, 1) == 2
 
     def test_products_store_no_zero_entries(self, c4, bowtie):
         for g in (c4, bowtie):

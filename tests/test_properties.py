@@ -125,9 +125,9 @@ def test_edge_power_terms_match_trail_edge_sets(query):
     # monomial by monomial against the oracle: each surviving term is one
     # edge set, its coefficient the number of trails traversing exactly it
     g, l, u, v = query
-    slots = pair_slots(g.n)
+    edges = g.sorted_edges()
     entry = matrix_power_nilpotent(formal_adjacency_edges(g), l).entry(u, v)
-    by_edge_set = {frozenset(slots[i] for i in gens): c for gens, c in entry.terms()}
+    by_edge_set = {frozenset(edges[i] for i in gens): c for gens, c in entry.terms()}
     assert by_edge_set == trail_edge_set_histogram(g, l, u, v)
     assert trail_count_symbolic(g, l, u, v) == entry.coefficient_sum()
 
