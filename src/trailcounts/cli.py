@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import families, reports, verify
 from .errors import BudgetExceededError, CapacityError, EdgeListError
-from .graphs import Graph, parse_edge_list
+from .graphs import Graph, decimal_str, parse_edge_list
 from .nilpotent import PathVariant
 
 EXIT_OK = 0
@@ -233,7 +233,7 @@ def _cmd_bench(args) -> int:
         for engine in engines:
             start = time.perf_counter()
             try:
-                value = str(getattr(spec, engine)(g, length, u, v, PathVariant.LITERAL))
+                value = decimal_str(getattr(spec, engine)(g, length, u, v, PathVariant.LITERAL))
             except (CapacityError, BudgetExceededError):
                 value = "DNF"
             elapsed = round((time.perf_counter() - start) * 1000.0, 3)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import limits
 from .errors import BudgetExceededError, CapacityError
-from .graphs import Graph, pair_slots
+from .graphs import Graph, decimal_str, pair_slots
 
 SlotLabel = object  # (u, v) pair for edge spaces, int vertex for vertex space
 
@@ -195,13 +195,13 @@ class StateVector:
             "width": self.register.width,
             "kind": self.register.kind.value,
             "nonzero": [
-                {"index": i, "amplitude": str(a)} for i, a in self.nonzero()
+                {"index": i, "amplitude": decimal_str(a)} for i, a in self.nonzero()
             ],
         }
 
     def __repr__(self) -> str:
         parts = [
-            f"{a}|{basis_label(self.register, i)}>" for i, a in self.nonzero()
+            f"{decimal_str(a)}|{basis_label(self.register, i)}>" for i, a in self.nonzero()
         ]
         return " + ".join(parts) if parts else "0"
 

@@ -10,14 +10,17 @@ first, (n-1) + (n-2) + ... + (n-a+1) of them. slot_of_pair computes it
 without a table, so a slot lookup on a large graph costs O(1), not C(n,2).
 
 Counts are plain Python integers throughout (arbitrary precision), so walk
-counts and matrix powers stay exact at any length. A matrix is a list of int
-rows. Walk counts never build a matrix: walk_rows steps one sparse row
-{vertex: count} over the adjacency lists, so row `u` of A^l costs l steps of
-at most 2|E| additions each.
+counts and matrix powers stay exact at any length, and decimal_str prints
+them at any size. A matrix is a list of int rows. Walk counts never build a
+matrix: walk_rows steps one sparse row {vertex: count}, so row `u` of A^l
+costs l steps. On a dense graph a step takes each dense vertex's count back
+from its non-neighbours instead of pushing it to its neighbours: O(n) per step
+on K_n, not O(n^2).
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -79,6 +82,14 @@ class Graph:
 
     def __repr__(self) -> str:  # compact, deterministic
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+
+
+def decimal_str(count: int) -> str:
+    """Exact decimal digits of an integer count of any size, for every
+    output. str() refuses an int longer than sys.get_int_max_str_digits()
+    (4300 digits by default); decimal.Decimal converts every int exactly,
+    without that limit, and leaves the process-wide setting alone."""
+    return str(decimal.Decimal(count))
 
 
 @functools.lru_cache(maxsize=128)
@@ -212,16 +223,54 @@ def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
 def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
     """Yield row `start` of A^0, A^1, ..., A^max_len as {vertex: count}, zero
     entries left out: entry w of row l is the number of length-l walks from
-    start to w. Each step adds every count to the entries of its vertex's
-    neighbours."""
+    start to w.
+
+    A vertex pushes its count to its neighbours, unless the graph is dense
+    enough to step by A = J - I - C, with J all ones and C the complement's
+    adjacency: then every vertex first gets the total of the dense vertices'
+    counts, each dense count is taken back from its own vertex and its
+    non-neighbours, and the zeros this leaves are dropped. A vertex of degree
+    d pushes to d entries and takes back from n - d, so a take-back saves
+    2d - n additions a step; paying out the total and scanning for zeros cost
+    about 3n. Take-backs are used only when the vertices with 2d > n together
+    save more than 3n a step. Each saves at most n - 2, so that needs four of
+    them and more than 7n/4 edges: a sparse or small graph pushes without a
+    degree being read. A step on K_n then costs O(n) additions, not n(n-1).
+    The lists are built once per call from the one adjacency lookup."""
     adj = _adjacency(g)
+    # pull: dense vertex -> itself and its non-neighbours, the entries its count is taken back from
+    push, pull = adj, {}
+    if 4 * len(g.edges) > 7 * g.n:
+        n = g.n
+        dense = [w for w, near in adj.items() if 2 * len(near) > n]
+        if sum(2 * len(adj[w]) - n for w in dense) > 3 * n:
+            vertices = range(1, n + 1)
+            everyone = set(vertices)
+            pull = {w: tuple(everyone.difference(adj[w])) for w in dense}
+            push = {**adj, **dict.fromkeys(pull, ())}
     row = {start: 1}
     yield row
     for _ in range(max_len):
-        nxt: dict[int, int] = {}
+        if pull:
+            total = 0
+            for w in pull:
+                count = row.get(w)
+                if count:
+                    total += count
+            nxt = dict.fromkeys(vertices, total)
+        else:
+            nxt = {}
         for w, count in row.items():
-            for x in adj[w]:
+            for x in push[w]:
                 nxt[x] = nxt.get(x, 0) + count
+        if pull:
+            for w, back in pull.items():
+                count = row.get(w)
+                if count:
+                    for x in back:
+                        nxt[x] -= count
+            if 0 in nxt.values():
+                nxt = {x: c for x, c in nxt.items() if c}
         row = nxt
         yield row
 

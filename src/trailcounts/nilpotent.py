@@ -33,7 +33,7 @@ from typing import Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph
+from .graphs import Graph, decimal_str
 
 
 class Polynomial:
@@ -122,7 +122,7 @@ class Polynomial:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"generators": list(gens), "coeff": str(coeff)}
+            {"generators": list(gens), "coeff": decimal_str(coeff)}
             for gens, coeff in self.terms()
         ]
 
@@ -132,7 +132,7 @@ class Polynomial:
         parts = []
         for gens, coeff in self.terms():
             mono = "*".join(f"x{i}" for i in gens) if gens else "1"
-            parts.append(f"{coeff}*{mono}" if coeff != 1 or not gens else mono)
+            parts.append(f"{decimal_str(coeff)}*{mono}" if coeff != 1 or not gens else mono)
         return "Polynomial(" + " + ".join(parts) + ")"
 
 

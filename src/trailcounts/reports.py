@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import fock, nilpotent, oracle
 from .errors import BudgetExceededError, CapacityError
-from .graphs import Graph, walk_count
+from .graphs import Graph, decimal_str, walk_count
 from .nilpotent import PathVariant
 from .oracle import WalkClass
 
@@ -34,7 +34,7 @@ class EngineValue:
     def to_json_obj(self) -> dict:
         if self.error is not None:
             return {"error": self.error}
-        return {"value": str(self.value), "wall_time_ms": self.wall_time_ms}
+        return {"value": decimal_str(self.value), "wall_time_ms": self.wall_time_ms}
 
 
 @dataclass
@@ -92,7 +92,7 @@ class CountReport:
                     str(self.v),
                     self.variant or "",
                     name,
-                    "ERROR" if ev.error is not None else str(ev.value),
+                    "ERROR" if ev.error is not None else decimal_str(ev.value),
                     "" if ev.wall_time_ms is None else f"{ev.wall_time_ms}",
                     agree,
                     note_codes,
@@ -110,7 +110,7 @@ class CountReport:
             if ev.error is not None:
                 lines.append(f"  {name:<10} ERROR: {ev.error}")
             else:
-                lines.append(f"  {name:<10} {ev.value}  ({ev.wall_time_ms} ms)")
+                lines.append(f"  {name:<10} {decimal_str(ev.value)}  ({ev.wall_time_ms} ms)")
         for key, ok in self.agreement.items():
             lines.append(f"  agree {key}: {'yes' if ok else 'NO'}")
         for note in self.notes:
@@ -139,7 +139,7 @@ def canonical_json(obj) -> str:
 
 def matrix_to_decimal_rows(matrix) -> list[list[str]]:
     """Arbitrary-precision matrix as JSON-safe rows of decimal strings."""
-    return [[str(int(x)) for x in row] for row in matrix]
+    return [[decimal_str(int(x)) for x in row] for row in matrix]
 
 
 def _timed(fn) -> EngineValue:

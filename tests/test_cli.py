@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import itertools
 import json
@@ -156,6 +157,32 @@ class TestCount:
             "oracle": "1", "symbolic": "1", "fock": "1",
         }
 
+    def test_walk_count_past_the_digit_limit(self, capsys, tmp_path):
+        # closed walks of length 2k from an end of P3 number 2^(k-1): 15,052 digits
+        path = _edge_file(tmp_path, "p3", families.path_graph(3))
+        code, out, _ = run(
+            capsys, "count", "--input", path, "--kind", "walks", "--length", "100000",
+            "--from", "1", "--to", "1", "--engine", "symbolic", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["engines"]["symbolic"]["value"] == str(decimal.Decimal(2**49999))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_dense_walk_count_past_the_digit_limit(self, capsys, tmp_path, fmt):
+        path = _edge_file(tmp_path, "k40", families.complete_graph(40))
+        code, out, _ = run(
+            capsys, "count", "--input", path, "--kind", "walks", "--length", "3000",
+            "--from", "1", "--to", "2", "--engine", "symbolic", "--format", fmt,
+        )
+        assert code == 0
+        expected = str(decimal.Decimal((39**3000 - 1) // 40))  # 4,772 digits
+        if fmt == "json":
+            assert json.loads(out)["engines"]["symbolic"]["value"] == expected
+        elif fmt == "csv":
+            assert list(csv.reader(io.StringIO(out)))[1][7] == expected
+        else:
+            assert f" {expected} " in out
+
     @pytest.mark.parametrize("n, expected", [(1, "0"), (2, "1")])
     def test_hamiltonian_below_three_vertices(self, capsys, tmp_path, n, expected):
         # K2's back-and-forth traversal is a closed sequence through every
@@ -256,6 +283,10 @@ class TestReportContract:
         report = run_count_query(c4, "c4", "trails", 3, 1, 2, engines=("oracle",))
         assert set(report.engines) == {"oracle"}
         assert report.agreement == {}
+
+    def test_matrix_rows_past_the_digit_limit(self):
+        big = 7**6000  # 5,071 digits
+        assert reports.matrix_to_decimal_rows([[big, 0]]) == [[str(decimal.Decimal(big)), "0"]]
 
 
 class TestExample:
@@ -385,6 +416,14 @@ class TestBench:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert {(r[1], r[5]) for r in rows} == {("2", "1"), ("3", "2")}
+
+    def test_value_past_the_digit_limit(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--family", "complete", "--min-n", "40", "--max-n", "40",
+            "--kind", "walks", "--length", "3000", "--engines", "symbolic",
+        )
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1][5] == str(decimal.Decimal((39**3000 - 1) // 40))
 
     @pytest.mark.parametrize(
         "kind, length, message",

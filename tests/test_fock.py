@@ -1,3 +1,4 @@
+import decimal
 from collections import Counter
 
 import pytest
@@ -159,6 +160,13 @@ class TestStateVector:
         assert obj["width"] == 6
         assert obj["kind"] == "edge-space"
         assert obj["nonzero"] == [{"index": 0b110011, "amplitude": "1"}]
+
+    def test_amplitude_past_the_digit_limit_prints_in_full(self):
+        big = 7**6000  # 5,071 digits
+        digits = str(decimal.Decimal(big))
+        state = StateVector(Register.vertices(2), {0b01: big})
+        assert state.to_json_obj()["nonzero"] == [{"index": 1, "amplitude": digits}]
+        assert repr(state) == f"{digits}|01>"
 
 
 class TestLadderOps:

@@ -1,3 +1,4 @@
+import decimal
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from trailcounts.graphs import (
     Graph,
     _adjacency,
     adjacency_matrix,
+    decimal_str,
     identity_matrix,
     matrix_power,
     occupation_string,
@@ -19,6 +21,7 @@ from trailcounts.graphs import (
     parse_edge_list,
     slot_of_pair,
     walk_count,
+    walk_rows,
 )
 from trailcounts.oracle import WalkClass, enumerate_walks
 
@@ -191,9 +194,13 @@ class TestWalkCount:
         assert walk_count(g, 0, 3, 3) == 1
         assert all(walk_count(g, l, 3, v) == 0 for l in range(1, 5) for v in (1, 2, 3))
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_k40_long_walks_closed_form(self, closed):
-        n, l = 40, 300
+    @pytest.mark.parametrize(
+        "closed, l",
+        [(True, 300), (False, 300), (True, 3000), (False, 3000)],  # l = 3000: 4,772 digits
+        ids=["True", "False", "True-3000", "False-3000"],
+    )
+    def test_k40_long_walks_closed_form(self, closed, l):
+        n = 40
         k = families.complete_graph(n)
         if closed:
             expected = ((n - 1) ** l + (n - 1) * (-1) ** l) // n
@@ -207,6 +214,58 @@ class TestWalkCount:
             walk_count(c4, 2, 0, 1)
         with pytest.raises(ValueError):
             walk_count(c4, 2, 1, 9)
+
+
+def _without(g, removed):
+    return Graph(g.n, g.edges - frozenset(removed))
+
+
+def _takes_back(g):
+    """walk_rows' rule: take-backs once the vertices with 2d > n save more
+    than 3n additions a step together."""
+    excess = [2 * g.degree(w) - g.n for w in range(1, g.n + 1)]
+    return sum(e for e in excess if e > 0) > 3 * g.n
+
+
+# Graphs dense enough for take-back steps, each mixing them with pushes or
+# leaving zeros that must be dropped. K_{5,25} has five dense hubs among
+# sparse leaves, and its rows have zeros by parity.
+TAKE_BACK = {
+    "k5-25": Graph.from_edges(30, [(a, b) for a in range(1, 6) for b in range(6, 31)]),
+    "k8-minus-matching": _without(families.complete_graph(8), [(1, 2), (3, 4), (5, 6), (7, 8)]),
+    "k10-plus-isolated": Graph(11, families.complete_graph(10).edges),
+}
+# Graphs with dense vertices that save too little and push.
+PUSH_ONLY = {
+    "k33": Graph.from_edges(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
+    "star8": families.star_graph(8),
+    "k5-plus-isolated": Graph(6, families.complete_graph(5).edges),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKE_BACK) + sorted(PUSH_ONLY))
+def test_walk_rows_match_matrix_power(name):
+    g = TAKE_BACK.get(name) or PUSH_ONLY[name]
+    assert _takes_back(g) == (name in TAKE_BACK)
+    powers = [matrix_power(adjacency_matrix(g), l) for l in range(13)]
+    for u in range(1, g.n + 1):
+        rows = list(walk_rows(g, u, 12))
+        assert len(rows) == 13
+        for row, power in zip(rows, powers):
+            assert 0 not in row.values()
+            assert row == {v: c for v, c in enumerate(power[u - 1], start=1) if c}
+
+
+def test_decimal_str_is_exact_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert decimal_str(0) == "0"
+    assert decimal_str(-12) == "-12"
+    assert decimal_str(10**5000) == "1" + "0" * 5000
+    for within_limit in (1, -(2**1999), 3**2000):
+        assert decimal_str(within_limit) == str(within_limit)
+    big = 7**20000
+    assert decimal.Decimal(decimal_str(big)) == decimal.Decimal(big)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_adjacency_cache_is_bounded():

@@ -1,3 +1,5 @@
+import decimal
+
 import pytest
 
 from trailcounts import corpus, families, fock, graphs, reports
@@ -58,6 +60,13 @@ class TestPolynomial:
     def test_json_serialization(self):
         p = 2 * (Polynomial.generator(0) * Polynomial.generator(3))
         assert p.to_json_obj() == [{"generators": [0, 3], "coeff": "2"}]
+
+    def test_coefficient_past_the_digit_limit_prints_in_full(self):
+        big = 7**6000  # 5,071 digits
+        digits = str(decimal.Decimal(big))
+        p = big * Polynomial.generator(2)
+        assert p.to_json_obj() == [{"generators": [2], "coeff": digits}]
+        assert repr(p) == f"Polynomial({digits}*x2)"
 
     def test_coefficients_and_degrees_read_the_masks(self):
         p = 2 * Polynomial.generator(0) * Polynomial.generator(3) + 5 * Polynomial.generator(1)
