@@ -1,7 +1,9 @@
 """Literal statevector evaluation: registers, ladder operators, observables.
 
-One qubit slot per vertex pair (or per vertex), dense integer amplitude
-vectors, and walk-expanded operator products applied exactly as written.
+Evaluations use one qubit slot per present edge (or per vertex); the
+paper's pair register, one slot per vertex pair, displays the graph state.
+States hold their nonzero exact amplitudes, and walk-expanded operator
+products apply exactly as written.
 
 Run: python demos/04_fock_space_observables.py
 """
@@ -10,7 +12,6 @@ from trailcounts import (
     LadderKind,
     LadderOp,
     MatrixKind,
-    Register,
     apply_ladder,
     complete_graph,
     cycle_graph,
@@ -27,7 +28,8 @@ from trailcounts.fock import normal_ordered_term_expectation
 
 c4 = cycle_graph(4)
 
-# the graph state occupies one slot per edge, slots ordered (1,2), (1,3), ...
+# on the pair register the graph state occupies the slots of present edges,
+# slots ordered (1,2), (1,3), ...
 psi = graph_state(c4)
 print("|psi> =", psi, " (slot order:", psi.register.slots, ")")
 
@@ -57,14 +59,14 @@ print("\n<0...0|F^4|1...1> on the 4-cycle:", f_matrix_amplitude(c4, 4, 1))
 print("<0...0|F^3|1...1> (too short to empty the register):", f_matrix_amplitude(c4, 3, 1))
 print("petersen graph Hamiltonian?", is_hamiltonian(petersen_graph()))
 
-# registers are capped: the full pair register of K8 needs 28 slots
+# registers are capped: evaluations need one slot per edge, and K8 has 28
 try:
-    Register.all_pairs(8)
+    normal_ordered_expectation(complete_graph(8), 3, 1, 2, MatrixKind.N_EDGE)
 except CapacityError as exc:
-    print("\nK8 pair register refused:", exc)
+    print("\nK8 refused:", exc)
 k7 = complete_graph(7)
 print("K7 fits (21 slots); trails of length 3, 1->2:",
       normal_ordered_expectation(k7, 3, 1, 2, MatrixKind.N_EDGE))
-# Petersen's 45 pairs exceed the cap, so the evaluator takes one slot per edge
+# Petersen's 45 vertex pairs exceed the cap, but its 15 edges fit
 print("petersen via the |E|-slot register:",
       normal_ordered_expectation(petersen_graph(), 5, 1, 2, MatrixKind.N_EDGE))

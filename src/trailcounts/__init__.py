@@ -47,7 +47,6 @@ from .graphs import (
     adjacency_matrix,
     matrix_power,
     occupation_string,
-    pair_slot_index,
     pair_slots,
     parse_edge_list,
     slot_of_pair,

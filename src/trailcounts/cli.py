@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (EdgeListError, FileNotFoundError, ValueError) as exc:
+    except (EdgeListError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CapacityError, BudgetExceededError) as exc:

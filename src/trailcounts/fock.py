@@ -1,14 +1,16 @@
 """Literal occupation-basis evaluation of the counting observables.
 
-A Register assigns one qubit slot per unordered vertex pair (edge space,
-width C(n,2)), per present edge (the economical edge-space option, width
-|E|, taken when C(n,2) exceeds the cap), or per vertex (vertex space, width
-n); values do not depend on the edge register. StateVector holds only the
-nonzero amplitudes, as a map from basis index to exact integer amplitude:
-every operator used here maps basis states to 0/1-weighted basis states, so
-the whole pipeline is exact, matching the arbitrary-precision counts of the
-other engines, and a basis state such as the graph state costs one entry
-however wide its register is.
+A Register assigns one qubit slot per present edge (edge space, width |E|),
+per unordered vertex pair (the paper's edge space, width C(n,2)), or per
+vertex (vertex space, width n). Walk steps only touch slots of present
+edges, so every evaluator runs on the |E|-slot register; the pair register
+serves graph_state and expand_walk_terms, which render the paper's
+occupation strings. StateVector holds only the nonzero amplitudes, as a
+map from basis index to exact integer amplitude: every operator used here
+maps basis states to 0/1-weighted basis states, so the whole pipeline is
+exact, matching the arbitrary-precision counts of the other engines, and a
+basis state such as the graph state costs one entry however wide its
+register is.
 
 Slot s occupies bit (width-1-s) of a basis index, so the binary rendering of
 an index, left to right, is the slot occupation string: the 4-cycle's graph
@@ -243,7 +245,10 @@ def apply_ladder(op: LadderOp, state: StateVector) -> StateVector:
 
 def graph_state(g: Graph, present_edges_only: bool = False) -> StateVector:
     """The basis state marking the graph's edges as occupied slots: a single
-    amplitude, whatever the register's width."""
+    amplitude, whatever the register's width. On the pair register by
+    default, rendering the paper's occupation string; present_edges_only
+    puts it on the |E|-slot register the evaluators use, where it is
+    |1...1>."""
     register = Register.present_edges(g) if present_edges_only else Register.all_pairs(g.n)
     return StateVector.from_occupied(register, g.sorted_edges())
 
@@ -288,12 +293,6 @@ class OperatorTerm:
         for op in reversed(self.ops):
             out = apply_ladder(op, out)
         return out
-
-
-def _needs_compact_register(g: Graph) -> bool:
-    """True when the full pair register (C(n,2) slots) exceeds the register
-    cap, so edge-space evaluations fall back to one slot per present edge."""
-    return g.n * (g.n - 1) // 2 > limits.register_cap()
 
 
 def _step_slot(register: Register, a: int, b: int) -> int:
@@ -382,30 +381,24 @@ def _evolve(
     max_len: int,
     clears: bool,
     what: str,
-    present_edges_only: bool = False,
     guard_vertex: int | None = None,
     node_budget: int | None = None,
 ):
     """Yield the evolved state at each of the lengths 0..max_len, as a
     sparse map from (current vertex, basis index) to exact amplitude.
 
-    Level 0 is the space's reference state at `start`: the graph state in
-    edge space, on the |E|-slot register when present_edges_only is set or
-    the pair register would exceed the cap, and |1...1> in vertex space,
-    with guard_vertex's slot emptied when one is given. Each step applies
+    Level 0 is the space's reference state at `start`: |1...1> on the
+    |E|-slot register in edge space (the graph state, every present edge
+    occupied) and on the vertex register in vertex space, with
+    guard_vertex's slot emptied when one is given. Each step applies
     one ladder operator on the traversed slot (the edge in edge space, the
     destination vertex in vertex space): an annihilation operator when
     steps clear their slot, a number operator otherwise; either drops the
     term when the slot is empty. Terms that reach the same (vertex, index)
     merge into one amplitude. Every live state expanded costs one node of
     the budget, charged before the next level is built."""
-    if space is RegisterKind.EDGE_SPACE:
-        compact = present_edges_only or _needs_compact_register(g)
-        register = Register.present_edges(g) if compact else Register.all_pairs(g.n)
-        reference = _occupied_index(register, g.sorted_edges())  # the graph state
-    else:
-        register = Register.vertices(g.n)
-        reference = register.dimension - 1  # |11...1>
+    register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
+    reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
         # the guard's number operator uses up its slot before the first step
         reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
@@ -458,7 +451,6 @@ def normal_ordered_expectation(
     u: int,
     v: int,
     matrix_kind: MatrixKind,
-    present_edges_only: bool = False,
     guard_vertex: int | None = None,
     node_budget: int | None = None,
 ) -> int:
@@ -484,7 +476,7 @@ def normal_ordered_expectation(
     # a term whose slots are distinct and occupied survives annihilating each
     # slot in turn from the reference state, and every other term vanishes
     levels = _evolve(g, matrix_kind.space, u, length, True, "normal-ordered evaluation",
-                     present_edges_only, guard_vertex, node_budget)
+                     guard_vertex, node_budget)
     return sum(_amplitudes_at(levels, v).values())
 
 
@@ -493,7 +485,6 @@ def normal_ordered_expectation_table(
     start: int,
     max_len: int,
     matrix_kind: MatrixKind,
-    present_edges_only: bool = False,
     node_budget: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """All (length <= max_len, end vertex) expectations from one start in a
@@ -502,8 +493,7 @@ def normal_ordered_expectation_table(
     g.require_vertex(start)
     if matrix_kind not in _NUMBER_KINDS:
         raise ValueError("normal-ordered expectation applies to the number-operator matrices")
-    levels = _evolve(g, matrix_kind.space, start, max_len, True, "normal-ordered tally",
-                     present_edges_only, node_budget=node_budget)
+    levels = _evolve(g, matrix_kind.space, start, max_len, True, "normal-ordered tally", node_budget=node_budget)
     return _tally(levels)[0]
 
 
@@ -512,7 +502,6 @@ def walk_count_expectation(
     length: int,
     u: int,
     v: int,
-    present_edges_only: bool = False,
     node_budget: int | None = None,
 ) -> int:
     """Expectation of the PLAIN (not normally ordered) number-matrix power
@@ -525,8 +514,7 @@ def walk_count_expectation(
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return 1 if u == v else 0
-    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation",
-                     present_edges_only, node_budget=node_budget)
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation", node_budget=node_budget)
     return sum(_amplitudes_at(levels, v).values())
 
 
@@ -535,7 +523,6 @@ def d_matrix_quadratic_form(
     length: int,
     u: int,
     v: int,
-    present_edges_only: bool = False,
     node_budget: int | None = None,
 ) -> int:
     """Apply the annihilation-matrix power entry (u, v) to the graph state as
@@ -549,8 +536,7 @@ def d_matrix_quadratic_form(
     g.require_vertex(v)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, True, "annihilation evolution",
-                     present_edges_only, node_budget=node_budget)
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, True, "annihilation evolution", node_budget=node_budget)
     return sum(amp * amp for amp in _amplitudes_at(levels, v).values())
 
 
@@ -558,15 +544,13 @@ def annihilation_form_table(
     g: Graph,
     start: int,
     max_len: int,
-    present_edges_only: bool = False,
     node_budget: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """Squared norms of the annihilation evolution for every (length <=
     max_len, end vertex) from one start; the same evolution as the
     per-query evaluator."""
     g.require_vertex(start)
-    levels = _evolve(g, RegisterKind.EDGE_SPACE, start, max_len, True, "annihilation tally",
-                     present_edges_only, node_budget=node_budget)
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, start, max_len, True, "annihilation tally", node_budget=node_budget)
     return _tally(levels)[1]
 
 

@@ -107,11 +107,6 @@ def pair_slots(n: int) -> tuple[Edge, ...]:
     return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
-def pair_slot_index(n: int) -> dict[Edge, int]:
-    """Bijection {u,v} (u<v) -> slot position 0..C(n,2)-1."""
-    return {pair: i for i, pair in enumerate(pair_slots(n))}
-
-
 def slot_of_pair(n: int, u: int, v: int) -> int:
     """Slot of the unordered pair {u, v} of distinct vertices in 1..n, in
     either argument order: (a-1)*(2n-a)//2 + (b-a-1) with a = min(u, v) and

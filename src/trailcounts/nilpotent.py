@@ -10,7 +10,7 @@ summing coefficients of an entry counts trails.
 
 Two generator universes are used: edge generators indexed by the edge's
 position in g.sorted_edges() (trail counting, the same bit the oracle's trail
-search and the compact Fock register use) and vertex generators indexed by
+search and the Fock edge register use) and vertex generators indexed by
 vertex-1 (path counting with the destination-vertex observable). Edge
 monomial masks are therefore |E| bits wide, not C(n,2).
 
@@ -195,9 +195,6 @@ class PolyMatrix:
             product, live = _row_times(terms, other, budget, "polynomial matrix product", live)
             out.append({j: Polynomial(acc) for j, acc in product.items()})
         return PolyMatrix(out)
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self.mul(other)
 
 
 def _row_times(

@@ -8,8 +8,8 @@ plus structural properties (symmetry, monotonicity, degree bounds).
 
 Each graph's engine tables are built once, into one record (_Tables): the
 adjacency-power rows, the oracle tables and the Fock tables per start
-vertex, the symbolic power chains, and whether edge-space Fock evaluations
-need the compact register. Every (u, v, l) cell of a graph is then checked
+vertex, the symbolic power chains, and whether the C(n,2)-slot pair register
+fits under the register cap. Every (u, v, l) cell of a graph is then checked
 against one ordered table, _CELL_ROWS. A row names an invariant, the engines
 it needs, when it applies (e.g. only for u != v), the predicate, and the
 failure detail, built only when the predicate fails. Rows whose engines are
@@ -42,7 +42,8 @@ from .reports import DMATRIX_SQUARED, PROP2_LITERAL_OVERCOUNT, canonical_json, m
 
 _MAX_STORED_FAILURES = 20
 _MAX_STORED_FLAGS_PER_CODE = 2000
-_HAMILTONIAN_RANDOM_COUNT = 4  # random graphs per size in hamiltonian_random_sizes
+_HAMILTONIAN_RANDOM_SIZES = (7, 8)  # sizes of the random Hamiltonicity extras
+_HAMILTONIAN_RANDOM_COUNT = 4  # random graphs per size in _HAMILTONIAN_RANDOM_SIZES
 
 
 @dataclass
@@ -61,7 +62,6 @@ class SweepConfig:
     seed: int = 1729
     engines: tuple[str, ...] = ("oracle", "symbolic", "fock")
     include_named: bool = True
-    hamiltonian_random_sizes: tuple[int, ...] = (7, 8)
 
     def __post_init__(self):
         if self.source not in ("all-connected-up-to-n", "random"):
@@ -170,7 +170,7 @@ class _Tables:
     gid: str
     g: Graph
     rows: dict[int, list[dict[int, int]]]
-    compact: bool  # edge-space Fock evaluations use the |E|-slot register
+    pair_fits: bool  # the C(n,2)-slot pair register fits under the cap
     walk: dict = field(default_factory=dict)
     trail: dict = field(default_factory=dict)
     dni: dict = field(default_factory=dict)
@@ -183,7 +183,7 @@ class _Tables:
 def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
     vertices = range(1, g.n + 1)
     rows = {u: list(walk_rows(g, u, l_max)) for u in vertices}
-    t = _Tables(gid, g, rows, fock._needs_compact_register(g))
+    t = _Tables(gid, g, rows, g.n * (g.n - 1) // 2 <= limits.register_cap())
     if "oracle" in engines:
         budget = limits.node_budget()
         t.walk = {u: oracle._walk_table(g, u, l_max, budget) for u in vertices}
@@ -374,7 +374,7 @@ def run_sweep(config: SweepConfig | None = None) -> VerifySummary:
 
 def _hamiltonian_extras(config: SweepConfig) -> list[tuple[str, Graph]]:
     out = []
-    for n in config.hamiltonian_random_sizes:
+    for n in _HAMILTONIAN_RANDOM_SIZES:
         out.extend(corpus.random_graphs(_HAMILTONIAN_RANDOM_COUNT, n, config.edge_probability, config.seed + n))
     return out
 
@@ -405,9 +405,8 @@ def _sweep_graph(ctx: _Ctx, gid: str, g: Graph):
 
 def _register_checks(ctx: _Ctx, t: _Tables):
     g = t.g
-    if t.compact:
-        # the full pair register must refuse cleanly; the |E|-slot
-        # register carries the sweep instead
+    if not t.pair_fits:
+        # the full pair register must refuse cleanly
         try:
             Register.all_pairs(g.n)
             refused = False
@@ -434,6 +433,7 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
     tables: the ops are what users call, the tables are what the sweep
     trusts, and enumerate/count are different reductions of one search."""
     g, rng = t.g, ctx.rng
+    psi = fock.graph_state(g) if t.fock_edge and t.pair_fits else None
     for _ in range(2):
         l = rng.randint(1, min(4, ctx.config.l_max))
         u = rng.randint(1, g.n)
@@ -475,12 +475,11 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
                 fock.walk_count_expectation(g, l, u, v) == t.walk[u].get((l, v), 0),
                 loc,
             )
-            if not t.compact:
-                ctx.check(
-                    "compact-register-matches-full-register",
-                    fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE, present_edges_only=True) == trails,
-                    loc,
-                )
+            if psi is not None:
+                # the literal sum over walk terms on the pair register
+                terms = fock.expand_walk_terms(g, l, u, v, MatrixKind.N_EDGE)
+                literal = sum(fock.normal_ordered_term_expectation(term, psi) for _, term in terms)
+                ctx.check("compact-register-matches-full-register", literal == trails, loc)
 
 
 def _euler_checks(ctx: _Ctx, t: _Tables):

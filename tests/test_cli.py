@@ -136,7 +136,8 @@ class TestCount:
         assert "28" in out
 
     def test_petersen_falls_back_to_compact_register(self, capsys, tmp_path):
-        # 45 vertex pairs exceed the register cap, 15 present edges do not
+        # 45 vertex pairs exceed the register cap; evaluations use the 15
+        # present edges
         path = _edge_file(tmp_path, "petersen", families.petersen_graph())
         code, out, _ = run(
             capsys, "count", "--input", path, "--kind", "trails",
@@ -258,6 +259,17 @@ class TestCount:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", [
+        ("count", "--kind", "walks", "--length", "1", "--from", "1"),
+        ("example",),
+    ])
+    def test_directory_input(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command, "--input", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(tmp_path) in err
+
 
 class TestReportContract:
     def test_json_round_trip_bytes(self, capsys, c4_file):
@@ -348,7 +360,6 @@ class TestVerify:
         monkeypatch.setattr(nilpotent, "_row_power_entry", corrupted)
         config = verify.SweepConfig(
             n_max=3, l_max=3, engines=("oracle", "symbolic"), include_named=False,
-            hamiltonian_random_sizes=(),
         )
         summary = verify.run_sweep(config)
         invariant = summary.invariant("row-power-matches-matrix-power")

@@ -60,8 +60,8 @@ class TestRegister:
             Register.all_pairs(petersen.n)
 
     def test_evaluators_pick_the_edge_register(self, petersen):
-        # the 45-slot pair register exceeds the cap, so the evaluators fall
-        # back to the 15-slot register without being asked
+        # the 45-slot pair register exceeds the cap; the evaluators run on
+        # the 15-slot register without being asked
         for l, u, v in ((5, 1, 2), (4, 1, 1), (6, 3, 8)):
             trails = count_walks(petersen, l, u, v, WalkClass.TRAIL)
             assert normal_ordered_expectation(petersen, l, u, v, MatrixKind.N_EDGE) == trails
@@ -303,13 +303,6 @@ class TestNormalOrderedExpectation:
                         g, l, u, v, MatrixKind.M_VERTEX
                     ) == count_walks(g, l, u, v, WalkClass.DISTINCT_NON_INITIAL)
 
-    def test_compact_register_equivalent(self, k4, bowtie):
-        for g in (k4, bowtie):
-            for l in (2, 3):
-                assert normal_ordered_expectation(
-                    g, l, 1, 2, MatrixKind.N_EDGE, present_edges_only=True
-                ) == normal_ordered_expectation(g, l, 1, 2, MatrixKind.N_EDGE)
-
     def test_table_matches_per_query(self, bowtie):
         table = normal_ordered_expectation_table(bowtie, 1, 4, MatrixKind.N_EDGE)
         for l in range(1, 5):
@@ -350,12 +343,6 @@ class TestAnnihilationQuadraticForm:
         for l in range(1, 6):
             for v in range(1, 6):
                 assert table.get((l, v), 0) == d_matrix_quadratic_form(bowtie, l, 1, v)
-
-    def test_compact_register_equivalent(self, bowtie):
-        for l in (2, 4, 6):
-            assert d_matrix_quadratic_form(
-                bowtie, l, 1, 1, present_edges_only=True
-            ) == d_matrix_quadratic_form(bowtie, l, 1, 1)
 
 
 class TestTransitionAmplitude:
@@ -416,6 +403,16 @@ class TestSweepTables:
             assert forms == annihilation_form_table(bowtie, u, 4)
 
 
+class TestReferenceState:
+    def test_edge_space_starts_from_every_present_edge_occupied(self, k4, bowtie):
+        # evaluations run on the |E|-slot register, where the graph state
+        # is |1...1>, whether or not the C(n,2)-slot pair register fits
+        for g in (k4, bowtie):
+            for u in range(1, g.n + 1):
+                levels = fock._evolve(g, fock.RegisterKind.EDGE_SPACE, u, 0, True, "test")
+                assert next(levels) == {(u, 2**g.edge_count - 1): 1}
+
+
 class TestEvolutionBudget:
     @pytest.mark.parametrize(
         "evaluate, what",
@@ -450,6 +447,6 @@ class TestLongWalks:
         monkeypatch.setenv("TRAILCOUNTS_REGISTER_CAP", "1500")
         c = families.cycle_graph(1500)
         assert f_matrix_amplitude(c, 1500, 1) == 2
-        assert normal_ordered_expectation(c, 1500, 1, 1, MatrixKind.N_EDGE, present_edges_only=True) == 2
+        assert normal_ordered_expectation(c, 1500, 1, 1, MatrixKind.N_EDGE) == 2
         # both directions clear the same edge set, so its amplitude is 2
-        assert d_matrix_quadratic_form(c, 1500, 1, 1, present_edges_only=True) == 4
+        assert d_matrix_quadratic_form(c, 1500, 1, 1) == 4

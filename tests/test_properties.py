@@ -169,12 +169,13 @@ def test_evolution_matches_dense_ladder_algebra(query):
         (MatrixKind.N_EDGE, False),
         (MatrixKind.M_VERTEX, False),
     ):
-        if kind.space is RegisterKind.EDGE_SPACE:
-            state = graph_state(g)
+        edge = kind.space is RegisterKind.EDGE_SPACE
+        if edge:
+            state = graph_state(g, present_edges_only=True)
         else:
             state = StateVector.all_ones(Register.vertices(g.n))
         dense = StateVector.zero(state.register)
-        for _, term in expand_walk_terms(g, l, u, v, kind):
+        for _, term in expand_walk_terms(g, l, u, v, kind, present_edges_only=edge):
             dense = dense + term.apply(state)
         levels = _evolve(g, kind.space, u, l, clears, "test")
         assert next(levels) == {(u, state.basis_index()): 1}  # the reference state
