@@ -19,16 +19,19 @@ state renders as "110011".
 Matrix powers of the observable matrices are never materialized: an entry of
 a power is the sum over walks of the corresponding operator products. Both
 spaces share one kernel, _evolve, which evolves the space's reference state
-level by level, one ladder operator per walk step, as a sparse map from
-(current vertex, basis index) to exact amplitude; every evaluator reduces one
-evolution. Terms that reach the same state merge into one amplitude, and a
+level by level, one ladder operator per walk step. A level holds one sparse
+map per current vertex, from basis index to exact amplitude, so a query reads
+its end vertex's map directly; every evaluator reduces one evolution. Terms
+that reach the same vertex and basis state merge into one amplitude, and a
 term that annihilates to zero (an operator on an empty slot) is dropped as
-soon as it does. No evaluator allocates a 2**width array.
+soon as it does. No evaluator allocates a 2**width array: memory grows with
+the number of live states, which the node budget bounds.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -384,8 +387,10 @@ def _evolve(
     guard_vertex: int | None = None,
     node_budget: int | None = None,
 ):
-    """Yield the evolved state at each of the lengths 0..max_len, as a
-    sparse map from (current vertex, basis index) to exact amplitude.
+    """Yield the evolved state at each of the lengths 0..max_len, as one
+    sparse map per current vertex, {vertex: {basis index: exact amplitude}};
+    a vertex holds a map only while some state is live there, and every
+    amplitude in it is nonzero.
 
     Level 0 is the space's reference state at `start`: |1...1> on the
     |E|-slot register in edge space (the graph state, every present edge
@@ -394,9 +399,9 @@ def _evolve(
     one ladder operator on the traversed slot (the edge in edge space, the
     destination vertex in vertex space): an annihilation operator when
     steps clear their slot, a number operator otherwise; either drops the
-    term when the slot is empty. Terms that reach the same (vertex, index)
-    merge into one amplitude. Every live state expanded costs one node of
-    the budget, charged before the next level is built."""
+    term when the slot is empty. Terms that reach the same vertex and index
+    merge into one amplitude. Every live (vertex, index) state expanded
+    costs one node of the budget, charged before the next level is built."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
@@ -404,44 +409,53 @@ def _evolve(
         reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
     budget = node_budget if node_budget is not None else limits.node_budget()
     remaining = budget
-    steps = {
-        w: [(x, 1 << register.bit(_step_slot(register, w, x))) for x in g.neighbors(w)]
-        for w in range(1, g.n + 1)
-    }
-    level = {(start, reference): 1}
+    # step w -> x needs `bit` set and moves a surviving state to index ^ flip
+    top = register.width - 1  # slot s is bit top - s, as Register.bit says
+    steps = {}
+    for w in range(1, g.n + 1):
+        steps[w] = row = []
+        for x in g.neighbors(w):
+            bit = 1 << (top - _step_slot(register, w, x))
+            row.append((x, bit, bit if clears else 0))
+    level = {start: {reference: 1}}
     yield level
     for _ in range(max_len):
-        remaining -= len(level)
+        remaining -= sum(map(len, level.values()))
         if remaining < 0:
             raise BudgetExceededError(what, budget)
-        nxt: dict[tuple[int, int], int] = {}
-        for (w, index), amp in level.items():
-            for x, mask in steps[w]:
-                if index & mask:
-                    key = (x, index & ~mask if clears else index)
-                    nxt[key] = nxt.get(key, 0) + amp
+        nxt: dict[int, dict[int, int]] = {}
+        for w, states in level.items():
+            for x, bit, flip in steps[w]:
+                into = nxt.get(x) or {}
+                for index, amp in states.items():
+                    if index & bit:
+                        key = index ^ flip
+                        into[key] = into.get(key, 0) + amp
+                if into:
+                    nxt[x] = into
         level = nxt
         yield level
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:
-    """Basis index -> amplitude of the last level's states at vertex v."""
+    """The last level's map for vertex v, basis index -> amplitude; empty
+    when no state is live there."""
     for level in levels:
         pass
-    return {index: amp for (w, index), amp in level.items() if w == v}
+    return level.get(v, {})
 
 
 def _tally(levels) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Per-(length >= 1, vertex) sums of the amplitudes and of their
-    squares, in one pass over the levels."""
+    """Per-(length >= 1, vertex) sums of the amplitudes of each level's
+    vertex map and of their squares, in one pass over the levels."""
     sums: dict[tuple[int, int], int] = {}
     squares: dict[tuple[int, int], int] = {}
     next(levels)  # level 0, the reference state
     for length, level in enumerate(levels, 1):
-        for (w, _), amp in level.items():
-            key = (length, w)
-            sums[key] = sums.get(key, 0) + amp
-            squares[key] = squares.get(key, 0) + amp * amp
+        for w, states in level.items():
+            amps = states.values()
+            sums[length, w] = sum(amps)
+            squares[length, w] = sum(map(operator.mul, amps, amps))
     return sums, squares
 
 

@@ -12,7 +12,9 @@ REGISTER_CAP_ENV = "TRAILCOUNTS_REGISTER_CAP"
 TERM_BUDGET_ENV = "TRAILCOUNTS_TERM_BUDGET"
 NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 
-_DEFAULT_REGISTER_CAP = 24  # qubit slots; 2**24 amplitudes
+# qubit slots, so basis indices at most 24 bits wide (|E| <= 24 in edge space);
+# Fock memory grows with the live states, which the node budget bounds
+_DEFAULT_REGISTER_CAP = 24
 # live monomials in the level or matrix product being built, checked while it is built
 _DEFAULT_TERM_BUDGET = 10_000_000
 # the root and every admitted step of a search; live states expanded in a Fock evolution

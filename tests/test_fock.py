@@ -410,7 +410,7 @@ class TestReferenceState:
         for g in (k4, bowtie):
             for u in range(1, g.n + 1):
                 levels = fock._evolve(g, fock.RegisterKind.EDGE_SPACE, u, 0, True, "test")
-                assert next(levels) == {(u, 2**g.edge_count - 1): 1}
+                assert next(levels) == {u: {2**g.edge_count - 1: 1}}
 
 
 class TestEvolutionBudget:
@@ -431,6 +431,30 @@ class TestEvolutionBudget:
         with pytest.raises(BudgetExceededError, match=what):
             evaluate(k4, 3)
         evaluate(k4, 10_000)
+
+    # smallest passing node budget on K4, K6, the bowtie and Petersen
+    @pytest.mark.parametrize(
+        "evaluate, budgets",
+        [
+            (lambda g, b: normal_ordered_expectation(g, 5, 1, 2, MatrixKind.N_EDGE, node_budget=b),
+             (28, 306, 15, 46)),
+            (lambda g, b: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1,
+                                                     node_budget=b),
+             (13, 56, 9, 22)),
+            (lambda g, b: normal_ordered_expectation_table(g, 1, 5, MatrixKind.M_VERTEX, node_budget=b),
+             (29, 151, 39, 67)),
+            (lambda g, b: walk_count_expectation(g, 5, 1, 2, node_budget=b), (16, 24, 20, 30)),
+            (lambda g, b: d_matrix_quadratic_form(g, 5, 1, 2, node_budget=b), (28, 306, 15, 46)),
+            (lambda g, b: annihilation_form_table(g, 1, 5, node_budget=b), (28, 306, 15, 46)),
+            (lambda g, b: f_matrix_amplitude(g, g.n, 1, node_budget=b), (25, 181, 39, 556)),
+        ],
+        ids=["n-edge", "m-vertex-guarded", "m-vertex-table", "walks", "d-form", "d-form-table", "f-amplitude"],
+    )
+    def test_smallest_passing_budget(self, k4, bowtie, petersen, evaluate, budgets):
+        for g, budget in zip((k4, families.complete_graph(6), bowtie, petersen), budgets):
+            evaluate(g, budget)
+            with pytest.raises(BudgetExceededError):
+                evaluate(g, budget - 1)
 
     def test_budget_counts_merged_live_states(self, k4):
         # 3**20 walks, but at most 4 live states per level: 1 + 3 + 18 * 4

@@ -178,8 +178,17 @@ def test_evolution_matches_dense_ladder_algebra(query):
         for _, term in expand_walk_terms(g, l, u, v, kind, present_edges_only=edge):
             dense = dense + term.apply(state)
         levels = _evolve(g, kind.space, u, l, clears, "test")
-        assert next(levels) == {(u, state.basis_index()): 1}  # the reference state
+        assert next(levels) == {u: {state.basis_index(): 1}}  # the reference state
         assert _amplitudes_at(levels, v) == dict(dense.nonzero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_queries(min_l=0, max_l=5), st.sampled_from(RegisterKind), st.booleans())
+def test_evolution_levels_hold_no_empty_map_or_zero_amplitude(query, space, clears):
+    g, l, u, _ = query
+    for level in _evolve(g, space, u, l, clears, "test"):
+        for states in level.values():
+            assert states and all(states.values())
 
 
 @settings(max_examples=60, deadline=None)
