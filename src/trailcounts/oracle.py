@@ -2,10 +2,10 @@
 
 Everything here enumerates walk sequences directly and filters them by a
 predicate; the other engines are validated against this module. One
-explicit-stack depth-first search (`_search`) backs every count, table and
-enumeration. It extends the current sequence one step at a time, in sorted-
-neighbour order, and refuses a step whose bit is already in the sequence's
-mask. The bit depends on the step rule:
+explicit-stack depth-first search (`_search`) backs every enumeration and the
+trail and path tables. It extends the current sequence one step at a time, in
+sorted-neighbour order, and refuses a step whose bit is already in the
+sequence's mask. The bit depends on the step rule:
 
     walk                  0 (no step is ever refused)
     trail                 the traversed edge's bit (its position in
@@ -21,6 +21,12 @@ bit is checked and tallied without pushing a frame. The search never merges
 equal states and charges a configurable node budget (the root and every
 admitted step), so it is strictly a desk-scale oracle.
 
+The walk tally runs the same depth-first search without the rule
+(`_walk_tally`): a walk step is never refused, so each visited vertex's whole
+neighbour tuple is admitted and counted into the next level by one call to
+`collections._count_elements`, the C helper behind `Counter`. It still visits
+every walk once, merges no states and charges the same nodes.
+
 Walks are vertex sequences v0 v1 ... vl with every consecutive pair an edge;
 the length l is the number of edges traversed. Direction matters: a trail and
 its reversal are two distinct sequences. For closed sequences (u == v) the
@@ -31,6 +37,8 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import _count_elements
+from itertools import chain
 
 from . import limits
 from .errors import BudgetExceededError
@@ -63,8 +71,8 @@ class WalkClass(enum.Enum):
 
 def _without_search(g: Graph, length: int, u: int, v: int, walk_class: WalkClass) -> list[WalkSeq] | None:
     """Check a query's vertices and length. Return its walks when they need
-    no search (length 0, or a closed path too short to be a cycle), else
-    None."""
+    no search (length 0, a closed path too short to be a cycle, or a trail
+    too long or of the wrong degree parity to be one), else None."""
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 0:
@@ -73,6 +81,18 @@ def _without_search(g: Graph, length: int, u: int, v: int, walk_class: WalkClass
         return [(u,)] if u == v else []
     if walk_class is WalkClass.PATH and u == v and length < 3:
         return []  # no cycle in a simple graph is that short
+    if walk_class in (WalkClass.TRAIL, WalkClass.START_ONCE_TRAIL_EDGE_SET):
+        m = g.edge_count
+        if length > m:
+            return []  # a trail repeats no edge
+        if length == m:
+            # a trail through every edge is Eulerian: its ends, and no other
+            # vertex, have odd degree (none when it is closed)
+            degree: dict[int, int] = {}
+            _count_elements(degree, chain.from_iterable(g.edges))
+            odd = {a for a, d in degree.items() if d % 2}
+            if odd != ({u, v} if u != v else set()):
+                return []
     return None
 
 
@@ -279,6 +299,59 @@ def _search(
             return tally, found
 
 
+def _walk_tally(g: Graph, start: int, max_len: int, budget: int, what: str) -> list[dict[int, int]]:
+    """Visit every walk from start of length 1..max_len, in the same
+    depth-first order as `_search` under the walk rule, and tally it.
+
+    Returns tally, where tally[d] maps each end vertex w of a length-d walk
+    to how many such walks there are; tally[0] is empty. The root and every
+    step charge one node against the budget, exactly as in `_search`: each
+    visited vertex charges its degree, and its neighbour tuple is counted
+    into the next level at once."""
+    adjacency = [()] + [g.neighbors(a) for a in range(1, g.n + 1)]
+    remaining = budget - 1
+    if remaining < 0:
+        raise BudgetExceededError(what, budget)
+    tally: list[dict[int, int]] = [{} for _ in range(max_len + 1)]
+    if max_len == 0:
+        return tally
+    last = tally[max_len]
+    # one iterator over the neighbours of the vertex at each depth below
+    # max_len - 2; the vertices at depth max_len - 1 get no frame, and each
+    # counts its neighbour tuple into the last level
+    stack: list = []
+    w = start
+    while True:
+        depth = len(stack)
+        if depth + 1 < max_len:
+            ws = adjacency[w]
+            remaining -= len(ws)
+            if remaining < 0:
+                raise BudgetExceededError(what, budget)
+            _count_elements(tally[depth + 1], ws)
+            if depth + 2 < max_len:
+                stack.append(iter(ws))
+                frontier = ()
+            else:
+                frontier = ws
+        else:
+            frontier = (w,)  # max_len == 1: the root is the last expansion
+        for y in frontier:
+            ys = adjacency[y]
+            remaining -= len(ys)
+            if remaining < 0:
+                raise BudgetExceededError(what, budget)
+            _count_elements(last, ys)
+        # the next vertex to expand is the deepest frame's next neighbour
+        while stack:
+            w = next(stack[-1], None)
+            if w is not None:
+                break
+            stack.pop()
+        else:
+            return tally
+
+
 # One search per (graph, start) covers every length <= max_len and every end
 # vertex at once; the lru_cache key includes max_len and budget so repeated
 # queries at the same scale reuse the tables. Each cache keeps its 128 most
@@ -289,8 +362,8 @@ def _search(
 
 @functools.lru_cache
 def _walk_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
-    tally, _ = _search(g, start, max_len, WalkClass.WALK, budget, "walk tally", keep=0)
-    return {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
+    tally = _walk_tally(g, start, max_len, budget, "walk tally")
+    return {(depth, w): count for depth, level in enumerate(tally) for w, count in level.items()}
 
 
 @functools.lru_cache

@@ -431,7 +431,8 @@ def _register_checks(ctx: _Ctx, t: _Tables):
 def _spot_check_ops(ctx: _Ctx, t: _Tables):
     """Sampled per-query calls of the public operations against the sweep
     tables: the ops are what users call, the tables are what the sweep
-    trusts, and enumerate/count are different reductions of one search."""
+    trusts, and enumerate/count are different reductions of one search
+    (two kernels for walks: `_search` lists them, `_walk_tally` counts them)."""
     g, rng = t.g, ctx.rng
     psi = fock.graph_state(g) if t.fock_edge and t.pair_fits else None
     for _ in range(2):

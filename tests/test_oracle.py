@@ -1,6 +1,9 @@
+import _collections
+import types
+
 import pytest
 
-from trailcounts import families
+from trailcounts import families, oracle
 from trailcounts.errors import BudgetExceededError
 from trailcounts.graphs import Graph, walk_count
 from trailcounts.oracle import (
@@ -147,6 +150,30 @@ def test_budget_boundaries_k4_length4(k4, cls, count_budget, label, enum_budget)
             fn(k4, 4, 1, 2, cls, node_budget=budget - 1)
 
 
+# Smallest passing walk-tally budget from vertex 1, recorded before walk
+# tallies left the generic search: 1 + d + d^2 + ... + d^l on a d-regular
+# graph.
+_WALK_TALLY_BUDGETS = [
+    ("K6", families.complete_graph(6), 6, 19531),
+    ("petersen", families.petersen_graph(), 8, 9841),
+    ("K7", families.complete_graph(7), 7, 335923),
+]
+
+
+@pytest.mark.parametrize("g, length, budget", [case[1:] for case in _WALK_TALLY_BUDGETS], ids=[case[0] for case in _WALK_TALLY_BUDGETS])
+def test_walk_tally_budget_boundary(g, length, budget):
+    assert count_walks(g, length, 1, 2, WalkClass.WALK, node_budget=budget) == walk_count(g, length, 1, 2)
+    with pytest.raises(BudgetExceededError, match=f"walk tally exceeded its budget of {budget - 1}$"):
+        count_walks(g, length, 1, 2, WalkClass.WALK, node_budget=budget - 1)
+
+
+def test_walk_tally_counts_in_c():
+    # a pure-Python _count_elements would keep every result and lose the
+    # walk tally's speed without any test failing
+    assert oracle._count_elements is _collections._count_elements
+    assert isinstance(oracle._count_elements, types.BuiltinFunctionType)
+
+
 @pytest.mark.parametrize("length", [1, 2])
 def test_short_closed_paths_need_no_search(length):
     # a closed path shorter than 3 is no cycle, so it is 0 without charging
@@ -204,6 +231,28 @@ class TestEuler:
     def test_edgeless_counts_empty_circuit(self):
         g = Graph(2, frozenset())
         assert count_closed_euler_trails(g, 1) == 1
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("cls", [WalkClass.TRAIL, WalkClass.START_ONCE_TRAIL_EDGE_SET])
+    def test_wrong_parity_needs_no_search(self, n, cls):
+        # an open trail through every edge needs exactly its ends odd, but
+        # K7 has no odd vertex and K8 has eight; no trail is longer than
+        # |E| either. Neither query charges a node.
+        g = families.complete_graph(n)
+        m = g.edge_count
+        assert count_walks(g, m, 1, 2, cls, node_budget=1) == 0
+        assert enumerate_walks(g, m, 1, 2, cls, node_budget=1) == []
+        for u, v in ((1, 2), (1, 1)):
+            assert count_walks(g, m + 1, u, v, cls, node_budget=1) == 0
+            assert enumerate_walks(g, m + 1, u, v, cls, node_budget=1) == []
+
+    def test_right_parity_still_searches(self):
+        k7 = families.complete_graph(7)
+        with pytest.raises(BudgetExceededError, match="trail tally"):
+            count_closed_euler_trails(k7, 1, node_budget=1000)
+        p4 = families.path_graph(4)  # odd ends 1 and 4
+        assert count_walks(p4, 3, 1, 4, WalkClass.TRAIL, node_budget=4) == 1
+        assert count_walks(p4, 3, 1, 3, WalkClass.TRAIL, node_budget=1) == 0
 
 
 class TestHamiltonian:

@@ -3,8 +3,10 @@
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trailcounts.errors import BudgetExceededError
 from trailcounts.fock import (
     LadderKind,
     LadderOp,
@@ -32,8 +34,10 @@ from trailcounts.nilpotent import (
 from trailcounts.oracle import (
     WalkClass,
     _dni_tables,
+    _search,
     _trail_tables,
     _walk_table,
+    _walk_tally,
     count_walks,
     enumerate_walks,
     trail_edge_set_histogram,
@@ -234,13 +238,35 @@ def _class_members(g, l, u, v, cls):
 @example((Graph(2, frozenset({(1, 2)})), 2, 1, 1))  # a closed walk too short to be a cycle
 @example((Graph(4, frozenset(pair_slots(4))), 4, 1, 1))
 def test_enumerate_matches_product_filter(query):
-    # the independent reference for the oracle's one search: counting and
-    # enumeration share it, so they cannot check each other
+    # the independent reference for the oracle: walk counts come from
+    # _walk_tally and walk enumeration from _search, but trail and path
+    # counts share _search with enumeration, so they cannot check each other
     g, l, u, v = query
     for cls in WalkClass:
         expected = _class_members(g, l, u, v, cls)
         assert enumerate_walks(g, l, u, v, cls) == expected
         assert count_walks(g, l, u, v, cls) == len(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=7))
+@example(Graph(1, frozenset()))
+@example(Graph(7, frozenset(pair_slots(7))))
+def test_walk_tally_matches_generic_search(g):
+    # the walk kernel against the rule-driven search it replaced for walk
+    # counts: the same tally, and the same budget boundary and message
+    for start in range(1, g.n + 1):
+        for max_len in range(7):
+            reference, _ = _search(g, start, max_len, WalkClass.WALK, 10**9, "walk tally", keep=0)
+            flat = [{w: row[0] for w, row in level.items()} for level in reference]
+            total = 1 + sum(sum(level.values()) for level in flat)  # the root and every step
+            assert _walk_tally(g, start, max_len, total, "walk tally") == flat
+            _search(g, start, max_len, WalkClass.WALK, total, "walk tally", keep=0)
+            refused = f"^walk tally exceeded its budget of {total - 1}$"
+            with pytest.raises(BudgetExceededError, match=refused):
+                _walk_tally(g, start, max_len, total - 1, "walk tally")
+            with pytest.raises(BudgetExceededError, match=refused):
+                _search(g, start, max_len, WalkClass.WALK, total - 1, "walk tally", keep=0)
 
 
 @st.composite
