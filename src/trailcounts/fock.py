@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from . import limits
 from .errors import BudgetExceededError, CapacityError
-from .graphs import Graph, decimal_str, pair_slots
+from .graphs import Graph, decimal_str, pair_slots, trails_ruled_out
 
 SlotLabel = object  # (u, v) pair for edge spaces, int vertex for vertex space
 
@@ -476,7 +476,10 @@ def normal_ordered_expectation(
     guard_vertex (M_VERTEX only) prepends a number operator on that vertex's
     slot to every term; with guard_vertex=u the value drops from the
     distinct-non-initial count to the true path count. This guard is an
-    artifact extension, not part of the literal observable."""
+    artifact extension, not part of the literal observable.
+
+    An N_EDGE query that graphs.trails_ruled_out settles is 0 before any
+    register is built."""
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 1:
@@ -487,6 +490,8 @@ def normal_ordered_expectation(
         if matrix_kind is not MatrixKind.M_VERTEX:
             raise ValueError("guard_vertex applies to the destination-vertex observable only")
         g.require_vertex(guard_vertex)
+    if matrix_kind is MatrixKind.N_EDGE and trails_ruled_out(g, length, u, v):
+        return 0
     # a term whose slots are distinct and occupied survives annihilating each
     # slot in turn from the reference state, and every other term vanishes
     levels = _evolve(g, matrix_kind.space, u, length, True, "normal-ordered evaluation",

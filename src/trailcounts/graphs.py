@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import decimal
 import functools
+import re
+from collections import _count_elements
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import EdgeListError
 
@@ -174,11 +177,18 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
 def _int_token(token: str, line_no: int) -> int:
+    """An optional minus sign and ASCII digits only: int() alone would also
+    read other scripts' digits, underscores and a plus sign."""
     try:
-        return int(token)
-    except ValueError:
-        raise EdgeListError(f"expected an integer, got {token!r}", line_no) from None
+        if _INT_TOKEN.fullmatch(token):
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise EdgeListError(f"expected an integer, got {token!r}", line_no)
 
 
 Matrix = list[list[int]]
@@ -282,6 +292,21 @@ def walk_count(g: Graph, length: int, u: int, v: int) -> int:
     for row in walk_rows(g, u, length):
         pass
     return row.get(v, 0)
+
+
+def trails_ruled_out(g: Graph, length: int, u: int, v: int) -> bool:
+    """Whether the edge count and degree parity alone leave no trail of this
+    length from u to v. A trail repeats no edge, so it is at most |E| long;
+    one of exactly |E| edges is Eulerian, so its ends, and no other vertex,
+    have odd degree (none when it is closed). Every engine answers 0 here
+    without counting."""
+    m = len(g.edges)
+    if length != m:
+        return length > m
+    degree: dict[int, int] = {}
+    _count_elements(degree, chain.from_iterable(g.edges))
+    odd = {a for a, d in degree.items() if d % 2}
+    return odd != ({u, v} if u != v else set())
 
 
 def occupation_string(g: Graph) -> str:

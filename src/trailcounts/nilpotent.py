@@ -33,7 +33,7 @@ from typing import Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph, decimal_str
+from .graphs import Graph, decimal_str, trails_ruled_out
 
 
 class Polynomial:
@@ -113,12 +113,6 @@ class Polynomial:
     def coefficients(self) -> ValuesView[int]:
         """The nonzero coefficients, read in place (no monomial is decoded)."""
         return self._terms.values()
-
-    def without_generator(self, index: int) -> "Polynomial":
-        """Terms not containing the generator; equals multiplying by that
-        generator and then stripping it again (the x*x = 0 filter)."""
-        bit = 1 << index
-        return Polynomial({m: c for m, c in self._terms.items() if not (m & bit)})
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -290,11 +284,14 @@ def trail_count_symbolic(
     g: Graph, length: int, u: int, v: int, term_budget: int | None = None
 ) -> int:
     """Sum of coefficients of entry (u, v) of the formal adjacency matrix to
-    the given power under x*x = 0; equals the trail count."""
+    the given power under x*x = 0; equals the trail count. A query that
+    graphs.trails_ruled_out settles is 0 without a product."""
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if trails_ruled_out(g, length, u, v):
+        return 0
     entry = _row_power_entry(formal_adjacency_edges(g), length, u, v, term_budget)
     return entry.coefficient_sum()
 
@@ -342,8 +339,10 @@ def path_count_symbolic(
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:
     """Path count extracted from a LITERAL power entry: multiplying by the
     start generator kills exactly the terms already containing it, so the
-    guarded count is the coefficient sum over terms free of that generator."""
-    return entry.without_generator(start - 1).coefficient_sum()
+    guarded count is the coefficient sum over terms free of that generator,
+    read in place."""
+    bit = 1 << (start - 1)
+    return sum(c for m, c in entry._terms.items() if not m & bit)
 
 
 def cycle_count_symbolic(g: Graph, length: int, u: int, term_budget: int | None = None) -> int:

@@ -38,11 +38,10 @@ from __future__ import annotations
 import enum
 import functools
 from collections import _count_elements
-from itertools import chain
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph
+from .graphs import Graph, trails_ruled_out
 
 WalkSeq = tuple[int, ...]
 
@@ -81,18 +80,8 @@ def _without_search(g: Graph, length: int, u: int, v: int, walk_class: WalkClass
         return [(u,)] if u == v else []
     if walk_class is WalkClass.PATH and u == v and length < 3:
         return []  # no cycle in a simple graph is that short
-    if walk_class in (WalkClass.TRAIL, WalkClass.START_ONCE_TRAIL_EDGE_SET):
-        m = g.edge_count
-        if length > m:
-            return []  # a trail repeats no edge
-        if length == m:
-            # a trail through every edge is Eulerian: its ends, and no other
-            # vertex, have odd degree (none when it is closed)
-            degree: dict[int, int] = {}
-            _count_elements(degree, chain.from_iterable(g.edges))
-            odd = {a for a, d in degree.items() if d % 2}
-            if odd != ({u, v} if u != v else set()):
-                return []
+    if walk_class in (WalkClass.TRAIL, WalkClass.START_ONCE_TRAIL_EDGE_SET) and trails_ruled_out(g, length, u, v):
+        return []  # longer than |E|, or through every edge with ends of the wrong parity
     return None
 
 

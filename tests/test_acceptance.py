@@ -7,6 +7,7 @@ to 6, all vertex pairs, plus named graphs and seeded random draws at n = 7
 and 8) runs once and is shared across criteria.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -16,7 +17,11 @@ from trailcounts.fock import f_matrix_amplitude, is_hamiltonian
 from trailcounts.graphs import Graph
 from trailcounts.nilpotent import euler_trail_count_symbolic
 from trailcounts.oracle import count_closed_euler_trails, count_hamiltonian_cycles_through
-from trailcounts.reports import DMATRIX_SQUARED, PROP2_LITERAL_OVERCOUNT
+from trailcounts.reports import DMATRIX_SQUARED, PROP2_LITERAL_OVERCOUNT, canonical_json
+
+# sha256 of the default sweep's JSON without its elapsed_s; every invariant,
+# case count, stored example and flag feeds it
+DEFAULT_SWEEP_SHA256 = "3df6a942540365fb99677d3aebb1db0ecdab1d45be135f8bd39d5c6271f0e993"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,13 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 def _inv_ok(sweep, name: str, min_cases: int = 1) -> bool:
     inv = sweep.invariant(name)
     return inv.passed and inv.cases >= min_cases
+
+
+def test_default_sweep_output_is_pinned(sweep):
+    payload = sweep.to_json_obj()
+    del payload["elapsed_s"]
+    digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    assert digest == DEFAULT_SWEEP_SHA256
 
 
 def test_criterion_1_reference_example_reproduction():

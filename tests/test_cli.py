@@ -135,6 +135,23 @@ class TestCount:
         assert code == 2
         assert "28" in out
 
+    def test_k8_open_euler_is_zero_before_any_register(self, capsys, monkeypatch, k8_file):
+        # all 28 degrees are odd, so parity answers on every engine: no
+        # search, no product and no 28-slot register, which the cap refuses
+        monkeypatch.setenv("TRAILCOUNTS_NODE_BUDGET", "1")
+        monkeypatch.setenv("TRAILCOUNTS_TERM_BUDGET", "1")
+        code, out, _ = run(
+            capsys, "count", "--input", k8_file, "--kind", "euler",
+            "--from", "1", "--to", "2", "--engine", "all", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["length"] == 28
+        assert {name: e["value"] for name, e in payload["engines"].items()} == {
+            "oracle": "0", "symbolic": "0", "fock": "0",
+        }
+        assert all(payload["agreement"].values())
+
     def test_petersen_falls_back_to_compact_register(self, capsys, tmp_path):
         # 45 vertex pairs exceed the register cap; evaluations use the 15
         # present edges

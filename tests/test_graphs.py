@@ -19,6 +19,7 @@ from trailcounts.graphs import (
     pair_slots,
     parse_edge_list,
     slot_of_pair,
+    trails_ruled_out,
     walk_count,
     walk_rows,
 )
@@ -74,6 +75,16 @@ class TestParse:
     def test_zero_label_rejected(self):
         with pytest.raises(EdgeListError, match="start at 1"):
             parse_edge_list("0 1\n")
+
+    @pytest.mark.parametrize("text", ["\u0663 4\n", "1_0 2\n", "+1 2\n", "n \u0663\n"])
+    def test_only_ascii_digits_are_integers(self, text):
+        # int() reads Arabic-Indic digits, underscores and a plus sign
+        with pytest.raises(EdgeListError, match="expected an integer"):
+            parse_edge_list(text)
+
+    def test_negative_label_reads_as_an_integer(self):
+        with pytest.raises(EdgeListError, match="start at 1"):
+            parse_edge_list("-1 2\n")
 
 
 class TestGraph:
@@ -295,3 +306,25 @@ def test_import_loads_no_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+class TestTrailsRuledOut:
+    @pytest.mark.parametrize(
+        "graph, length, u, v, ruled_out",
+        [
+            (families.complete_graph(8), 28, 1, 2, True),  # eight odd vertices
+            (families.complete_graph(8), 27, 1, 2, False),
+            (families.complete_graph(7), 21, 1, 1, False),  # every degree even
+            (families.complete_graph(7), 21, 1, 2, True),
+            (families.complete_graph(7), 22, 1, 1, True),  # longer than |E|
+            (families.path_graph(4), 3, 1, 4, False),  # odd ends 1 and 4
+            (families.path_graph(4), 3, 4, 1, False),
+            (families.path_graph(4), 3, 1, 3, True),
+            (families.cycle_graph(4), 4, 2, 2, False),
+            (families.cycle_graph(4), 4, 1, 2, True),
+            (Graph(2, frozenset()), 0, 1, 1, False),  # the empty circuit
+            (Graph(2, frozenset()), 0, 1, 2, True),
+        ],
+    )
+    def test_edge_count_and_parity(self, graph, length, u, v, ruled_out):
+        assert trails_ruled_out(graph, length, u, v) is ruled_out
