@@ -15,11 +15,26 @@ sequence's mask. The bit depends on the step rule:
 
 The search tallies as it goes: per length it keeps a sparse map from end
 vertex to {mask & keep: count}, where keep selects the mask bits a table
-needs (none for walks, every edge bit for the trail edge-set histogram, the
-start vertex's bit for paths). The last level is tested in place: each step's
-bit is checked and tallied without pushing a frame. The search never merges
-equal states and charges a configurable node budget (the root and every
-admitted step), so it is strictly a desk-scale oracle.
+needs (none for counts, every edge bit for the trail edge-set histogram, the
+start vertex's bit for the distinct-non-initial table's path column). The
+last level is tested in place: each step's bit is checked and tallied without
+pushing a frame. The search never merges equal states and charges a
+configurable node budget (the root and every admitted step), so it is
+strictly a desk-scale oracle.
+
+Each count runs the smallest search that holds its answer:
+
+    WALK                  `_walk_tally`, below
+    TRAIL                 the trail rule, counts only (`_trail_counts`)
+    PATH                  the distinct-non-initial rule with the start
+                          vertex's bit set from the outset, so the search
+                          never re-enters the start and lists exactly the
+                          open paths; a cycle is one open path that ends next
+                          to the start, plus the edge back (`_path_table`)
+    DISTINCT_NON_INITIAL  the distinct-non-initial rule, which may re-enter
+                          the start once (`_dni_tables`)
+    START_ONCE_TRAIL_EDGE_SET  the trail rule keeping every edge-set mask
+                          (`_trail_tables`)
 
 The walk tally runs the same depth-first search without the rule
 (`_walk_tally`): a walk step is never refused, so each visited vertex's whole
@@ -126,7 +141,13 @@ def count_walks(
 ) -> int:
     """Number of walks enumerate_walks would return, without materializing
     the sequences. Tallies one depth-first search per (graph, start) and
-    memoizes the table, so sweeps over many (length, v) queries are cheap."""
+    memoizes the table, so sweeps over many (length, v) queries are cheap.
+
+    The search behind each class is listed in the module docstring. A PATH
+    count never re-enters the start: its node budget charges the root and
+    every open path from u of length 1..length, which is what enumerating an
+    open path charges, and a cycle is counted from the open paths one step
+    shorter. A TRAIL count keeps no edge-set masks."""
     trivial = _without_search(g, length, u, v, walk_class)
     if trivial is not None:
         return len(trivial)
@@ -134,8 +155,7 @@ def count_walks(
     if walk_class is WalkClass.WALK:
         return _walk_table(g, u, length, budget).get((length, v), 0)
     if walk_class is WalkClass.TRAIL:
-        counts, _ = _trail_tables(g, u, length, budget)
-        return counts.get((length, v), 0)
+        return _trail_counts(g, u, length, budget).get((length, v), 0)
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
         _, sets = _trail_tables(g, u, length, budget)
         return len(sets.get((length, v), ()))
@@ -143,9 +163,23 @@ def count_walks(
         dni, _ = _dni_tables(g, u, length, budget)
         return dni.get((length, v), 0)
     if walk_class is WalkClass.PATH:
-        _, path = _dni_tables(g, u, length, budget)
-        return path.get((length, v), 0)
+        return _path_table(g, u, length, budget).get((length, v), 0)
     raise ValueError(f"unknown walk class {walk_class!r}")
+
+
+def count_dni_and_paths(
+    g: Graph, length: int, u: int, v: int, node_budget: int | None = None
+) -> tuple[int, int]:
+    """The DISTINCT_NON_INITIAL count and the PATH count from u to v, both
+    read from one distinct-non-initial table: the pair the literal
+    destination-vertex observable's overcount compares, for the price of
+    the literal count alone."""
+    trivial = _without_search(g, length, u, v, WalkClass.DISTINCT_NON_INITIAL)
+    if trivial is not None:
+        return len(trivial), len(trivial)  # length 0: both count the empty walk
+    budget = node_budget if node_budget is not None else limits.node_budget()
+    dni, path = _dni_tables(g, u, length, budget)
+    return dni.get((length, v), 0), path.get((length, v), 0)
 
 
 def trail_edge_set_histogram(
@@ -186,7 +220,10 @@ def count_hamiltonian_cycles_through(
     2x the undirected count for n >= 3 but also admits the degenerate
     back-and-forth traversal on K2 (a sequence, not a cycle)."""
     g.require_vertex(u)
-    seq = count_walks(g, g.n, u, u, WalkClass.DISTINCT_NON_INITIAL, node_budget)
+    # a cycle through every vertex; on n <= 2 vertices the closed
+    # distinct-non-initial sequences are the degenerate traversals
+    walk_class = WalkClass.PATH if g.n >= 3 else WalkClass.DISTINCT_NON_INITIAL
+    seq = count_walks(g, g.n, u, u, walk_class, node_budget)
     if directed:
         return seq
     return seq // 2 if g.n >= 3 else 0
@@ -343,19 +380,29 @@ def _walk_tally(g: Graph, start: int, max_len: int, budget: int, what: str) -> l
 
 # One search per (graph, start) covers every length <= max_len and every end
 # vertex at once; the lru_cache key includes max_len and budget so repeated
-# queries at the same scale reuse the tables. Each cache keeps its 128 most
-# recently used tables (functools' default), so a process that sees many
-# graphs does not keep every table it built. Concurrent callers may at worst
-# recompute a table; results are immutable after construction.
+# queries at the same scale reuse the tables. Each cache keeps its 16 most
+# recently used tables: one swept graph's starts (n <= 6 by default) plus
+# the tables of its spot checks. The sweep keeps every graph's tables in its
+# own record and a `count` query re-reads at most its own engine's table, so
+# older tables, mostly of graphs nobody reads again, are dropped. Concurrent
+# callers may at worst recompute a table; results are immutable after
+# construction.
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=16)
 def _walk_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
     tally = _walk_tally(g, start, max_len, budget, "walk tally")
     return {(depth, w): count for depth, level in enumerate(tally) for w, count in level.items()}
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=16)
+def _trail_counts(g: Graph, start: int, max_len: int, budget: int) -> dict:
+    """Trail counts per (length, end vertex), with no edge-set masks."""
+    tally, _ = _search(g, start, max_len, WalkClass.TRAIL, budget, "trail tally", keep=0)
+    return {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
+
+
+@functools.lru_cache(maxsize=16)
 def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """Trail counts plus, per (length, end vertex), how many trails traverse
     each edge-set mask."""
@@ -364,7 +411,29 @@ def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict
     return {key: sum(row.values()) for key, row in sets.items()}, sets
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=16)
+def _path_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
+    """PATH counts per (length, end vertex); zero entries are left out.
+
+    The search starts with the start vertex's bit in its mask, so it never
+    re-enters the start and tallies exactly the open paths. A cycle through
+    start of length d >= 3, (start, v1, ..., v(d-1), start), is exactly one
+    open path (start, v1, ..., v(d-1)) of length d - 1 >= 2 that ends at a
+    neighbour of start, plus the edge back; dropping or adding that last
+    edge is a bijection. So the closed entry (d, start) is the sum of the
+    open entries (d - 1, w) over the neighbours w of start."""
+    tally, _ = _search(
+        g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=0, mask=1 << (start - 1)
+    )
+    table = {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
+    for depth in range(3, max_len + 1):
+        cycles = sum(table.get((depth - 1, w), 0) for w in g.neighbors(start))
+        if cycles:
+            table[depth, start] = cycles
+    return table
+
+
+@functools.lru_cache(maxsize=16)
 def _dni_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """DISTINCT_NON_INITIAL counts plus PATH counts (open paths avoid the
     start vertex entirely; closed paths are cycles, l >= 3)."""

@@ -208,7 +208,7 @@ KIND_TABLE: dict[str, Kind] = {
     ),
     "cycles": Kind(
         3, True,
-        oracle=lambda g, l, u, v, variant: oracle.count_walks(g, l, u, u, WalkClass.DISTINCT_NON_INITIAL),
+        oracle=lambda g, l, u, v, variant: oracle.count_walks(g, l, u, u, WalkClass.PATH),
         symbolic=lambda g, l, u, v, variant: nilpotent.cycle_count_symbolic(g, l, u),
         fock=lambda g, l, u, v, variant: fock.normal_ordered_expectation(g, l, u, u, fock.MatrixKind.M_VERTEX),
     ),
@@ -261,8 +261,9 @@ def run_count_query(
 def _annotate(report, g, kind, length, u, v, variant) -> None:
     if kind == "paths" and variant is PathVariant.LITERAL and u != v:
         try:
-            literal = oracle.count_walks(g, length, u, v, WalkClass.DISTINCT_NON_INITIAL)
-            true_paths = oracle.count_walks(g, length, u, v, WalkClass.PATH)
+            # one distinct-non-initial table holds both; a path count of its
+            # own would run a second search on every literal query
+            literal, true_paths = oracle.count_dni_and_paths(g, length, u, v)
         except BudgetExceededError:
             return
         if literal != true_paths:

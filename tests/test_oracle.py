@@ -6,17 +6,22 @@ import pytest
 from trailcounts import families, oracle
 from trailcounts.errors import BudgetExceededError
 from trailcounts.graphs import Graph, walk_count
+from trailcounts.nilpotent import PathVariant
 from trailcounts.oracle import (
     WalkClass,
     _dni_tables,
+    _path_table,
+    _trail_counts,
     _trail_tables,
     _walk_table,
     count_closed_euler_trails,
+    count_dni_and_paths,
     count_hamiltonian_cycles_through,
     count_walks,
     enumerate_walks,
     trail_edge_set_histogram,
 )
+from trailcounts.reports import PROP2_LITERAL_OVERCOUNT, run_count_query
 
 
 class TestEnumerate:
@@ -131,12 +136,14 @@ class TestCount:
 
 # Smallest passing node budget for K4, l = 4, 1 -> 2, per walk class: the
 # root plus every admitted step of the search. A count searches with the
-# class's table rule; an enumeration of PATH also refuses the start vertex,
-# so it admits fewer steps than the path table.
+# class's table rule. An open PATH count and its enumeration both refuse the
+# start vertex from the outset, so they run the same search and charge the
+# same nodes; a DISTINCT_NON_INITIAL count may re-enter the start and admits
+# more.
 _K4_BUDGETS = [
     (WalkClass.WALK, 121, "walk tally", 121),
     (WalkClass.TRAIL, 40, "trail tally", 40),
-    (WalkClass.PATH, 49, "path tally", 16),
+    (WalkClass.PATH, 16, "path tally", 16),
     (WalkClass.DISTINCT_NON_INITIAL, 49, "path tally", 49),
     (WalkClass.START_ONCE_TRAIL_EDGE_SET, 40, "trail tally", 40),
 ]
@@ -183,10 +190,98 @@ def test_short_closed_paths_need_no_search(length):
     assert enumerate_walks(k6, length, 1, 1, WalkClass.PATH, node_budget=0) == []
 
 
-@pytest.mark.parametrize("table", [_walk_table, _trail_tables, _dni_tables])
+def _passes(fn, g, length, u, v, walk_class, budget) -> bool:
+    try:
+        fn(g, length, u, v, walk_class, node_budget=budget)
+    except BudgetExceededError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["K5", "petersen", "bowtie"])
+def test_path_count_and_enumeration_share_a_budget(name):
+    # an open PATH count and its enumeration run the same search, so one node
+    # budget is enough for both or for neither; the enumeration's smallest
+    # passing budget is found by bisection
+    g = {"K5": families.complete_graph(5), "petersen": families.petersen_graph(), "bowtie": families.bowtie_graph()}[name]
+    for v in range(2, g.n + 1):
+        for length in range(1, 5):
+            fails, passes = 0, 10**6
+            while passes - fails > 1:
+                mid = (fails + passes) // 2
+                if _passes(enumerate_walks, g, length, 1, v, WalkClass.PATH, mid):
+                    passes = mid
+                else:
+                    fails = mid
+            for budget in range(passes - 2, passes + 2):
+                listed = _passes(enumerate_walks, g, length, 1, v, WalkClass.PATH, budget)
+                counted = _passes(count_walks, g, length, 1, v, WalkClass.PATH, budget)
+                assert listed == counted == (budget >= passes), (v, length, budget)
+
+
+@pytest.mark.parametrize("table", [_walk_table, _trail_counts, _trail_tables, _path_table, _dni_tables])
 def test_table_cache_is_bounded(table):
-    # a process that sees many graphs must not keep every table it built
+    # a process that sees many graphs must not keep every table it built;
+    # 16 holds one swept graph's starts plus its spot-check tables
     assert table.cache_info().maxsize is not None
+    assert table.cache_info().maxsize <= 16
+
+
+def _misses(table) -> int:
+    return table.cache_info().misses
+
+
+@pytest.mark.parametrize(
+    "kind, length, v, variant",
+    [("paths", 5, 2, PathVariant.START_GUARDED), ("cycles", 5, 1, PathVariant.LITERAL), ("hamiltonian", 0, 1, PathVariant.LITERAL)],
+    ids=["guarded-paths", "cycles", "hamiltonian"],
+)
+def test_path_queries_run_no_distinct_non_initial_search(kind, length, v, variant):
+    # guarded paths, cycles and Hamiltonian cycles on n >= 3 vertices are
+    # read from the path table, which never re-enters the start
+    g = families.complete_graph(6)
+    _path_table.cache_clear()
+    dni_before = _misses(_dni_tables)
+    report = run_count_query(g, "K6", kind, length, 1, v, variant=variant)
+    assert len({e.value for e in report.engines.values()}) == 1
+    assert _misses(_dni_tables) == dni_before
+    assert _misses(_path_table) == 1
+
+
+def test_literal_paths_run_one_distinct_non_initial_search():
+    # the overcount note reads its literal and path counts from the oracle
+    # engine's own table: no second search
+    g = families.complete_graph(6)
+    _dni_tables.cache_clear()
+    before = _misses(_path_table)
+    report = run_count_query(g, "K6", "paths", 5, 1, 2, variant=PathVariant.LITERAL)
+    assert [note["code"] for note in report.notes] == [PROP2_LITERAL_OVERCOUNT]
+    assert _misses(_dni_tables) == 1
+    assert _misses(_path_table) == before
+
+
+@pytest.mark.parametrize("kind, length, v", [("trails", 5, 2), ("euler", 0, 1)], ids=["trails", "euler"])
+def test_trail_queries_keep_no_edge_set_masks(kind, length, v):
+    # trail counts, the euler kind and the DMATRIX note's trail count read
+    # the count-only trail table
+    g = families.bowtie_graph()
+    _trail_counts.cache_clear()
+    before = _trail_tables.cache_info()
+    report = run_count_query(g, "bowtie", kind, length, 1, v)
+    assert len({e.value for e in report.engines.values()}) == 1
+    assert _trail_tables.cache_info() == before
+    assert _misses(_trail_counts) == 1
+
+
+def test_count_dni_and_paths(c4, bowtie):
+    assert count_dni_and_paths(c4, 3, 1, 2) == (2, 1)
+    assert count_dni_and_paths(c4, 0, 1, 1) == (1, 1)
+    assert count_dni_and_paths(c4, 0, 1, 2) == (0, 0)
+    for l in range(1, 7):
+        for u in range(1, 6):
+            for v in range(1, 6):
+                expected = tuple(count_walks(bowtie, l, u, v, c) for c in (WalkClass.DISTINCT_NON_INITIAL, WalkClass.PATH))
+                assert count_dni_and_paths(bowtie, l, u, v) == expected
 
 
 class TestLongWalks:

@@ -34,7 +34,9 @@ from trailcounts.nilpotent import (
 from trailcounts.oracle import (
     WalkClass,
     _dni_tables,
+    _path_table,
     _search,
+    _trail_counts,
     _trail_tables,
     _walk_table,
     _walk_tally,
@@ -280,7 +282,7 @@ def table_queries(draw, max_n=6, max_len=5):
 @example((Graph(1, frozenset()), 1, 3))
 @example((Graph(4, frozenset(pair_slots(4))), 1, 4))
 def test_oracle_tables_match_product_filter(query):
-    # every (length, end vertex) entry of the three tables, not only the
+    # every (length, end vertex) entry of the five tables, not only the
     # longest length: the sweep reads them all
     g, u, max_len = query
     walks, trails, dni, paths = Counter(), Counter(), Counter(), Counter()
@@ -305,6 +307,8 @@ def test_oracle_tables_match_product_filter(query):
     assert _walk_table(g, u, max_len, 10**9) == dict(walks)
     assert _trail_tables(g, u, max_len, 10**9) == (dict(trails), masks)
     assert _dni_tables(g, u, max_len, 10**9) == (dict(dni), dict(paths))
+    assert _trail_counts(g, u, max_len, 10**9) == dict(trails)
+    assert _path_table(g, u, max_len, 10**9) == dict(paths)
     for l in range(1, max_len + 1):
         for v in range(1, g.n + 1):
             assert trail_edge_set_histogram(g, l, u, v) == dict(sets.get((l, v), {}))
