@@ -233,7 +233,7 @@ def _cmd_bench(args) -> int:
         for engine in engines:
             start = time.perf_counter()
             try:
-                value = decimal_str(getattr(spec, engine)(g, length, u, v, PathVariant.LITERAL))
+                value = decimal_str(getattr(spec, engine)(g, length, u, v, PathVariant.LITERAL)[0])
             except (CapacityError, BudgetExceededError):
                 value = "DNF"
             elapsed = round((time.perf_counter() - start) * 1000.0, 3)

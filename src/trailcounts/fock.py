@@ -24,8 +24,8 @@ map per current vertex, from basis index to exact amplitude, so a query reads
 its end vertex's map directly; every evaluator reduces one evolution. Terms
 that reach the same vertex and basis state merge into one amplitude, and a
 term that annihilates to zero (an operator on an empty slot) is dropped as
-soon as it does. No evaluator allocates a 2**width array: memory grows with
-the number of live states, which the node budget bounds.
+soon as it does. No evaluator allocates a 2**width array, but the node budget
+does not bound memory: a level is charged once built, the last level never.
 """
 
 from __future__ import annotations
@@ -480,6 +480,17 @@ def normal_ordered_expectation(
 
     An N_EDGE query that graphs.trails_ruled_out settles is 0 before any
     register is built."""
+    return _normal_ordered_pair(g, length, u, v, matrix_kind, guard_vertex, node_budget)[0]
+
+
+def _normal_ordered_pair(
+    g: Graph, length: int, u: int, v: int, matrix_kind: MatrixKind, guard_vertex=None, node_budget=None,
+    what: str = "normal-ordered evaluation",
+) -> tuple[int, int]:
+    """normal_ordered_expectation's value and, from the same evolution, the
+    number its count note compares it with: for N_EDGE the squared amplitudes'
+    sum (d_matrix_quadratic_form), for M_VERTEX the sum of those whose start
+    slot, bit n - u, is still occupied (the path count when u != v)."""
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 1:
@@ -491,12 +502,14 @@ def normal_ordered_expectation(
             raise ValueError("guard_vertex applies to the destination-vertex observable only")
         g.require_vertex(guard_vertex)
     if matrix_kind is MatrixKind.N_EDGE and trails_ruled_out(g, length, u, v):
-        return 0
+        return 0, 0
     # a term whose slots are distinct and occupied survives annihilating each
     # slot in turn from the reference state, and every other term vanishes
-    levels = _evolve(g, matrix_kind.space, u, length, True, "normal-ordered evaluation",
-                     guard_vertex, node_budget)
-    return sum(_amplitudes_at(levels, v).values())
+    levels = _evolve(g, matrix_kind.space, u, length, True, what, guard_vertex, node_budget)
+    amplitudes = _amplitudes_at(levels, v)
+    if matrix_kind is MatrixKind.N_EDGE:
+        return sum(amplitudes.values()), sum(a * a for a in amplitudes.values())
+    return sum(amplitudes.values()), sum(a for index, a in amplitudes.items() if index >> (g.n - u) & 1)
 
 
 def normal_ordered_expectation_table(
@@ -550,13 +563,9 @@ def d_matrix_quadratic_form(
     Each surviving walk term annihilates a distinct edge set S and lands on
     the basis state with S cleared, so amplitudes accumulate to t_S per set
     and the value is the sum of t_S**2. That equals the trail count exactly
-    when every t_S <= 1; otherwise it exceeds it."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, True, "annihilation evolution", node_budget=node_budget)
-    return sum(amp * amp for amp in _amplitudes_at(levels, v).values())
+    when every t_S <= 1; otherwise it exceeds it. This is the N_EDGE
+    evolution, so graphs.trails_ruled_out settles a query first."""
+    return _normal_ordered_pair(g, length, u, v, MatrixKind.N_EDGE, None, node_budget, "annihilation evolution")[1]
 
 
 def annihilation_form_table(

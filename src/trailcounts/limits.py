@@ -12,8 +12,8 @@ REGISTER_CAP_ENV = "TRAILCOUNTS_REGISTER_CAP"
 TERM_BUDGET_ENV = "TRAILCOUNTS_TERM_BUDGET"
 NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 
-# qubit slots, so basis indices at most 24 bits wide (|E| <= 24 in edge space);
-# Fock memory grows with the live states, which the node budget bounds
+# qubit slots (|E| <= 24 in edge space); it is what holds Fock memory down, since the node
+# budget charges a level only after building it and never charges the last level
 _DEFAULT_REGISTER_CAP = 24
 # live monomials in the level or matrix product being built, checked while it is built
 _DEFAULT_TERM_BUDGET = 10_000_000

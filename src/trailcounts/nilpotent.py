@@ -326,6 +326,11 @@ def path_count_symbolic(
     revisits the start vertex. START_GUARDED multiplies the start vertex's
     generator into every term before reduction and equals the path count;
     it requires u != v (a closed walk always revisits the start)."""
+    return _path_entry(g, length, u, v, variant, term_budget).coefficient_sum()
+
+
+def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant, term_budget: int | None) -> Polynomial:
+    """The power entry (u, v) that path_count_symbolic sums, after its checks."""
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 1:
@@ -333,7 +338,7 @@ def path_count_symbolic(
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     m = vertex_observable_matrix(g, variant, start=u)
-    return _row_power_entry(m, length, u, v, term_budget).coefficient_sum()
+    return _row_power_entry(m, length, u, v, term_budget)
 
 
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:
@@ -350,9 +355,6 @@ def cycle_count_symbolic(g: Graph, length: int, u: int, term_budget: int | None 
     (u, u): the number of directed cycles of the given length through u
     (each undirected cycle traversed in two directions). At length n this is
     the directed Hamiltonian count through u."""
-    g.require_vertex(u)
     if length < 3:
         raise ValueError(f"cycles need length >= 3, got {length}")
-    m = vertex_observable_matrix(g)
-    entry = _row_power_entry(m, length, u, u, term_budget)
-    return entry.coefficient_sum()
+    return _path_entry(g, length, u, u, PathVariant.LITERAL, term_budget).coefficient_sum()

@@ -29,8 +29,8 @@ Each count runs the smallest search that holds its answer:
     PATH                  the distinct-non-initial rule with the start
                           vertex's bit set from the outset, so the search
                           never re-enters the start and lists exactly the
-                          open paths; a cycle is one open path that ends next
-                          to the start, plus the edge back (`_path_table`)
+                          open paths (`_path_table`); a cycle is one open
+                          path that ends next to the start, plus the edge back
     DISTINCT_NON_INITIAL  the distinct-non-initial rule, which may re-enter
                           the start once (`_dni_tables`)
     START_ONCE_TRAIL_EDGE_SET  the trail rule keeping every edge-set mask
@@ -144,10 +144,13 @@ def count_walks(
     memoizes the table, so sweeps over many (length, v) queries are cheap.
 
     The search behind each class is listed in the module docstring. A PATH
-    count never re-enters the start: its node budget charges the root and
-    every open path from u of length 1..length, which is what enumerating an
-    open path charges, and a cycle is counted from the open paths one step
-    shorter. A TRAIL count keeps no edge-set masks."""
+    count never re-enters the start: an open one's node budget charges the
+    root and every open path from u of length 1..length, as enumerating it
+    does. A cycle (u, v1, ..., v(l-1), u), l >= 3, is exactly one open path
+    (u, v1, ..., v(l-1)) ending next to u plus the edge back, a bijection;
+    so a closed count sums the open paths of length l - 1 that end at u's
+    neighbours, and charges only the open paths up to that length. A TRAIL
+    count keeps no edge-set masks."""
     trivial = _without_search(g, length, u, v, walk_class)
     if trivial is not None:
         return len(trivial)
@@ -160,9 +163,11 @@ def count_walks(
         _, sets = _trail_tables(g, u, length, budget)
         return len(sets.get((length, v), ()))
     if walk_class is WalkClass.DISTINCT_NON_INITIAL:
-        dni, _ = _dni_tables(g, u, length, budget)
-        return dni.get((length, v), 0)
+        return count_dni_and_paths(g, length, u, v, budget)[0]
     if walk_class is WalkClass.PATH:
+        if u == v:
+            shorter = _path_table(g, u, length - 1, budget)
+            return sum(shorter.get((length - 1, w), 0) for w in g.neighbors(u))
         return _path_table(g, u, length, budget).get((length, v), 0)
     raise ValueError(f"unknown walk class {walk_class!r}")
 
@@ -413,24 +418,13 @@ def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict
 
 @functools.lru_cache(maxsize=16)
 def _path_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
-    """PATH counts per (length, end vertex); zero entries are left out.
-
+    """Open PATH counts per (length, end vertex); zero entries are left out.
     The search starts with the start vertex's bit in its mask, so it never
-    re-enters the start and tallies exactly the open paths. A cycle through
-    start of length d >= 3, (start, v1, ..., v(d-1), start), is exactly one
-    open path (start, v1, ..., v(d-1)) of length d - 1 >= 2 that ends at a
-    neighbour of start, plus the edge back; dropping or adding that last
-    edge is a bijection. So the closed entry (d, start) is the sum of the
-    open entries (d - 1, w) over the neighbours w of start."""
+    re-enters the start and tallies exactly the open paths."""
     tally, _ = _search(
         g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=0, mask=1 << (start - 1)
     )
-    table = {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
-    for depth in range(3, max_len + 1):
-        cycles = sum(table.get((depth - 1, w), 0) for w in g.neighbors(start))
-        if cycles:
-            table[depth, start] = cycles
-    return table
+    return {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
 
 
 @functools.lru_cache(maxsize=16)

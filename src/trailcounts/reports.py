@@ -21,6 +21,13 @@ from .oracle import WalkClass
 # Machine-readable discrepancy codes; downstream tooling asserts on these.
 PROP2_LITERAL_OVERCOUNT = "PROP2_LITERAL_OVERCOUNT"
 DMATRIX_SQUARED = "DMATRIX_SQUARED"
+# each note's message, from an engine's value and the second number its pass gave
+_NOTE_MESSAGES = {
+    PROP2_LITERAL_OVERCOUNT: "literal destination-vertex observable counts {value} (distinct-non-initial walks) "
+    "but the path count is {other}",
+    DMATRIX_SQUARED: "annihilation quadratic form is {other} (sum of squared per-edge-set trail counts) "
+    "but the trail count is {value}",
+}
 
 ENGINES = ("oracle", "symbolic", "fock")
 
@@ -30,6 +37,7 @@ class EngineValue:
     value: int | None = None
     wall_time_ms: float | None = None
     error: str | None = None
+    other: int | None = None  # the kind's note's second number, from the same pass; not serialized
 
     def to_json_obj(self) -> dict:
         if self.error is not None:
@@ -145,80 +153,98 @@ def matrix_to_decimal_rows(matrix) -> list[list[str]]:
 def _timed(fn) -> EngineValue:
     start = time.perf_counter()
     try:
-        value = fn()
+        value, other = fn()
     except (CapacityError, BudgetExceededError) as exc:
         return EngineValue(error=str(exc))
     elapsed = (time.perf_counter() - start) * 1000.0
-    return EngineValue(value=int(value), wall_time_ms=round(elapsed, 3))
+    return EngineValue(value=int(value), wall_time_ms=round(elapsed, 3), other=other)
 
 
 @dataclass(frozen=True)
 class Kind:
     """One count kind: its least given length or its derived one, whether it
-    is closed, and its evaluations (g, length, u, v, variant) on each engine,
-    which look their engine function up when called."""
+    is closed, its discrepancy note, and its evaluations (g, length, u, v,
+    variant) on each engine, which look their engine function up when called.
+    Each returns (value, other): other is the note's second number from the
+    same pass, or None when that engine does not supply the note."""
 
     min_length: int
     closed: bool
-    oracle: Callable[..., int]
-    symbolic: Callable[..., int]
-    fock: Callable[..., int]
+    oracle: Callable[..., tuple[int, int | None]]
+    symbolic: Callable[..., tuple[int, int | None]]
+    fock: Callable[..., tuple[int, int | None]]
     derived_length: Callable[[Graph], int] | None = None
+    note: str | None = None
 
     def length(self, g: Graph, given: int) -> int:
         return given if self.derived_length is None else self.derived_length(g)
 
 
-def _trails_oracle(g, l, u, v, variant) -> int:
-    return oracle.count_walks(g, l, u, v, WalkClass.TRAIL)  # 1 if u == v else 0 at l = 0
+def _trails_oracle(g, l, u, v, variant):
+    return oracle.count_walks(g, l, u, v, WalkClass.TRAIL), None  # 1 if u == v else 0 at l = 0
 
 
-def _trails_fock(g, l, u, v, variant) -> int:
-    return fock.normal_ordered_expectation(g, l, u, v, fock.MatrixKind.N_EDGE)
+def _trails_fock(g, l, u, v, variant):
+    return fock._normal_ordered_pair(g, l, u, v, fock.MatrixKind.N_EDGE)
+
+
+def _open_literal(u, v, variant, value, paths):
+    # the overcount note compares a literal open count with its path count
+    return value, (paths if variant is PathVariant.LITERAL and u != v else None)
+
+
+def _paths_oracle(g, l, u, v, variant):
+    if variant is PathVariant.START_GUARDED:
+        return oracle.count_walks(g, l, u, v, WalkClass.PATH), None
+    return _open_literal(u, v, variant, *oracle.count_dni_and_paths(g, l, u, v))
+
+
+def _paths_symbolic(g, l, u, v, variant):
+    entry = nilpotent._path_entry(g, l, u, v, variant, None)
+    paths = nilpotent.guarded_sum_from_literal(entry, u) if variant is PathVariant.LITERAL else None
+    return _open_literal(u, v, variant, entry.coefficient_sum(), paths)
+
+
+def _paths_fock(g, l, u, v, variant):
+    guard = u if variant is PathVariant.START_GUARDED else None
+    return _open_literal(u, v, variant, *fock._normal_ordered_pair(g, l, u, v, fock.MatrixKind.M_VERTEX, guard))
 
 
 KIND_TABLE: dict[str, Kind] = {
     "walks": Kind(
         0, False,
-        oracle=lambda g, l, u, v, variant: oracle.count_walks(g, l, u, v, WalkClass.WALK),
+        oracle=lambda g, l, u, v, variant: (oracle.count_walks(g, l, u, v, WalkClass.WALK), None),
         # the nilpotent ring is trail-specific; the exact adjacency-matrix
         # power is the algebraic walk counter
-        symbolic=lambda g, l, u, v, variant: walk_count(g, l, u, v),
-        fock=lambda g, l, u, v, variant: fock.walk_count_expectation(g, l, u, v),
+        symbolic=lambda g, l, u, v, variant: (walk_count(g, l, u, v), None),
+        fock=lambda g, l, u, v, variant: (fock.walk_count_expectation(g, l, u, v), None),
     ),
     "trails": Kind(
-        1, False, oracle=_trails_oracle, fock=_trails_fock,
-        symbolic=lambda g, l, u, v, variant: nilpotent.trail_count_symbolic(g, l, u, v),
+        1, False, oracle=_trails_oracle, fock=_trails_fock, note=DMATRIX_SQUARED,
+        symbolic=lambda g, l, u, v, variant: (nilpotent.trail_count_symbolic(g, l, u, v), None),
     ),
     "paths": Kind(
-        1, False,
-        oracle=lambda g, l, u, v, variant: oracle.count_walks(
-            g, l, u, v, WalkClass.PATH if variant is PathVariant.START_GUARDED else WalkClass.DISTINCT_NON_INITIAL
-        ),
-        symbolic=lambda g, l, u, v, variant: nilpotent.path_count_symbolic(g, l, u, v, variant),
-        fock=lambda g, l, u, v, variant: fock.normal_ordered_expectation(
-            g, l, u, v, fock.MatrixKind.M_VERTEX, guard_vertex=u if variant is PathVariant.START_GUARDED else None
-        ),
+        1, False, oracle=_paths_oracle, symbolic=_paths_symbolic, fock=_paths_fock, note=PROP2_LITERAL_OVERCOUNT
     ),
     "euler": Kind(
-        1, False, oracle=_trails_oracle, derived_length=lambda g: g.edge_count,
-        symbolic=lambda g, l, u, v, variant: nilpotent.euler_trail_count_symbolic(g, u, v),
+        1, False, oracle=_trails_oracle, derived_length=lambda g: g.edge_count, note=DMATRIX_SQUARED,
+        symbolic=lambda g, l, u, v, variant: (nilpotent.euler_trail_count_symbolic(g, u, v), None),
         # an edgeless graph has one empty closed trail at each vertex
-        fock=lambda g, l, u, v, variant: _trails_fock(g, l, u, v, variant) if l else int(u == v),
+        fock=lambda g, l, u, v, variant: _trails_fock(g, l, u, v, variant) if l else (int(u == v), None),
     ),
     "cycles": Kind(
         3, True,
-        oracle=lambda g, l, u, v, variant: oracle.count_walks(g, l, u, u, WalkClass.PATH),
-        symbolic=lambda g, l, u, v, variant: nilpotent.cycle_count_symbolic(g, l, u),
-        fock=lambda g, l, u, v, variant: fock.normal_ordered_expectation(g, l, u, u, fock.MatrixKind.M_VERTEX),
+        oracle=lambda g, l, u, v, variant: (oracle.count_walks(g, l, u, u, WalkClass.PATH), None),
+        symbolic=lambda g, l, u, v, variant: (nilpotent.cycle_count_symbolic(g, l, u), None),
+        fock=lambda g, l, u, v, variant: (fock.normal_ordered_expectation(g, l, u, u, fock.MatrixKind.M_VERTEX), None),
     ),
     "hamiltonian": Kind(
         1, True, derived_length=lambda g: g.n,
-        oracle=lambda g, l, u, v, variant: oracle.count_hamiltonian_cycles_through(g, u, directed=True),
+        oracle=lambda g, l, u, v, variant: (oracle.count_hamiltonian_cycles_through(g, u, directed=True), None),
         # the literal closed entry: cycle_count_symbolic at n >= 3, and it
         # also counts K2's back-and-forth traversal as the oracle does
-        symbolic=lambda g, l, u, v, variant: nilpotent.path_count_symbolic(g, l, u, u),
-        fock=lambda g, l, u, v, variant: fock.f_matrix_amplitude(g, l, u),
+        symbolic=lambda g, l, u, v, variant: (nilpotent.path_count_symbolic(g, l, u, u), None),
+        fock=lambda g, l, u, v, variant: (fock.f_matrix_amplitude(g, l, u), None),
     ),
 }
 KINDS = tuple(KIND_TABLE)
@@ -235,7 +261,8 @@ def run_count_query(
     variant: PathVariant = PathVariant.LITERAL,
 ) -> CountReport:
     """Evaluate one counting query on the requested engines and assemble the
-    cross-checked report, including characterized-discrepancy notes. A
+    cross-checked report, each note from the first engine in ENGINES order
+    whose own pass gave a second number that differs from its value. A
     START_GUARDED paths query with u == v is refused before any engine runs."""
     if kind not in KIND_TABLE:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -254,41 +281,9 @@ def run_count_query(
         variant=variant.value if kind == "paths" else None,
         engines=values,
     )
-    _annotate(report, g, kind, l_eff, u, v, variant)
+    for ev in (values[name] for name in ENGINES if name in values):
+        if ev.other is not None and ev.other != ev.value:
+            message = _NOTE_MESSAGES[spec.note].format(value=decimal_str(ev.value), other=decimal_str(ev.other))
+            report.notes.append({"code": spec.note, "message": message})
+            break
     return report
-
-
-def _annotate(report, g, kind, length, u, v, variant) -> None:
-    if kind == "paths" and variant is PathVariant.LITERAL and u != v:
-        try:
-            # one distinct-non-initial table holds both; a path count of its
-            # own would run a second search on every literal query
-            literal, true_paths = oracle.count_dni_and_paths(g, length, u, v)
-        except BudgetExceededError:
-            return
-        if literal != true_paths:
-            report.notes.append(
-                {
-                    "code": PROP2_LITERAL_OVERCOUNT,
-                    "message": (
-                        f"literal destination-vertex observable counts {literal} "
-                        f"(distinct-non-initial walks) but the path count is {true_paths}"
-                    ),
-                }
-            )
-    if kind in ("trails", "euler") and length >= 1:
-        try:
-            quad = fock.d_matrix_quadratic_form(g, length, u, v)
-            trail = oracle.count_walks(g, length, u, v, WalkClass.TRAIL)
-        except (CapacityError, BudgetExceededError):
-            return
-        if quad != trail:
-            report.notes.append(
-                {
-                    "code": DMATRIX_SQUARED,
-                    "message": (
-                        f"annihilation quadratic form is {quad} (sum of squared "
-                        f"per-edge-set trail counts) but the trail count is {trail}"
-                    ),
-                }
-            )

@@ -308,6 +308,44 @@ class TestReportContract:
         report = run_count_query(bowtie_graph(), "bowtie", "euler", 6, 1, 1)
         assert any(n["code"] == DMATRIX_SQUARED for n in report.notes)
 
+    def _notes(self, capsys, path, *query, engine="all"):
+        code, out, _ = run(capsys, "count", "--input", path, *query, "--engine", engine, "--format", "json")
+        assert code == 0
+        return json.loads(out)["notes"]
+
+    def test_prop2_note_from_each_engine(self, capsys, c4_file):
+        # every engine's own pass gives both numbers of the overcount note
+        query = ("--kind", "paths", "--length", "3", "--from", "1", "--to", "2")
+        default = self._notes(capsys, c4_file, *query)
+        assert [n["code"] for n in default] == [PROP2_LITERAL_OVERCOUNT]
+        for engine in reports.ENGINES:
+            assert self._notes(capsys, c4_file, *query, engine=engine) == default, engine
+
+    def test_dmatrix_note_from_fock_only(self, capsys, tmp_path):
+        path = _edge_file(tmp_path, "bowtie", families.bowtie_graph())
+        query = ("--kind", "euler", "--from", "1")
+        default = self._notes(capsys, path, *query)
+        assert [n["code"] for n in default] == [DMATRIX_SQUARED]
+        assert self._notes(capsys, path, *query, engine="fock") == default
+        assert self._notes(capsys, path, *query, engine="oracle") == []
+        assert self._notes(capsys, path, *query, engine="symbolic") == []
+
+    def test_symbolic_query_runs_no_other_engine(self, monkeypatch):
+        # the notes are read from the engines that ran: a symbolic-only
+        # trails query builds no oracle table and no Fock evolution
+        from trailcounts import fock, oracle
+
+        tables = [oracle._walk_table, oracle._trail_counts, oracle._trail_tables, oracle._path_table, oracle._dni_tables]
+        before = [t.cache_info() for t in tables]
+        evolutions = []
+        evolve = fock._evolve
+        monkeypatch.setattr(fock, "_evolve", lambda *a, **k: evolutions.append(a) or evolve(*a, **k))
+        report = run_count_query(families.complete_graph(7), "K7", "trails", 8, 1, 2, engines=("symbolic",))
+        assert report.engines["symbolic"].value == 29040
+        assert report.notes == []
+        assert [t.cache_info() for t in tables] == before
+        assert evolutions == []
+
     def test_engine_subset(self, c4):
         report = run_count_query(c4, "c4", "trails", 3, 1, 2, engines=("oracle",))
         assert set(report.engines) == {"oracle"}

@@ -27,6 +27,7 @@ from trailcounts.fock import (
 from trailcounts.graphs import Graph, walk_count
 from trailcounts.oracle import (
     WalkClass,
+    count_dni_and_paths,
     count_hamiltonian_cycles_through,
     count_walks,
     trail_edge_set_histogram,
@@ -343,6 +344,28 @@ class TestAnnihilationQuadraticForm:
         for l in range(1, 6):
             for v in range(1, 6):
                 assert table.get((l, v), 0) == d_matrix_quadratic_form(bowtie, l, 1, v)
+
+
+
+class TestNoteNumbers:
+    # the second number of each count note comes from the evolution that
+    # gives the count itself
+    def test_vertex_evolution_gives_the_path_count(self, c4, bowtie, petersen):
+        for g in (families.complete_graph(5), bowtie, petersen, c4):
+            for l in range(1, 7):
+                for u in range(1, g.n + 1):
+                    for v in range(1, g.n + 1):
+                        if u != v:
+                            pair = fock._normal_ordered_pair(g, l, u, v, MatrixKind.M_VERTEX)
+                            assert pair == count_dni_and_paths(g, l, u, v), (g, l, u, v)
+
+    def test_edge_evolution_gives_the_quadratic_form(self, k4, bowtie):
+        for g in (k4, bowtie):
+            for l in range(1, g.edge_count + 2):
+                for v in range(1, g.n + 1):
+                    hist = trail_edge_set_histogram(g, l, 1, v)
+                    expected = (sum(hist.values()), sum(c * c for c in hist.values()))
+                    assert fock._normal_ordered_pair(g, l, 1, v, MatrixKind.N_EDGE) == expected
 
 
 class TestTransitionAmplitude:

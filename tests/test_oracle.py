@@ -262,8 +262,7 @@ def test_literal_paths_run_one_distinct_non_initial_search():
 
 @pytest.mark.parametrize("kind, length, v", [("trails", 5, 2), ("euler", 0, 1)], ids=["trails", "euler"])
 def test_trail_queries_keep_no_edge_set_masks(kind, length, v):
-    # trail counts, the euler kind and the DMATRIX note's trail count read
-    # the count-only trail table
+    # trail counts and the euler kind read the count-only trail table
     g = families.bowtie_graph()
     _trail_counts.cache_clear()
     before = _trail_tables.cache_info()
