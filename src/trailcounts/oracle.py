@@ -2,10 +2,10 @@
 
 Everything here enumerates walk sequences directly and filters them by a
 predicate; the other engines are validated against this module. One
-explicit-stack depth-first search (`_search`) backs every enumeration and the
-trail and path tables. It extends the current sequence one step at a time, in
-sorted-neighbour order, and refuses a step whose bit is already in the
-sequence's mask. The bit depends on the step rule:
+explicit-stack depth-first search (`_search`) backs every enumeration and
+every trail and path count. It extends the current sequence one step at a
+time, in sorted-neighbour order, and refuses a step whose bit is already in
+the sequence's mask. The bit depends on the step rule:
 
     walk                  0 (no step is ever refused)
     trail                 the traversed edge's bit (its position in
@@ -13,34 +13,34 @@ sequence's mask. The bit depends on the step rule:
     distinct-non-initial  the destination vertex's bit, so v1..vl are
                           pairwise distinct
 
-The search tallies as it goes: per length it keeps a sparse map from end
-vertex to {mask & keep: count}, where keep selects the mask bits a table
-needs (none for counts, every edge bit for the trail edge-set histogram, the
-start vertex's bit for the distinct-non-initial table's path column). The
-last level is tested in place: each step's bit is checked and tallied without
-pushing a frame. The search never merges equal states and charges a
-configurable node budget (the root and every admitted step), so it is
-strictly a desk-scale oracle.
+Walk counts run the same search without the rule (`_walk_tally`): each
+visited vertex's whole neighbour tuple is admitted at once, in C.
 
-Each count runs the smallest search that holds its answer:
+Without `ends`, both kernels tally every walk, per length and end vertex;
+the sweep reads these tables through caches. With `ends`, a per-query
+operation runs one uncached search aimed at its end vertices: shorter walks
+are visited but not tallied, and only the last steps into an end vertex are
+tested, with one mask operation per walk one step short (the walk tally
+sums, per walk two steps short, how many of its neighbours are next to an
+end vertex). Neither merges equal states, and both charge a node budget the
+same nodes: the root and every admitted step, last steps that miss the end
+vertices included. So the oracle stays a desk-scale ground truth.
 
-    WALK                  `_walk_tally`, below
-    TRAIL                 the trail rule, counts only (`_trail_counts`)
+The aimed search behind each count:
+
+    WALK                  the walk tally
+    TRAIL                 the trail rule, keeping no mask bits
     PATH                  the distinct-non-initial rule with the start
-                          vertex's bit set from the outset, so the search
-                          never re-enters the start and lists exactly the
-                          open paths (`_path_table`); a cycle is one open
-                          path that ends next to the start, plus the edge back
+                          vertex's bit set from the outset, so it never
+                          re-enters the start; a cycle is one open path
+                          that ends next to the start, plus the edge back,
+                          so a closed count aims at the start's neighbours,
+                          one level shorter
     DISTINCT_NON_INITIAL  the distinct-non-initial rule, which may re-enter
-                          the start once (`_dni_tables`)
-    START_ONCE_TRAIL_EDGE_SET  the trail rule keeping every edge-set mask
-                          (`_trail_tables`)
-
-The walk tally runs the same depth-first search without the rule
-(`_walk_tally`): a walk step is never refused, so each visited vertex's whole
-neighbour tuple is admitted and counted into the next level by one call to
-`collections._count_elements`, the C helper behind `Counter`. It still visits
-every walk once, merges no states and charges the same nodes.
+                          the start once, keeping the start vertex's bit:
+                          the walks without it are the paths
+    START_ONCE_TRAIL_EDGE_SET  the trail rule keeping every edge bit (so
+                          does the trail edge-set histogram)
 
 Walks are vertex sequences v0 v1 ... vl with every consecutive pair an edge;
 the length l is the number of edges traversed. Direction matters: a trail and
@@ -114,16 +114,17 @@ def enumerate_walks(
     if trivial is not None:
         return trivial
     budget = node_budget if node_budget is not None else limits.node_budget()
-    rule, mask = walk_class, 0
+    rule, mask, keep = walk_class, 0, 0
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
-        rule = WalkClass.TRAIL
+        rule, keep = WalkClass.TRAIL, -1  # every edge bit: the walk's edge set
     elif walk_class is WalkClass.PATH:
         # an open path is a distinct-non-initial walk that never enters its
         # start; a closed one (a cycle) returns to it only at the end
         rule, mask = WalkClass.DISTINCT_NON_INITIAL, (1 << (u - 1) if u != v else 0)
-    _, found = _search(g, u, length, rule, budget, "walk enumeration", keep=0, mask=mask, target=v)
+    found: list[tuple[int, WalkSeq]] = []
+    _search(g, u, length, rule, budget, "walk enumeration", keep, mask, ends={v}, found=found)
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
-        # the first trail found for each edge-set mask, still in order
+        # the first trail found for each edge set, still in order
         first: dict[int, WalkSeq] = {}
         for edge_set, seq in found:
             first.setdefault(edge_set, seq)
@@ -140,35 +141,32 @@ def count_walks(
     node_budget: int | None = None,
 ) -> int:
     """Number of walks enumerate_walks would return, without materializing
-    the sequences. Tallies one depth-first search per (graph, start) and
-    memoizes the table, so sweeps over many (length, v) queries are cheap.
+    the sequences. Each call runs one search aimed at v and caches nothing,
+    so a repeated query searches again.
 
-    The search behind each class is listed in the module docstring. A PATH
-    count never re-enters the start: an open one's node budget charges the
-    root and every open path from u of length 1..length, as enumerating it
-    does. A cycle (u, v1, ..., v(l-1), u), l >= 3, is exactly one open path
+    The search behind each class is listed in the module docstring. Its node
+    budget charges the root and every admitted step up to the query's
+    length, as enumerating does. A PATH count never re-enters the start. A
+    cycle (u, v1, ..., v(l-1), u), l >= 3, is exactly one open path
     (u, v1, ..., v(l-1)) ending next to u plus the edge back, a bijection;
-    so a closed count sums the open paths of length l - 1 that end at u's
-    neighbours, and charges only the open paths up to that length. A TRAIL
-    count keeps no edge-set masks."""
+    so a closed count counts the open paths of length l - 1 that end at u's
+    neighbours, and charges only the open paths up to that length."""
     trivial = _without_search(g, length, u, v, walk_class)
     if trivial is not None:
         return len(trivial)
     budget = node_budget if node_budget is not None else limits.node_budget()
     if walk_class is WalkClass.WALK:
-        return _walk_table(g, u, length, budget).get((length, v), 0)
+        return _walk_tally(g, u, length, budget, "walk tally", ends={v})
     if walk_class is WalkClass.TRAIL:
-        return _trail_counts(g, u, length, budget).get((length, v), 0)
+        return _search(g, u, length, WalkClass.TRAIL, budget, "trail tally", keep=0, ends={v}).get(0, 0)
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
-        _, sets = _trail_tables(g, u, length, budget)
-        return len(sets.get((length, v), ()))
+        return len(_search(g, u, length, WalkClass.TRAIL, budget, "trail tally", keep=-1, ends={v}))
     if walk_class is WalkClass.DISTINCT_NON_INITIAL:
         return count_dni_and_paths(g, length, u, v, budget)[0]
     if walk_class is WalkClass.PATH:
-        if u == v:
-            shorter = _path_table(g, u, length - 1, budget)
-            return sum(shorter.get((length - 1, w), 0) for w in g.neighbors(u))
-        return _path_table(g, u, length, budget).get((length, v), 0)
+        length, ends = (length - 1, set(g.neighbors(u))) if u == v else (length, {v})
+        rule = WalkClass.DISTINCT_NON_INITIAL
+        return _search(g, u, length, rule, budget, "path tally", keep=0, mask=1 << (u - 1), ends=ends).get(0, 0)
     raise ValueError(f"unknown walk class {walk_class!r}")
 
 
@@ -176,15 +174,19 @@ def count_dni_and_paths(
     g: Graph, length: int, u: int, v: int, node_budget: int | None = None
 ) -> tuple[int, int]:
     """The DISTINCT_NON_INITIAL count and the PATH count from u to v, both
-    read from one distinct-non-initial table: the pair the literal
+    from one distinct-non-initial search: the pair the literal
     destination-vertex observable's overcount compares, for the price of
     the literal count alone."""
     trivial = _without_search(g, length, u, v, WalkClass.DISTINCT_NON_INITIAL)
     if trivial is not None:
         return len(trivial), len(trivial)  # length 0: both count the empty walk
     budget = node_budget if node_budget is not None else limits.node_budget()
-    dni, path = _dni_tables(g, u, length, budget)
-    return dni.get((length, v), 0), path.get((length, v), 0)
+    start_bit = 1 << (u - 1)
+    hits = _search(g, u, length, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=start_bit, ends={v})
+    dni = sum(hits.values())
+    if u == v:
+        return dni, (dni if length >= 3 else 0)  # a closed one is a cycle unless it turns straight back
+    return dni, hits.get(0, 0)  # a walk that never entered the start carries no start bit
 
 
 def trail_edge_set_histogram(
@@ -197,10 +199,7 @@ def trail_edge_set_histogram(
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     budget = node_budget if node_budget is not None else limits.node_budget()
-    _, sets = _trail_tables(g, u, length, budget)
-    counter = sets.get((length, v))
-    if not counter:
-        return {}
+    counter = _search(g, u, length, WalkClass.TRAIL, budget, "trail tally", keep=-1, ends={v})  # every edge bit
     edges = g.sorted_edges()  # trail mask bit i is edges[i]
     return {
         frozenset(e for i, e in enumerate(edges) if mask >> i & 1): count
@@ -243,19 +242,27 @@ def _search(
     what: str,
     keep: int,
     mask: int = 0,
-    target: int = 0,
-) -> tuple[list[dict[int, dict[int, int]]], list[tuple[int, WalkSeq]]]:
+    ends: set[int] | None = None,
+    found: list[tuple[int, WalkSeq]] | None = None,
+) -> list[dict[int, dict[int, int]]] | dict[int, int]:
     """Visit every walk from start of length 1..max_len whose steps obey the
     rule (WALK, TRAIL or DISTINCT_NON_INITIAL), in lexicographic depth-first
-    order, and tally it as it is admitted.
+    order. A walk's mask is the initial mask ORed with every step's bit.
 
-    Returns (tally, found). tally[d] maps each end vertex w of a length-d
-    walk to {mask & keep: how many such walks}, the mask being the initial
-    mask ORed with every step's bit; tally[0] is empty. found lists, as
-    (mask, sequence), every length-max_len walk ending at target (none when
-    target is 0), in lexicographic order. The root and every admitted step
-    charge one node against the budget; each expansion charges its admitted
-    steps together."""
+    Without ends, tally each walk as it is admitted and return tally:
+    tally[d] maps each end vertex w of a length-d walk to {mask & keep: how
+    many such walks}; tally[0] is empty.
+
+    With ends, aim the search at them. Shorter walks are visited but not
+    tallied, and each length-(max_len - 1) walk ending at y finds its last
+    steps into ends as the set bits of aim[y] & ~mask, one walk per bit.
+    Return {mask & keep: how many length-max_len walks end in ends}; if found
+    is a list, also append (mask & keep, walk) for each, in lexicographic
+    order. Under the walk rule, whose steps carry no bit and whose mask must
+    be 0, the aim bits are the end vertices' bits.
+
+    The root and every admitted step charge one node against the budget;
+    each expansion charges its admitted steps together."""
     adjacency = {a: g.neighbors(a) for a in range(1, g.n + 1)}
     if rule is WalkClass.TRAIL:
         edge_bit = {e: 1 << i for i, e in enumerate(g.sorted_edges())}
@@ -268,10 +275,13 @@ def _search(
     if remaining < 0:
         raise BudgetExceededError(what, budget)
     tally: list[dict[int, dict[int, int]]] = [{} for _ in range(max_len + 1)]
-    found: list[tuple[int, WalkSeq]] = []
+    hits: dict[int, int] = {}
     if max_len == 0:
-        return tally, found
+        return tally if ends is None else hits
     last = tally[max_len]
+    # y -> (the bits of y's steps, the bits of those into ends, {such a bit:
+    # its end vertex}), built when a length-(max_len - 1) walk first ends at y
+    aims: dict[int, tuple[int, int, dict[int, int]]] = {}
     seq = [start] * (max_len + 1)
     # one iterator over the admitted (vertex, mask) steps from seq[depth] per
     # depth below max_len - 2; the vertices at depth max_len - 1 are expanded
@@ -285,13 +295,14 @@ def _search(
             remaining -= len(admitted)
             if remaining < 0:
                 raise BudgetExceededError(what, budget)
-            level = tally[depth + 1]
-            for x, extended in admitted:
-                key = extended & keep
-                row = level.get(x)
-                if row is None:
-                    row = level[x] = {}
-                row[key] = row.get(key, 0) + 1
+            if ends is None:
+                level = tally[depth + 1]
+                for x, extended in admitted:
+                    key = extended & keep
+                    row = level.get(x)
+                    if row is None:
+                        row = level[x] = {}
+                    row[key] = row.get(key, 0) + 1
             if depth + 2 < max_len:
                 stack.append(iter(admitted))
                 frontier = ()
@@ -299,25 +310,41 @@ def _search(
                 frontier = admitted
         else:
             frontier = ((w, current),)  # max_len == 1: the root is the last expansion
-        # the last level: test each step's bit in place, push no frame
-        for y, current in frontier:
-            seq[max_len - 1] = y
-            taken = 0
-            for x, bit in steps[y]:
-                if current & bit:
-                    continue
-                taken += 1
-                key = (current | bit) & keep
-                row = last.get(x)
-                if row is None:
-                    row = last[x] = {}
-                row[key] = row.get(key, 0) + 1
-                if x == target:
-                    seq[max_len] = x
-                    found.append((current | bit, tuple(seq)))
-            remaining -= taken
-            if remaining < 0:
-                raise BudgetExceededError(what, budget)
+        # the last level: push no frame
+        if ends is None:
+            for y, current in frontier:
+                taken = 0
+                for x, bit in steps[y]:
+                    if current & bit:
+                        continue
+                    taken += 1
+                    key = (current | bit) & keep
+                    row = last.get(x)
+                    if row is None:
+                        row = last[x] = {}
+                    row[key] = row.get(key, 0) + 1
+                remaining -= taken
+        else:
+            for y, current in frontier:
+                aim = aims.get(y)
+                if aim is None:
+                    marks = [(x, bit or 1 << (x - 1)) for x, bit in steps[y]]
+                    into = {bit: x for x, bit in marks if x in ends}
+                    aim = aims[y] = sum(bit for _, bit in marks), sum(into), into
+                reach, into_bits, into = aim
+                free = ~current
+                remaining -= (reach & free).bit_count()  # every admitted last step
+                hit = into_bits & free
+                while hit:
+                    bit = hit & -hit
+                    hit ^= bit
+                    key = (current | bit) & keep
+                    hits[key] = hits.get(key, 0) + 1
+                    if found is not None:
+                        seq[max_len - 1], seq[max_len] = y, into[bit]
+                        found.append((key, tuple(seq)))
+        if remaining < 0:
+            raise BudgetExceededError(what, budget)
         # the next vertex to expand is the deepest frame's next admitted step
         while stack:
             step = next(stack[-1], None)
@@ -327,52 +354,79 @@ def _search(
                 break
             stack.pop()
         else:
-            return tally, found
+            return tally if ends is None else hits
 
 
-def _walk_tally(g: Graph, start: int, max_len: int, budget: int, what: str) -> list[dict[int, int]]:
+def _walk_tally(
+    g: Graph, start: int, max_len: int, budget: int, what: str, ends: set[int] | None = None
+) -> list[dict[int, int]] | int:
     """Visit every walk from start of length 1..max_len, in the same
-    depth-first order as `_search` under the walk rule, and tally it.
+    depth-first order as `_search` under the walk rule.
 
-    Returns tally, where tally[d] maps each end vertex w of a length-d walk
-    to how many such walks there are; tally[0] is empty. The root and every
-    step charge one node against the budget, exactly as in `_search`: each
-    visited vertex charges its degree, and its neighbour tuple is counted
-    into the next level at once."""
+    Without ends, tally each walk and return tally, where tally[d] maps each
+    end vertex w of a length-d walk to how many such walks there are;
+    tally[0] is empty. With ends, return how many length-max_len walks end
+    in ends: the search stops at the walks of length max_len - 2, and each
+    adds, over its neighbours y, how many ends are next to y, in C.
+
+    The root and every step charge one node against the budget, exactly as
+    in `_search`: each vertex a walk visits below the last level charges its
+    degree."""
     adjacency = [()] + [g.neighbors(a) for a in range(1, g.n + 1)]
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)
     tally: list[dict[int, int]] = [{} for _ in range(max_len + 1)]
     if max_len == 0:
-        return tally
+        return tally if ends is None else 0
     last = tally[max_len]
+    # the vertices at depth rim get no frame: each is expanded in place as
+    # soon as its parent admits it. Without ends, each counts its neighbour
+    # tuple into the last level. With ends, the rim is one level higher, and
+    # each sums how many ends its neighbours are next to.
+    rim = max_len - 1
+    if ends is not None:
+        rim = max_len - 2
+        degree = list(map(len, adjacency)).__getitem__
+        hits = [0] * len(adjacency)  # how many ends each vertex is next to
+        for e in ends:
+            for y in adjacency[e]:
+                hits[y] += 1
+        hit, count = hits.__getitem__, 0
+        if rim < 0:  # max_len == 1: the root's steps are the last
+            if remaining < len(adjacency[start]):
+                raise BudgetExceededError(what, budget)
+            return hit(start)
     # one iterator over the neighbours of the vertex at each depth below
-    # max_len - 2; the vertices at depth max_len - 1 get no frame, and each
-    # counts its neighbour tuple into the last level
+    # rim - 1
     stack: list = []
     w = start
     while True:
         depth = len(stack)
-        if depth + 1 < max_len:
+        if depth < rim:
             ws = adjacency[w]
             remaining -= len(ws)
-            if remaining < 0:
-                raise BudgetExceededError(what, budget)
-            _count_elements(tally[depth + 1], ws)
-            if depth + 2 < max_len:
+            if ends is None:
+                _count_elements(tally[depth + 1], ws)
+            if depth + 1 < rim:
                 stack.append(iter(ws))
                 frontier = ()
             else:
                 frontier = ws
         else:
-            frontier = (w,)  # max_len == 1: the root is the last expansion
-        for y in frontier:
-            ys = adjacency[y]
-            remaining -= len(ys)
-            if remaining < 0:
-                raise BudgetExceededError(what, budget)
-            _count_elements(last, ys)
+            frontier = (w,)  # the root is on the rim
+        if ends is None:
+            for y in frontier:
+                ys = adjacency[y]
+                remaining -= len(ys)
+                _count_elements(last, ys)
+        else:
+            for y in frontier:
+                ys = adjacency[y]
+                remaining -= len(ys) + sum(map(degree, ys))  # its steps and theirs
+                count += sum(map(hit, ys))
+        if remaining < 0:
+            raise BudgetExceededError(what, budget)
         # the next vertex to expand is the deepest frame's next neighbour
         while stack:
             w = next(stack[-1], None)
@@ -380,18 +434,17 @@ def _walk_tally(g: Graph, start: int, max_len: int, budget: int, what: str) -> l
                 break
             stack.pop()
         else:
-            return tally
+            return tally if ends is None else count
 
 
-# One search per (graph, start) covers every length <= max_len and every end
-# vertex at once; the lru_cache key includes max_len and budget so repeated
-# queries at the same scale reuse the tables. Each cache keeps its 16 most
+# The sweep reads every (length, end vertex) entry of these tables, so each
+# is one unaimed search per (graph, start) covering every length <= max_len;
+# the lru_cache key includes max_len and budget. Per-query operations never
+# read them: each runs its own aimed search. Each cache keeps its 16 most
 # recently used tables: one swept graph's starts (n <= 6 by default) plus
-# the tables of its spot checks. The sweep keeps every graph's tables in its
-# own record and a `count` query re-reads at most its own engine's table, so
-# older tables, mostly of graphs nobody reads again, are dropped. Concurrent
-# callers may at worst recompute a table; results are immutable after
-# construction.
+# its spot-check tables. The sweep keeps every graph's tables in its own
+# record, so older tables are dropped. Concurrent callers may at worst
+# recompute a table; results are immutable after construction.
 
 
 @functools.lru_cache(maxsize=16)
@@ -401,30 +454,12 @@ def _walk_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
 
 
 @functools.lru_cache(maxsize=16)
-def _trail_counts(g: Graph, start: int, max_len: int, budget: int) -> dict:
-    """Trail counts per (length, end vertex), with no edge-set masks."""
-    tally, _ = _search(g, start, max_len, WalkClass.TRAIL, budget, "trail tally", keep=0)
-    return {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
-
-
-@functools.lru_cache(maxsize=16)
 def _trail_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, dict]:
     """Trail counts plus, per (length, end vertex), how many trails traverse
     each edge-set mask."""
-    tally, _ = _search(g, start, max_len, WalkClass.TRAIL, budget, "trail tally", keep=-1)  # every edge bit
+    tally = _search(g, start, max_len, WalkClass.TRAIL, budget, "trail tally", keep=-1)  # every edge bit
     sets = {(depth, w): row for depth, level in enumerate(tally) for w, row in level.items()}
     return {key: sum(row.values()) for key, row in sets.items()}, sets
-
-
-@functools.lru_cache(maxsize=16)
-def _path_table(g: Graph, start: int, max_len: int, budget: int) -> dict:
-    """Open PATH counts per (length, end vertex); zero entries are left out.
-    The search starts with the start vertex's bit in its mask, so it never
-    re-enters the start and tallies exactly the open paths."""
-    tally, _ = _search(
-        g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=0, mask=1 << (start - 1)
-    )
-    return {(depth, w): row[0] for depth, level in enumerate(tally) for w, row in level.items()}
 
 
 @functools.lru_cache(maxsize=16)
@@ -432,7 +467,7 @@ def _dni_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, 
     """DISTINCT_NON_INITIAL counts plus PATH counts (open paths avoid the
     start vertex entirely; closed paths are cycles, l >= 3)."""
     start_bit = 1 << (start - 1)
-    tally, _ = _search(g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=start_bit)
+    tally = _search(g, start, max_len, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=start_bit)
     dni: dict[tuple[int, int], int] = {}
     path: dict[tuple[int, int], int] = {}
     for depth, level in enumerate(tally):

@@ -508,7 +508,7 @@ def _register_checks(ctx: _Ctx, t: _Tables):
 def _spot_check_ops(ctx: _Ctx, t: _Tables):
     """Sampled per-query calls of the public operations against the sweep
     tables: the ops are what users call, the tables are what the sweep
-    trusts, and enumerate/count are different reductions of one search
+    trusts, and enumerate/count are different reductions of one aimed search
     (two kernels for walks: `_search` lists them, `_walk_tally` counts them)."""
     g, rng = t.g, ctx.rng
     psi = fock.graph_state(g) if t.fock_edge and t.pair_fits else None
@@ -518,11 +518,12 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
         v = rng.randint(1, g.n)
         loc = {"graph": t.gid, "l": l, "u": u, "v": v}
         for cls in WalkClass:
-            listed = len(oracle.enumerate_walks(g, l, u, v, cls))
-            counted = oracle.count_walks(g, l, u, v, cls)
+            seqs = oracle.enumerate_walks(g, l, u, v, cls)
+            listed, counted = len(seqs), oracle.count_walks(g, l, u, v, cls)
             ctx.check("enumerate-matches-count", listed == counted, {**loc, "class": cls.value, "listed": listed, "counted": counted})
-        seqs = oracle.enumerate_walks(g, l, u, v, WalkClass.WALK)
-        ctx.check("enumerate-lexicographic-unique", seqs == sorted(set(seqs)), loc)
+            if cls is WalkClass.WALK:
+                walks = seqs
+        ctx.check("enumerate-lexicographic-unique", walks == sorted(set(walks)), loc)
         if t.edge_powers is not None:
             entry = t.edge_powers[l].entry(u, v)
             literal = t.vertex_powers[l].entry(u, v)

@@ -332,19 +332,23 @@ class TestReportContract:
 
     def test_symbolic_query_runs_no_other_engine(self, monkeypatch):
         # the notes are read from the engines that ran: a symbolic-only
-        # trails query builds no oracle table and no Fock evolution
+        # trails query runs no oracle search and no Fock evolution
         from trailcounts import fock, oracle
 
-        tables = [oracle._walk_table, oracle._trail_counts, oracle._trail_tables, oracle._path_table, oracle._dni_tables]
+        tables = [oracle._walk_table, oracle._trail_tables, oracle._dni_tables]
         before = [t.cache_info() for t in tables]
-        evolutions = []
-        evolve = fock._evolve
-        monkeypatch.setattr(fock, "_evolve", lambda *a, **k: evolutions.append(a) or evolve(*a, **k))
+        runs = []
+        for owner, name in ((fock, "_evolve"), (oracle, "_search"), (oracle, "_walk_tally")):
+            kernel = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _k=kernel, _n=name, **kw: runs.append(_n) or _k(*a, **kw))
         report = run_count_query(families.complete_graph(7), "K7", "trails", 8, 1, 2, engines=("symbolic",))
         assert report.engines["symbolic"].value == 29040
         assert report.notes == []
         assert [t.cache_info() for t in tables] == before
-        assert evolutions == []
+        assert runs == []
+        # the spies see the oracle's search and the Fock evolution when they run
+        run_count_query(families.complete_graph(5), "K5", "trails", 4, 1, 2, engines=("oracle", "fock"))
+        assert sorted(set(runs)) == ["_evolve", "_search"]
 
     def test_engine_subset(self, c4):
         report = run_count_query(c4, "c4", "trails", 3, 1, 2, engines=("oracle",))

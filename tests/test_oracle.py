@@ -1,17 +1,18 @@
 import _collections
+import functools
+import inspect
+import itertools
 import types
 
 import pytest
 
 from trailcounts import families, oracle
 from trailcounts.errors import BudgetExceededError
-from trailcounts.graphs import Graph, walk_count
+from trailcounts.graphs import Graph, trails_ruled_out, walk_count
 from trailcounts.nilpotent import PathVariant
 from trailcounts.oracle import (
     WalkClass,
     _dni_tables,
-    _path_table,
-    _trail_counts,
     _trail_tables,
     _walk_table,
     count_closed_euler_trails,
@@ -136,7 +137,7 @@ class TestCount:
 
 # Smallest passing node budget for K4, l = 4, 1 -> 2, per walk class: the
 # root plus every admitted step of the search. A count searches with the
-# class's table rule. An open PATH count and its enumeration both refuse the
+# class's rule, aimed at v. An open PATH count and its enumeration both refuse the
 # start vertex from the outset, so they run the same search and charge the
 # same nodes; a DISTINCT_NON_INITIAL count may re-enter the start and admits
 # more.
@@ -219,7 +220,62 @@ def test_path_count_and_enumeration_share_a_budget(name):
                 assert listed == counted == (budget >= passes), (v, length, budget)
 
 
-@pytest.mark.parametrize("table", [_walk_table, _trail_counts, _trail_tables, _path_table, _dni_tables])
+# Smallest passing node budget from an independent count: the root plus
+# every prefix of length 1..l (1..l - 1 for a closed PATH count) that the
+# search's rule admits, listed with itertools. The charge never depends on
+# v, so it is counted once per (graph, start, rule, length).
+_PREFIX_RULES = {
+    "walk": lambda seq: True,
+    "trail": lambda seq: len({frozenset(e) for e in zip(seq, seq[1:])}) == len(seq) - 1,
+    "dni": lambda seq: len(set(seq[1:])) == len(seq) - 1,
+    "path": lambda seq: len(set(seq)) == len(seq),
+}
+
+
+@functools.cache
+def _walks_of_length(g, u, k):
+    return [
+        (u, *rest)
+        for rest in itertools.product(range(1, g.n + 1), repeat=k)
+        if all(g.has_edge(a, b) for a, b in zip((u, *rest), rest))
+    ]
+
+
+def _admitted_prefixes(g, u, rule, length):
+    admits = _PREFIX_RULES[rule]
+    return 1 + sum(1 for k in range(1, length + 1) for seq in _walks_of_length(g, u, k) if admits(seq))
+
+
+def _reference_budget(g, fn, length, u, v, cls):
+    if length == 0 or (cls is WalkClass.PATH and u == v and length < 3):
+        return 0  # answered without a search
+    if cls in (WalkClass.TRAIL, WalkClass.START_ONCE_TRAIL_EDGE_SET):
+        return 0 if trails_ruled_out(g, length, u, v) else _admitted_prefixes(g, u, "trail", length)
+    if cls is WalkClass.PATH and u == v:
+        # a cycle count sums open paths one step shorter; enumerating the
+        # cycles lists the closed distinct-non-initial walks
+        if fn is count_walks:
+            return _admitted_prefixes(g, u, "path", length - 1)
+        return _admitted_prefixes(g, u, "dni", length)
+    rule = {WalkClass.WALK: "walk", WalkClass.DISTINCT_NON_INITIAL: "dni", WalkClass.PATH: "path"}[cls]
+    return _admitted_prefixes(g, u, rule, length)
+
+
+@pytest.mark.parametrize("name", ["K4", "bowtie", "petersen"])
+@pytest.mark.parametrize("cls", list(WalkClass), ids=lambda c: c.name)
+def test_budget_matches_admitted_prefixes(name, cls):
+    g = {"K4": families.complete_graph(4), "bowtie": families.bowtie_graph(), "petersen": families.petersen_graph()}[name]
+    for fn in (count_walks, enumerate_walks):
+        for length in range(6):
+            for u, v in ((1, 1), (1, 2), (2, 1), (2, g.n)):
+                budget = _reference_budget(g, fn, length, u, v, cls)
+                fn(g, length, u, v, cls, node_budget=budget)
+                if budget:
+                    with pytest.raises(BudgetExceededError):
+                        fn(g, length, u, v, cls, node_budget=budget - 1)
+
+
+@pytest.mark.parametrize("table", [_walk_table, _trail_tables, _dni_tables])
 def test_table_cache_is_bounded(table):
     # a process that sees many graphs must not keep every table it built;
     # 16 holds one swept graph's starts plus its spot-check tables
@@ -227,49 +283,105 @@ def test_table_cache_is_bounded(table):
     assert table.cache_info().maxsize <= 16
 
 
-def _misses(table) -> int:
-    return table.cache_info().misses
+def _spy_kernels(monkeypatch) -> list[tuple[str, dict]]:
+    """Record every call of the two search kernels, with its arguments by
+    name (defaults filled in)."""
+    calls = []
+    for name in ("_search", "_walk_tally"):
+        kernel = getattr(oracle, name)
+        signature = inspect.signature(kernel)
+
+        def spy(*args, _name=name, _kernel=kernel, _signature=signature, **kwargs):
+            bound = _signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((_name, dict(bound.arguments)))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+def _oracle_query(g, kind, length, v, variant=PathVariant.LITERAL):
+    return run_count_query(g, "g", kind, length, 1, v, engines=("oracle",), variant=variant)
 
 
 @pytest.mark.parametrize(
     "kind, length, v, variant",
-    [("paths", 5, 2, PathVariant.START_GUARDED), ("cycles", 5, 1, PathVariant.LITERAL), ("hamiltonian", 0, 1, PathVariant.LITERAL)],
+    [("paths", 5, 2, PathVariant.START_GUARDED), ("cycles", 5, 1, PathVariant.LITERAL), ("hamiltonian", 6, 1, PathVariant.LITERAL)],
     ids=["guarded-paths", "cycles", "hamiltonian"],
 )
-def test_path_queries_run_no_distinct_non_initial_search(kind, length, v, variant):
-    # guarded paths, cycles and Hamiltonian cycles on n >= 3 vertices are
-    # read from the path table, which never re-enters the start
+def test_path_queries_run_no_distinct_non_initial_search(monkeypatch, kind, length, v, variant):
+    # guarded paths, cycles and Hamiltonian cycles on n >= 3 vertices run one
+    # search with the start's bit set from the outset, so it never re-enters
+    # the start; a closed count aims at the start's neighbours, one level
+    # shorter
     g = families.complete_graph(6)
-    _path_table.cache_clear()
-    dni_before = _misses(_dni_tables)
-    report = run_count_query(g, "K6", kind, length, 1, v, variant=variant)
-    assert len({e.value for e in report.engines.values()}) == 1
-    assert _misses(_dni_tables) == dni_before
-    assert _misses(_path_table) == 1
+    calls = _spy_kernels(monkeypatch)
+    report = _oracle_query(g, kind, length, v, variant)
+    assert report.engines["oracle"].value == (24 if kind == "paths" else 120)
+    [(name, call)] = calls
+    assert name == "_search"
+    assert (call["rule"], call["mask"], call["keep"]) == (WalkClass.DISTINCT_NON_INITIAL, 1, 0)
+    closed = kind != "paths"
+    assert (call["max_len"], call["ends"]) == ((length - 1, set(g.neighbors(1))) if closed else (length, {v}))
 
 
-def test_literal_paths_run_one_distinct_non_initial_search():
-    # the overcount note reads its literal and path counts from the oracle
-    # engine's own table: no second search
+def test_literal_paths_run_one_distinct_non_initial_search(monkeypatch):
+    # the overcount note's literal and path counts both come from the
+    # oracle engine's own search, which keeps the start bit: no second search
     g = families.complete_graph(6)
-    _dni_tables.cache_clear()
-    before = _misses(_path_table)
-    report = run_count_query(g, "K6", "paths", 5, 1, 2, variant=PathVariant.LITERAL)
+    calls = _spy_kernels(monkeypatch)
+    report = run_count_query(g, "K6", "paths", 5, 1, 2, engines=("oracle",), variant=PathVariant.LITERAL)
     assert [note["code"] for note in report.notes] == [PROP2_LITERAL_OVERCOUNT]
-    assert _misses(_dni_tables) == 1
-    assert _misses(_path_table) == before
+    [(name, call)] = calls
+    assert name == "_search"
+    assert (call["rule"], call["mask"], call["keep"], call["ends"]) == (WalkClass.DISTINCT_NON_INITIAL, 0, 1, {2})
 
 
-@pytest.mark.parametrize("kind, length, v", [("trails", 5, 2), ("euler", 0, 1)], ids=["trails", "euler"])
-def test_trail_queries_keep_no_edge_set_masks(kind, length, v):
-    # trail counts and the euler kind read the count-only trail table
+@pytest.mark.parametrize("kind, length, v", [("trails", 5, 2), ("euler", 6, 1)], ids=["trails", "euler"])
+def test_trail_queries_keep_no_edge_set_masks(monkeypatch, kind, length, v):
+    # trail counts and the euler kind run one trail search keeping no mask bit
     g = families.bowtie_graph()
-    _trail_counts.cache_clear()
-    before = _trail_tables.cache_info()
-    report = run_count_query(g, "bowtie", kind, length, 1, v)
-    assert len({e.value for e in report.engines.values()}) == 1
-    assert _trail_tables.cache_info() == before
-    assert _misses(_trail_counts) == 1
+    calls = _spy_kernels(monkeypatch)
+    report = _oracle_query(g, kind, length, v)
+    assert report.engines["oracle"].value == (2 if kind == "trails" else 8)
+    [(name, call)] = calls
+    assert name == "_search"
+    assert (call["rule"], call["mask"], call["keep"], call["max_len"], call["ends"]) == (WalkClass.TRAIL, 0, 0, length, {v})
+
+
+def test_walk_queries_run_one_aimed_walk_tally(monkeypatch):
+    g = families.petersen_graph()
+    calls = _spy_kernels(monkeypatch)
+    assert _oracle_query(g, "walks", 6, 2).engines["oracle"].value == walk_count(g, 6, 1, 2)
+    [(name, call)] = calls
+    assert (name, call["max_len"], call["ends"]) == ("_walk_tally", 6, {2})
+
+
+_COUNT_KINDS = [
+    ("walks", 5, 2, PathVariant.LITERAL),
+    ("trails", 5, 2, PathVariant.LITERAL),
+    ("paths", 4, 2, PathVariant.LITERAL),
+    ("paths", 4, 2, PathVariant.START_GUARDED),
+    ("cycles", 4, 1, PathVariant.LITERAL),
+    ("euler", 6, 1, PathVariant.LITERAL),
+    ("hamiltonian", 5, 1, PathVariant.LITERAL),
+]
+
+
+@pytest.mark.parametrize("kind, length, v, variant", _COUNT_KINDS, ids=lambda x: getattr(x, "value", x))
+def test_count_queries_read_no_table_and_repeat_their_search(monkeypatch, kind, length, v, variant):
+    # a count's timing is its own search, never a memo: it leaves every
+    # table cache as it was, and an identical repeat searches again
+    g = families.bowtie_graph()
+    tables = [_walk_table, _trail_tables, _dni_tables]
+    before = [t.cache_info() for t in tables]
+    calls = _spy_kernels(monkeypatch)
+    first = _oracle_query(g, kind, length, v, variant).engines["oracle"].value
+    assert len(calls) == 1
+    assert _oracle_query(g, kind, length, v, variant).engines["oracle"].value == first
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert [t.cache_info() for t in tables] == before
 
 
 def test_count_dni_and_paths(c4, bowtie):

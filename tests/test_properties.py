@@ -34,12 +34,11 @@ from trailcounts.nilpotent import (
 from trailcounts.oracle import (
     WalkClass,
     _dni_tables,
-    _path_table,
     _search,
-    _trail_counts,
     _trail_tables,
     _walk_table,
     _walk_tally,
+    count_dni_and_paths,
     count_walks,
     enumerate_walks,
     trail_edge_set_histogram,
@@ -256,19 +255,26 @@ def test_enumerate_matches_product_filter(query):
 @example(Graph(7, frozenset(pair_slots(7))))
 def test_walk_tally_matches_generic_search(g):
     # the walk kernel against the rule-driven search it replaced for walk
-    # counts: the same tally, and the same budget boundary and message
+    # counts: the same tally, and the same budget boundary and message, in
+    # both modes; aimed at v (closed, and the last vertex; from two starts),
+    # both count the walks that end at v
     for start in range(1, g.n + 1):
         for max_len in range(7):
-            reference, _ = _search(g, start, max_len, WalkClass.WALK, 10**9, "walk tally", keep=0)
+            reference = _search(g, start, max_len, WalkClass.WALK, 10**9, "walk tally", keep=0)
             flat = [{w: row[0] for w, row in level.items()} for level in reference]
             total = 1 + sum(sum(level.values()) for level in flat)  # the root and every step
-            assert _walk_tally(g, start, max_len, total, "walk tally") == flat
-            _search(g, start, max_len, WalkClass.WALK, total, "walk tally", keep=0)
             refused = f"^walk tally exceeded its budget of {total - 1}$"
-            with pytest.raises(BudgetExceededError, match=refused):
-                _walk_tally(g, start, max_len, total - 1, "walk tally")
-            with pytest.raises(BudgetExceededError, match=refused):
-                _search(g, start, max_len, WalkClass.WALK, total - 1, "walk tally", keep=0)
+            for v in (None, start, g.n) if start <= 2 else (None,):
+                ends = None if v is None else {v}
+                expected = flat if v is None else (flat[max_len].get(v, 0) if max_len else 0)
+                assert _walk_tally(g, start, max_len, total, "walk tally", ends) == expected
+                aimed = _search(g, start, max_len, WalkClass.WALK, total, "walk tally", keep=0, ends=ends)
+                if v is not None:
+                    assert sum(aimed.values()) == expected
+                with pytest.raises(BudgetExceededError, match=refused):
+                    _walk_tally(g, start, max_len, total - 1, "walk tally", ends)
+                with pytest.raises(BudgetExceededError, match=refused):
+                    _search(g, start, max_len, WalkClass.WALK, total - 1, "walk tally", keep=0, ends=ends)
 
 
 @st.composite
@@ -282,8 +288,8 @@ def table_queries(draw, max_n=6, max_len=5):
 @example((Graph(1, frozenset()), 1, 3))
 @example((Graph(4, frozenset(pair_slots(4))), 1, 4))
 def test_oracle_tables_match_product_filter(query):
-    # every (length, end vertex) entry of the five tables, not only the
-    # longest length: the sweep reads them all
+    # every (length, end vertex) entry of the sweep's three tables, not only
+    # the longest length, and every per-query count at each (length, u, v)
     g, u, max_len = query
     walks, trails, dni, paths = Counter(), Counter(), Counter(), Counter()
     sets: dict[tuple[int, int], Counter] = {}  # trails per traversed edge set
@@ -307,14 +313,19 @@ def test_oracle_tables_match_product_filter(query):
     assert _walk_table(g, u, max_len, 10**9) == dict(walks)
     assert _trail_tables(g, u, max_len, 10**9) == (dict(trails), masks)
     assert _dni_tables(g, u, max_len, 10**9) == (dict(dni), dict(paths))
-    assert _trail_counts(g, u, max_len, 10**9) == dict(trails)
-    # the path table holds the open paths; a closed count sums the open
-    # paths one step shorter that end next to u
-    assert _path_table(g, u, max_len, 10**9) == {key: c for key, c in paths.items() if key[1] != u}
     for l in range(1, max_len + 1):
-        assert count_walks(g, l, u, u, WalkClass.PATH) == paths[l, u]
         for v in range(1, g.n + 1):
-            assert trail_edge_set_histogram(g, l, u, v) == dict(sets.get((l, v), {}))
+            key = l, v
+            expected = {
+                WalkClass.WALK: walks[key],
+                WalkClass.TRAIL: trails[key],
+                WalkClass.PATH: paths[key],
+                WalkClass.DISTINCT_NON_INITIAL: dni[key],
+                WalkClass.START_ONCE_TRAIL_EDGE_SET: len(sets.get(key, {})),
+            }
+            assert {cls: count_walks(g, l, u, v, cls) for cls in WalkClass} == expected
+            assert count_dni_and_paths(g, l, u, v) == (dni[key], paths[key])
+            assert trail_edge_set_histogram(g, l, u, v) == dict(sets.get(key, {}))
 
 
 @settings(max_examples=100, deadline=None)
