@@ -246,14 +246,12 @@ def apply_ladder(op: LadderOp, state: StateVector) -> StateVector:
     return StateVector(state.register, out)
 
 
-def graph_state(g: Graph, present_edges_only: bool = False) -> StateVector:
-    """The basis state marking the graph's edges as occupied slots: a single
-    amplitude, whatever the register's width. On the pair register by
-    default, rendering the paper's occupation string; present_edges_only
-    puts it on the |E|-slot register the evaluators use, where it is
-    |1...1>."""
-    register = Register.present_edges(g) if present_edges_only else Register.all_pairs(g.n)
-    return StateVector.from_occupied(register, g.sorted_edges())
+def graph_state(g: Graph) -> StateVector:
+    """The basis state marking the graph's edges as occupied slots of the
+    C(n,2)-slot pair register, rendering the paper's occupation string: a
+    single amplitude, whatever the register's width. (The evaluators start
+    from the |E|-slot register instead, where the graph state is |1...1>.)"""
+    return StateVector.from_occupied(Register.all_pairs(g.n), g.sorted_edges())
 
 
 class MatrixKind(enum.Enum):
@@ -307,25 +305,21 @@ def _step_slot(register: Register, a: int, b: int) -> int:
 
 
 def expand_walk_terms(
-    g: Graph,
-    length: int,
-    u: int,
-    v: int,
-    matrix_kind: MatrixKind,
-    present_edges_only: bool = False,
-    node_budget: int | None = None,
+    g: Graph, length: int, u: int, v: int, matrix_kind: MatrixKind
 ) -> list[tuple[tuple[int, ...], OperatorTerm]]:
     """One (walk, operator term) pair per length-l walk from u to v: the
-    term the corresponding matrix-power entry contains for that walk.
-    Unpruned and exponential; meant for inspection at desk scale."""
+    term the corresponding matrix-power entry contains for that walk, on the
+    pair register in edge space (graph_state's) and the vertex register in
+    vertex space. Unpruned and exponential; meant for inspection at desk
+    scale."""
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     edge = matrix_kind.space is RegisterKind.EDGE_SPACE
-    register = graph_state(g, present_edges_only).register if edge else Register.vertices(g.n)
+    register = Register.all_pairs(g.n) if edge else Register.vertices(g.n)
     op_kind = LadderKind.NUMBER if matrix_kind in _NUMBER_KINDS else LadderKind.ANNIHILATE
-    budget = node_budget if node_budget is not None else limits.node_budget()
+    budget = limits.node_budget()
     out: list[tuple[tuple[int, ...], OperatorTerm]] = []
     seq = [u]
     ops: list[LadderOp] = []
@@ -385,7 +379,6 @@ def _evolve(
     clears: bool,
     what: str,
     guard_vertex: int | None = None,
-    node_budget: int | None = None,
 ):
     """Yield the evolved state at each of the lengths 0..max_len, as one
     sparse map per current vertex, {vertex: {basis index: exact amplitude}};
@@ -407,8 +400,7 @@ def _evolve(
     if guard_vertex is not None:
         # the guard's number operator uses up its slot before the first step
         reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    remaining = budget
+    remaining = budget = limits.node_budget()
     # step w -> x needs `bit` set and moves a surviving state to index ^ flip
     top = register.width - 1  # slot s is bit top - s, as Register.bit says
     steps = {}
@@ -466,7 +458,6 @@ def normal_ordered_expectation(
     v: int,
     matrix_kind: MatrixKind,
     guard_vertex: int | None = None,
-    node_budget: int | None = None,
 ) -> int:
     """Expectation of the normally ordered matrix-power entry (u, v) on the
     reference state: the graph state for N_EDGE, the all-ones vertex state
@@ -480,11 +471,11 @@ def normal_ordered_expectation(
 
     An N_EDGE query that graphs.trails_ruled_out settles is 0 before any
     register is built."""
-    return _normal_ordered_pair(g, length, u, v, matrix_kind, guard_vertex, node_budget)[0]
+    return _normal_ordered_pair(g, length, u, v, matrix_kind, guard_vertex)[0]
 
 
 def _normal_ordered_pair(
-    g: Graph, length: int, u: int, v: int, matrix_kind: MatrixKind, guard_vertex=None, node_budget=None,
+    g: Graph, length: int, u: int, v: int, matrix_kind: MatrixKind, guard_vertex=None,
     what: str = "normal-ordered evaluation",
 ) -> tuple[int, int]:
     """normal_ordered_expectation's value and, from the same evolution, the
@@ -505,7 +496,7 @@ def _normal_ordered_pair(
         return 0, 0
     # a term whose slots are distinct and occupied survives annihilating each
     # slot in turn from the reference state, and every other term vanishes
-    levels = _evolve(g, matrix_kind.space, u, length, True, what, guard_vertex, node_budget)
+    levels = _evolve(g, matrix_kind.space, u, length, True, what, guard_vertex)
     amplitudes = _amplitudes_at(levels, v)
     if matrix_kind is MatrixKind.N_EDGE:
         return sum(amplitudes.values()), sum(a * a for a in amplitudes.values())
@@ -513,11 +504,7 @@ def _normal_ordered_pair(
 
 
 def normal_ordered_expectation_table(
-    g: Graph,
-    start: int,
-    max_len: int,
-    matrix_kind: MatrixKind,
-    node_budget: int | None = None,
+    g: Graph, start: int, max_len: int, matrix_kind: MatrixKind
 ) -> dict[tuple[int, int], int]:
     """All (length <= max_len, end vertex) expectations from one start in a
     single evolution; the same evolution and semantics as the per-query
@@ -525,17 +512,11 @@ def normal_ordered_expectation_table(
     g.require_vertex(start)
     if matrix_kind not in _NUMBER_KINDS:
         raise ValueError("normal-ordered expectation applies to the number-operator matrices")
-    levels = _evolve(g, matrix_kind.space, start, max_len, True, "normal-ordered tally", node_budget=node_budget)
+    levels = _evolve(g, matrix_kind.space, start, max_len, True, "normal-ordered tally")
     return _tally(levels)[0]
 
 
-def walk_count_expectation(
-    g: Graph,
-    length: int,
-    u: int,
-    v: int,
-    node_budget: int | None = None,
-) -> int:
+def walk_count_expectation(g: Graph, length: int, u: int, v: int) -> int:
     """Expectation of the PLAIN (not normally ordered) number-matrix power
     entry on the graph state: every walk term evaluates to its occupation
     product, which is 1 for every walk inside the graph, so this equals the
@@ -546,17 +527,11 @@ def walk_count_expectation(
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return 1 if u == v else 0
-    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation", node_budget=node_budget)
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation")
     return sum(_amplitudes_at(levels, v).values())
 
 
-def d_matrix_quadratic_form(
-    g: Graph,
-    length: int,
-    u: int,
-    v: int,
-    node_budget: int | None = None,
-) -> int:
+def d_matrix_quadratic_form(g: Graph, length: int, u: int, v: int) -> int:
     """Apply the annihilation-matrix power entry (u, v) to the graph state as
     an actual state evolution and return the squared norm of the result.
 
@@ -565,24 +540,19 @@ def d_matrix_quadratic_form(
     and the value is the sum of t_S**2. That equals the trail count exactly
     when every t_S <= 1; otherwise it exceeds it. This is the N_EDGE
     evolution, so graphs.trails_ruled_out settles a query first."""
-    return _normal_ordered_pair(g, length, u, v, MatrixKind.N_EDGE, None, node_budget, "annihilation evolution")[1]
+    return _normal_ordered_pair(g, length, u, v, MatrixKind.N_EDGE, None, "annihilation evolution")[1]
 
 
-def annihilation_form_table(
-    g: Graph,
-    start: int,
-    max_len: int,
-    node_budget: int | None = None,
-) -> dict[tuple[int, int], int]:
+def annihilation_form_table(g: Graph, start: int, max_len: int) -> dict[tuple[int, int], int]:
     """Squared norms of the annihilation evolution for every (length <=
     max_len, end vertex) from one start; the same evolution as the
     per-query evaluator."""
     g.require_vertex(start)
-    levels = _evolve(g, RegisterKind.EDGE_SPACE, start, max_len, True, "annihilation tally", node_budget=node_budget)
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, start, max_len, True, "annihilation tally")
     return _tally(levels)[1]
 
 
-def f_matrix_amplitude(g: Graph, length: int, u: int, node_budget: int | None = None) -> int:
+def f_matrix_amplitude(g: Graph, length: int, u: int) -> int:
     """Amplitude of the all-zeros state after applying the closed-walk
     annihilation terms (destination-vertex slots) to the all-ones vertex
     state. Zero whenever length < n (fewer than n slots get annihilated);
@@ -591,16 +561,15 @@ def f_matrix_amplitude(g: Graph, length: int, u: int, node_budget: int | None = 
     g.require_vertex(u)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    levels = _evolve(g, RegisterKind.VERTEX_SPACE, u, length, True, "transition-amplitude evaluation",
-                     node_budget=node_budget)
+    levels = _evolve(g, RegisterKind.VERTEX_SPACE, u, length, True, "transition-amplitude evaluation")
     return _amplitudes_at(levels, u).get(0, 0)
 
 
-def is_hamiltonian(g: Graph, node_budget: int | None = None) -> bool:
+def is_hamiltonian(g: Graph) -> bool:
     """Whether the graph has a Hamiltonian cycle, decided by the transition
     amplitude at length n from vertex 1 (the value is the same from every
     vertex, since every Hamiltonian cycle passes through every vertex).
     Graphs on fewer than 3 vertices have no cycles at all."""
     if g.n < 3:
         return False
-    return f_matrix_amplitude(g, g.n, 1, node_budget) > 0
+    return f_matrix_amplitude(g, g.n, 1) > 0

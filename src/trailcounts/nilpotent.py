@@ -178,11 +178,10 @@ class PolyMatrix:
     def total_terms(self) -> int:
         return sum(p.term_count() for row in self.rows for p in row.values())
 
-    def mul(self, other: "PolyMatrix", term_budget: int | None = None) -> "PolyMatrix":
+    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.n != other.n:
             raise ValueError("matrix dimensions differ")
-        budget = term_budget if term_budget is not None else limits.term_budget()
-        live = 0
+        budget, live = limits.term_budget(), 0
         out: list[dict[int, Polynomial]] = []
         for row in self.rows:
             terms = {k: p._terms for k, p in row.items()}
@@ -213,14 +212,14 @@ def _row_times(
     return {j: acc for j, acc in out.items() if acc}, live
 
 
-def matrix_power_nilpotent(m: PolyMatrix, exponent: int, term_budget: int | None = None) -> PolyMatrix:
+def matrix_power_nilpotent(m: PolyMatrix, exponent: int) -> PolyMatrix:
     """m**exponent with the x*x = 0 reduction applied inside every product.
     Exponent must be >= 1 (the recursion is power(l) = power(l-1) * m)."""
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     result = m
     for _ in range(exponent - 1):
-        result = result.mul(m, term_budget)
+        result = result.mul(m)
     return result
 
 
@@ -265,13 +264,11 @@ def vertex_observable_matrix(
     return PolyMatrix(rows)
 
 
-def _row_power_entry(
-    m: PolyMatrix, length: int, u: int, v: int, term_budget: int | None
-) -> Polynomial:
+def _row_power_entry(m: PolyMatrix, length: int, u: int, v: int) -> Polynomial:
     """Entry (u, v) of m**length via row-vector products; same value as
     matrix_power_nilpotent(m, length).entry(u, v) at a fraction of the work.
     Returns zero at the first empty level: every later level is empty too."""
-    budget = term_budget if term_budget is not None else limits.term_budget()
+    budget = limits.term_budget()
     row = {j: p._terms for j, p in m.rows[u - 1].items()}
     for _ in range(length - 1):
         if not row:
@@ -280,9 +277,7 @@ def _row_power_entry(
     return Polynomial(row.get(v - 1))
 
 
-def trail_count_symbolic(
-    g: Graph, length: int, u: int, v: int, term_budget: int | None = None
-) -> int:
+def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:
     """Sum of coefficients of entry (u, v) of the formal adjacency matrix to
     the given power under x*x = 0; equals the trail count. A query that
     graphs.trails_ruled_out settles is 0 without a product."""
@@ -292,13 +287,10 @@ def trail_count_symbolic(
         raise ValueError(f"length must be >= 1, got {length}")
     if trails_ruled_out(g, length, u, v):
         return 0
-    entry = _row_power_entry(formal_adjacency_edges(g), length, u, v, term_budget)
-    return entry.coefficient_sum()
+    return _row_power_entry(formal_adjacency_edges(g), length, u, v).coefficient_sum()
 
 
-def euler_trail_count_symbolic(
-    g: Graph, u: int, v: int, term_budget: int | None = None
-) -> int:
+def euler_trail_count_symbolic(g: Graph, u: int, v: int) -> int:
     """Trail count at length |E|: trails traversing every edge exactly once.
     For u == v this is the closed Eulerian-circuit count (each direction a
     distinct trail). The edgeless graph counts one empty circuit."""
@@ -307,17 +299,10 @@ def euler_trail_count_symbolic(
     m = g.edge_count
     if m == 0:
         return 1 if u == v else 0
-    return trail_count_symbolic(g, m, u, v, term_budget)
+    return trail_count_symbolic(g, m, u, v)
 
 
-def path_count_symbolic(
-    g: Graph,
-    length: int,
-    u: int,
-    v: int,
-    variant: PathVariant = PathVariant.LITERAL,
-    term_budget: int | None = None,
-) -> int:
+def path_count_symbolic(g: Graph, length: int, u: int, v: int, variant: PathVariant = PathVariant.LITERAL) -> int:
     """Sum of coefficients of entry (u, v) of the destination-vertex
     observable power under x*x = 0.
 
@@ -326,10 +311,10 @@ def path_count_symbolic(
     revisits the start vertex. START_GUARDED multiplies the start vertex's
     generator into every term before reduction and equals the path count;
     it requires u != v (a closed walk always revisits the start)."""
-    return _path_entry(g, length, u, v, variant, term_budget).coefficient_sum()
+    return _path_entry(g, length, u, v, variant).coefficient_sum()
 
 
-def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant, term_budget: int | None) -> Polynomial:
+def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant) -> Polynomial:
     """The power entry (u, v) that path_count_symbolic sums, after its checks."""
     g.require_vertex(u)
     g.require_vertex(v)
@@ -338,7 +323,7 @@ def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant, ter
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     m = vertex_observable_matrix(g, variant, start=u)
-    return _row_power_entry(m, length, u, v, term_budget)
+    return _row_power_entry(m, length, u, v)
 
 
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:
@@ -350,11 +335,11 @@ def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:
     return sum(c for m, c in entry._terms.items() if not m & bit)
 
 
-def cycle_count_symbolic(g: Graph, length: int, u: int, term_budget: int | None = None) -> int:
+def cycle_count_symbolic(g: Graph, length: int, u: int) -> int:
     """Sum of coefficients of the LITERAL observable power's diagonal entry
     (u, u): the number of directed cycles of the given length through u
     (each undirected cycle traversed in two directions). At length n this is
     the directed Hamiltonian count through u."""
     if length < 3:
         raise ValueError(f"cycles need length >= 3, got {length}")
-    return _path_entry(g, length, u, u, PathVariant.LITERAL, term_budget).coefficient_sum()
+    return _path_entry(g, length, u, u, PathVariant.LITERAL).coefficient_sum()

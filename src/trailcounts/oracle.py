@@ -100,20 +100,12 @@ def _without_search(g: Graph, length: int, u: int, v: int, walk_class: WalkClass
     return None
 
 
-def enumerate_walks(
-    g: Graph,
-    length: int,
-    u: int,
-    v: int,
-    walk_class: WalkClass = WalkClass.WALK,
-    node_budget: int | None = None,
-) -> list[WalkSeq]:
+def enumerate_walks(g: Graph, length: int, u: int, v: int, walk_class: WalkClass = WalkClass.WALK) -> list[WalkSeq]:
     """All walks of exactly the given length from u to v satisfying the class
     predicate, each once, in lexicographic order."""
     trivial = _without_search(g, length, u, v, walk_class)
     if trivial is not None:
         return trivial
-    budget = node_budget if node_budget is not None else limits.node_budget()
     rule, mask, keep = walk_class, 0, 0
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
         rule, keep = WalkClass.TRAIL, -1  # every edge bit: the walk's edge set
@@ -122,7 +114,7 @@ def enumerate_walks(
         # start; a closed one (a cycle) returns to it only at the end
         rule, mask = WalkClass.DISTINCT_NON_INITIAL, (1 << (u - 1) if u != v else 0)
     found: list[tuple[int, WalkSeq]] = []
-    _search(g, u, length, rule, budget, "walk enumeration", keep, mask, ends={v}, found=found)
+    _search(g, u, length, rule, limits.node_budget(), "walk enumeration", keep, mask, ends={v}, found=found)
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
         # the first trail found for each edge set, still in order
         first: dict[int, WalkSeq] = {}
@@ -132,14 +124,7 @@ def enumerate_walks(
     return [seq for _, seq in found]
 
 
-def count_walks(
-    g: Graph,
-    length: int,
-    u: int,
-    v: int,
-    walk_class: WalkClass = WalkClass.WALK,
-    node_budget: int | None = None,
-) -> int:
+def count_walks(g: Graph, length: int, u: int, v: int, walk_class: WalkClass = WalkClass.WALK) -> int:
     """Number of walks enumerate_walks would return, without materializing
     the sequences. Each call runs one search aimed at v and caches nothing,
     so a repeated query searches again.
@@ -154,7 +139,7 @@ def count_walks(
     trivial = _without_search(g, length, u, v, walk_class)
     if trivial is not None:
         return len(trivial)
-    budget = node_budget if node_budget is not None else limits.node_budget()
+    budget = limits.node_budget()
     if walk_class is WalkClass.WALK:
         return _walk_tally(g, u, length, budget, "walk tally", ends={v})
     if walk_class is WalkClass.TRAIL:
@@ -162,7 +147,7 @@ def count_walks(
     if walk_class is WalkClass.START_ONCE_TRAIL_EDGE_SET:
         return len(_search(g, u, length, WalkClass.TRAIL, budget, "trail tally", keep=-1, ends={v}))
     if walk_class is WalkClass.DISTINCT_NON_INITIAL:
-        return count_dni_and_paths(g, length, u, v, budget)[0]
+        return count_dni_and_paths(g, length, u, v)[0]
     if walk_class is WalkClass.PATH:
         length, ends = (length - 1, set(g.neighbors(u))) if u == v else (length, {v})
         rule = WalkClass.DISTINCT_NON_INITIAL
@@ -170,9 +155,7 @@ def count_walks(
     raise ValueError(f"unknown walk class {walk_class!r}")
 
 
-def count_dni_and_paths(
-    g: Graph, length: int, u: int, v: int, node_budget: int | None = None
-) -> tuple[int, int]:
+def count_dni_and_paths(g: Graph, length: int, u: int, v: int) -> tuple[int, int]:
     """The DISTINCT_NON_INITIAL count and the PATH count from u to v, both
     from one distinct-non-initial search: the pair the literal
     destination-vertex observable's overcount compares, for the price of
@@ -180,8 +163,7 @@ def count_dni_and_paths(
     trivial = _without_search(g, length, u, v, WalkClass.DISTINCT_NON_INITIAL)
     if trivial is not None:
         return len(trivial), len(trivial)  # length 0: both count the empty walk
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    start_bit = 1 << (u - 1)
+    budget, start_bit = limits.node_budget(), 1 << (u - 1)
     hits = _search(g, u, length, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=start_bit, ends={v})
     dni = sum(hits.values())
     if u == v:
@@ -189,17 +171,17 @@ def count_dni_and_paths(
     return dni, hits.get(0, 0)  # a walk that never entered the start carries no start bit
 
 
-def trail_edge_set_histogram(
-    g: Graph, length: int, u: int, v: int, node_budget: int | None = None
-) -> dict[frozenset[tuple[int, int]], int]:
+def trail_edge_set_histogram(g: Graph, length: int, u: int, v: int) -> dict[frozenset[tuple[int, int]], int]:
     """For each edge set S, the number of trails of the given length from u
-    to v traversing exactly S. Zero entries are omitted."""
+    to v traversing exactly S. Zero entries are omitted, so a query that
+    graphs.trails_ruled_out settles is {} without a search."""
     g.require_vertex(u)
     g.require_vertex(v)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    budget = node_budget if node_budget is not None else limits.node_budget()
-    counter = _search(g, u, length, WalkClass.TRAIL, budget, "trail tally", keep=-1, ends={v})  # every edge bit
+    if _without_search(g, length, u, v, WalkClass.TRAIL) is not None:
+        return {}
+    counter = _search(g, u, length, WalkClass.TRAIL, limits.node_budget(), "trail tally", keep=-1, ends={v})  # every edge bit
     edges = g.sorted_edges()  # trail mask bit i is edges[i]
     return {
         frozenset(e for i, e in enumerate(edges) if mask >> i & 1): count
@@ -207,17 +189,15 @@ def trail_edge_set_histogram(
     }
 
 
-def count_closed_euler_trails(g: Graph, u: int, node_budget: int | None = None) -> int:
+def count_closed_euler_trails(g: Graph, u: int) -> int:
     """Closed trails from u traversing every edge exactly once; each
     traversal direction is a distinct trail. 0 when no Eulerian circuit
     through u exists; the edgeless graph counts one empty circuit."""
     g.require_vertex(u)
-    return count_walks(g, g.edge_count, u, u, WalkClass.TRAIL, node_budget)
+    return count_walks(g, g.edge_count, u, u, WalkClass.TRAIL)
 
 
-def count_hamiltonian_cycles_through(
-    g: Graph, u: int, directed: bool = False, node_budget: int | None = None
-) -> int:
+def count_hamiltonian_cycles_through(g: Graph, u: int, directed: bool = False) -> int:
     """Hamiltonian cycles containing u (every Hamiltonian cycle contains
     every vertex); nonzero only for n >= 3. With directed=True, counts
     closed length-n sequences visiting every vertex exactly once, which is
@@ -227,7 +207,7 @@ def count_hamiltonian_cycles_through(
     # a cycle through every vertex; on n <= 2 vertices the closed
     # distinct-non-initial sequences are the degenerate traversals
     walk_class = WalkClass.PATH if g.n >= 3 else WalkClass.DISTINCT_NON_INITIAL
-    seq = count_walks(g, g.n, u, u, walk_class, node_budget)
+    seq = count_walks(g, g.n, u, u, walk_class)
     if directed:
         return seq
     return seq // 2 if g.n >= 3 else 0

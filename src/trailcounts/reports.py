@@ -200,7 +200,7 @@ def _paths_oracle(g, l, u, v, variant):
 
 
 def _paths_symbolic(g, l, u, v, variant):
-    entry = nilpotent._path_entry(g, l, u, v, variant, None)
+    entry = nilpotent._path_entry(g, l, u, v, variant)
     paths = nilpotent.guarded_sum_from_literal(entry, u) if variant is PathVariant.LITERAL else None
     return _open_literal(u, v, variant, entry.coefficient_sum(), paths)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from trailcounts import families
+from trailcounts import families, limits
 from trailcounts.graphs import parse_edge_list
 
 C4_TEXT = "1 2\n1 3\n2 4\n3 4\n"
@@ -39,3 +39,14 @@ def bowtie():
 @pytest.fixture
 def petersen():
     return families.petersen_graph()
+
+
+# A budget reaches the engines only through the environment, read at each call.
+@pytest.fixture
+def set_node_budget(monkeypatch):
+    return lambda budget: monkeypatch.setenv(limits.NODE_BUDGET_ENV, str(budget))
+
+
+@pytest.fixture
+def set_term_budget(monkeypatch):
+    return lambda budget: monkeypatch.setenv(limits.TERM_BUDGET_ENV, str(budget))

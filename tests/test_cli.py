@@ -152,6 +152,25 @@ class TestCount:
         }
         assert all(payload["agreement"].values())
 
+    @pytest.mark.parametrize(
+        "env, budget, argv, engine, message",
+        [
+            ("TRAILCOUNTS_NODE_BUDGET", 1000, ("--kind", "euler", "--from", "1", "--engine", "oracle"), "oracle",
+             "trail tally exceeded its budget of 1000"),
+            ("TRAILCOUNTS_TERM_BUDGET", 2, ("--kind", "trails", "--length", "3", "--from", "1", "--to", "2",
+                                            "--engine", "symbolic"), "symbolic",
+             "polynomial row product exceeded its budget of 2"),
+        ],
+        ids=["node-budget", "term-budget"],
+    )
+    def test_budget_from_the_environment_refuses(self, capsys, monkeypatch, tmp_path, env, budget, argv, engine, message):
+        # the environment is the only way a budget reaches an engine
+        monkeypatch.setenv(env, str(budget))
+        path = _edge_file(tmp_path, "k7", families.complete_graph(7))
+        code, out, _ = run(capsys, "count", "--input", path, *argv, "--format", "json")
+        assert code == 2
+        assert json.loads(out)["engines"] == {engine: {"error": message}}
+
     def test_petersen_falls_back_to_compact_register(self, capsys, tmp_path):
         # 45 vertex pairs exceed the register cap; evaluations use the 15
         # present edges

@@ -269,11 +269,13 @@ class TestWalkTermExpansion:
         assert walk == (1, 2) * 1500 + (1,)
         assert len(term.ops) == 3000
 
-    def test_budget_boundary(self, k4):
+    def test_budget_boundary(self, k4, set_node_budget):
         # every prefix shorter than the length costs one node: 1 + 3 + 9 = 13
-        assert len(expand_walk_terms(k4, 3, 1, 2, MatrixKind.N_EDGE, node_budget=13)) == 7
+        set_node_budget(13)
+        assert len(expand_walk_terms(k4, 3, 1, 2, MatrixKind.N_EDGE)) == 7
+        set_node_budget(12)
         with pytest.raises(BudgetExceededError, match="walk-term expansion"):
-            expand_walk_terms(k4, 3, 1, 2, MatrixKind.N_EDGE, node_budget=12)
+            expand_walk_terms(k4, 3, 1, 2, MatrixKind.N_EDGE)
 
 
 class TestNormalOrderedExpectation:
@@ -440,50 +442,50 @@ class TestEvolutionBudget:
     @pytest.mark.parametrize(
         "evaluate, what",
         [
-            (lambda g, b: normal_ordered_expectation(g, 3, 1, 2, MatrixKind.N_EDGE, node_budget=b),
-             "normal-ordered evaluation"),
-            (lambda g, b: normal_ordered_expectation_table(g, 1, 3, MatrixKind.M_VERTEX, node_budget=b),
-             "normal-ordered tally"),
-            (lambda g, b: walk_count_expectation(g, 3, 1, 2, node_budget=b), "plain expectation"),
-            (lambda g, b: d_matrix_quadratic_form(g, 3, 1, 2, node_budget=b), "annihilation evolution"),
-            (lambda g, b: annihilation_form_table(g, 1, 3, node_budget=b), "annihilation tally"),
-            (lambda g, b: f_matrix_amplitude(g, 4, 1, node_budget=b), "transition-amplitude evaluation"),
+            (lambda g: normal_ordered_expectation(g, 3, 1, 2, MatrixKind.N_EDGE), "normal-ordered evaluation"),
+            (lambda g: normal_ordered_expectation_table(g, 1, 3, MatrixKind.M_VERTEX), "normal-ordered tally"),
+            (lambda g: walk_count_expectation(g, 3, 1, 2), "plain expectation"),
+            (lambda g: d_matrix_quadratic_form(g, 3, 1, 2), "annihilation evolution"),
+            (lambda g: annihilation_form_table(g, 1, 3), "annihilation tally"),
+            (lambda g: f_matrix_amplitude(g, 4, 1), "transition-amplitude evaluation"),
         ],
     )
-    def test_each_evaluator_enforces_the_budget(self, k4, evaluate, what):
+    def test_each_evaluator_enforces_the_budget(self, k4, set_node_budget, evaluate, what):
+        set_node_budget(3)
         with pytest.raises(BudgetExceededError, match=what):
-            evaluate(k4, 3)
-        evaluate(k4, 10_000)
+            evaluate(k4)
+        set_node_budget(10_000)
+        evaluate(k4)
 
     # smallest passing node budget on K4, K6, the bowtie and Petersen
     @pytest.mark.parametrize(
         "evaluate, budgets",
         [
-            (lambda g, b: normal_ordered_expectation(g, 5, 1, 2, MatrixKind.N_EDGE, node_budget=b),
-             (28, 306, 15, 46)),
-            (lambda g, b: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1,
-                                                     node_budget=b),
-             (13, 56, 9, 22)),
-            (lambda g, b: normal_ordered_expectation_table(g, 1, 5, MatrixKind.M_VERTEX, node_budget=b),
-             (29, 151, 39, 67)),
-            (lambda g, b: walk_count_expectation(g, 5, 1, 2, node_budget=b), (16, 24, 20, 30)),
-            (lambda g, b: d_matrix_quadratic_form(g, 5, 1, 2, node_budget=b), (28, 306, 15, 46)),
-            (lambda g, b: annihilation_form_table(g, 1, 5, node_budget=b), (28, 306, 15, 46)),
-            (lambda g, b: f_matrix_amplitude(g, g.n, 1, node_budget=b), (25, 181, 39, 556)),
+            (lambda g: normal_ordered_expectation(g, 5, 1, 2, MatrixKind.N_EDGE), (28, 306, 15, 46)),
+            (lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), (13, 56, 9, 22)),
+            (lambda g: normal_ordered_expectation_table(g, 1, 5, MatrixKind.M_VERTEX), (29, 151, 39, 67)),
+            (lambda g: walk_count_expectation(g, 5, 1, 2), (16, 24, 20, 30)),
+            (lambda g: d_matrix_quadratic_form(g, 5, 1, 2), (28, 306, 15, 46)),
+            (lambda g: annihilation_form_table(g, 1, 5), (28, 306, 15, 46)),
+            (lambda g: f_matrix_amplitude(g, g.n, 1), (25, 181, 39, 556)),
         ],
         ids=["n-edge", "m-vertex-guarded", "m-vertex-table", "walks", "d-form", "d-form-table", "f-amplitude"],
     )
-    def test_smallest_passing_budget(self, k4, bowtie, petersen, evaluate, budgets):
+    def test_smallest_passing_budget(self, k4, bowtie, petersen, set_node_budget, evaluate, budgets):
         for g, budget in zip((k4, families.complete_graph(6), bowtie, petersen), budgets):
-            evaluate(g, budget)
+            set_node_budget(budget)
+            evaluate(g)
+            set_node_budget(budget - 1)
             with pytest.raises(BudgetExceededError):
-                evaluate(g, budget - 1)
+                evaluate(g)
 
-    def test_budget_counts_merged_live_states(self, k4):
+    def test_budget_counts_merged_live_states(self, k4, set_node_budget):
         # 3**20 walks, but at most 4 live states per level: 1 + 3 + 18 * 4
-        assert walk_count_expectation(k4, 20, 1, 2, node_budget=76) == walk_count(k4, 20, 1, 2)
+        set_node_budget(76)
+        assert walk_count_expectation(k4, 20, 1, 2) == walk_count(k4, 20, 1, 2)
+        set_node_budget(75)
         with pytest.raises(BudgetExceededError):
-            walk_count_expectation(k4, 20, 1, 2, node_budget=75)
+            walk_count_expectation(k4, 20, 1, 2)
 
 
 class TestLongWalks:

@@ -170,10 +170,11 @@ class TestTrailCounts:
         with pytest.raises(ValueError):
             trail_count_symbolic(c4, 0, 1, 2)
 
-    def test_budget(self):
+    def test_budget(self, set_term_budget):
         k6 = families.complete_graph(6)
+        set_term_budget(5)
         with pytest.raises(BudgetExceededError):
-            trail_count_symbolic(k6, 6, 1, 2, term_budget=5)
+            trail_count_symbolic(k6, 6, 1, 2)
 
 
 class TestEulerSymbolic:
@@ -287,39 +288,44 @@ class TestBudgets:
     @pytest.mark.parametrize(
         "evaluate",
         [
-            lambda g, b: trail_count_symbolic(g, 4, 1, 2, term_budget=b),
-            lambda g, b: path_count_symbolic(g, 4, 1, 2, term_budget=b),
-            lambda g, b: path_count_symbolic(g, 4, 1, 2, PathVariant.START_GUARDED, term_budget=b),
-            lambda g, b: cycle_count_symbolic(g, 4, 1, term_budget=b),
+            lambda g: trail_count_symbolic(g, 4, 1, 2),
+            lambda g: path_count_symbolic(g, 4, 1, 2),
+            lambda g: path_count_symbolic(g, 4, 1, 2, PathVariant.START_GUARDED),
+            lambda g: cycle_count_symbolic(g, 4, 1),
             # every vertex of K4 has odd degree, so parity alone answers its
             # Euler queries; K4 less {3, 4} has open Euler trails from 1 to 2
-            lambda g, b: euler_trail_count_symbolic(Graph(g.n, g.edges - {(3, 4)}), 1, 2, term_budget=b),
+            lambda g: euler_trail_count_symbolic(Graph(g.n, g.edges - {(3, 4)}), 1, 2),
         ],
         ids=["trails", "paths-literal", "paths-guarded", "cycles", "euler"],
     )
-    def test_every_symbolic_entry_point_raises(self, k4, evaluate):
+    def test_every_symbolic_entry_point_raises(self, k4, set_term_budget, evaluate):
+        set_term_budget(2)
         with pytest.raises(BudgetExceededError, match="polynomial row product"):
-            evaluate(k4, 2)
-        evaluate(k4, 10_000)
+            evaluate(k4)
+        set_term_budget(10_000)
+        evaluate(k4)
 
-    def test_row_power_boundary(self):
+    def test_row_power_boundary(self, set_term_budget):
         # the largest level of K6 trails at l=6 holds exactly 935 monomials
         k6 = families.complete_graph(6)
-        assert trail_count_symbolic(k6, 6, 1, 2, term_budget=935) == count_walks(
-            k6, 6, 1, 2, WalkClass.TRAIL
-        )
+        set_term_budget(935)
+        assert trail_count_symbolic(k6, 6, 1, 2) == count_walks(k6, 6, 1, 2, WalkClass.TRAIL)
+        set_term_budget(934)
         with pytest.raises(BudgetExceededError, match="polynomial row product"):
-            trail_count_symbolic(k6, 6, 1, 2, term_budget=934)
+            trail_count_symbolic(k6, 6, 1, 2)
 
-    def test_matrix_power_raises(self, k4):
+    def test_matrix_power_raises(self, k4, set_term_budget):
+        set_term_budget(2)
         with pytest.raises(BudgetExceededError, match="polynomial matrix product"):
-            matrix_power_nilpotent(formal_adjacency_edges(k4), 2, term_budget=2)
+            matrix_power_nilpotent(formal_adjacency_edges(k4), 2)
 
-    def test_matrix_power_budget_is_cumulative_over_the_product(self):
+    def test_matrix_power_budget_is_cumulative_over_the_product(self, set_term_budget):
         m = formal_adjacency_edges(families.complete_graph(6))
-        assert matrix_power_nilpotent(m, 4, term_budget=1260).total_terms() == 1260
+        set_term_budget(1260)
+        assert matrix_power_nilpotent(m, 4).total_terms() == 1260
+        set_term_budget(1259)
         with pytest.raises(BudgetExceededError, match="polynomial matrix product"):
-            matrix_power_nilpotent(m, 4, term_budget=1259)
+            matrix_power_nilpotent(m, 4)
 
 
 class TestSparseStorage:

@@ -121,18 +121,21 @@ class TestCount:
             for l in range(1, 6):
                 assert count_walks(bowtie, l, 2, 4, cls) == count_walks(bowtie, l, 4, 2, cls)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, set_node_budget):
         k6 = families.complete_graph(6)
+        set_node_budget(10)
         with pytest.raises(BudgetExceededError):
-            count_walks(k6, 6, 1, 2, WalkClass.WALK, node_budget=10)
+            count_walks(k6, 6, 1, 2, WalkClass.WALK)
 
-    def test_budget_boundary(self, k4):
+    def test_budget_boundary(self, k4, set_node_budget):
         # the root and every admitted step cost one node: 1 + 3 + 9 + 27 = 40;
         # enumeration charges the admitted last-level steps that miss v too
         for fn, label in ((count_walks, "walk tally"), (enumerate_walks, "walk enumeration")):
-            fn(k4, 3, 1, 2, WalkClass.WALK, node_budget=40)
+            set_node_budget(40)
+            fn(k4, 3, 1, 2, WalkClass.WALK)
+            set_node_budget(39)
             with pytest.raises(BudgetExceededError, match=label):
-                fn(k4, 3, 1, 2, WalkClass.WALK, node_budget=39)
+                fn(k4, 3, 1, 2, WalkClass.WALK)
 
 
 # Smallest passing node budget for K4, l = 4, 1 -> 2, per walk class: the
@@ -151,11 +154,13 @@ _K4_BUDGETS = [
 
 
 @pytest.mark.parametrize("cls, count_budget, label, enum_budget", _K4_BUDGETS, ids=lambda x: getattr(x, "name", None))
-def test_budget_boundaries_k4_length4(k4, cls, count_budget, label, enum_budget):
+def test_budget_boundaries_k4_length4(k4, set_node_budget, cls, count_budget, label, enum_budget):
     for fn, budget, what in ((count_walks, count_budget, label), (enumerate_walks, enum_budget, "walk enumeration")):
-        fn(k4, 4, 1, 2, cls, node_budget=budget)
+        set_node_budget(budget)
+        fn(k4, 4, 1, 2, cls)
+        set_node_budget(budget - 1)
         with pytest.raises(BudgetExceededError, match=f"{what} exceeded its budget of {budget - 1}"):
-            fn(k4, 4, 1, 2, cls, node_budget=budget - 1)
+            fn(k4, 4, 1, 2, cls)
 
 
 # Smallest passing walk-tally budget from vertex 1, recorded before walk
@@ -169,10 +174,12 @@ _WALK_TALLY_BUDGETS = [
 
 
 @pytest.mark.parametrize("g, length, budget", [case[1:] for case in _WALK_TALLY_BUDGETS], ids=[case[0] for case in _WALK_TALLY_BUDGETS])
-def test_walk_tally_budget_boundary(g, length, budget):
-    assert count_walks(g, length, 1, 2, WalkClass.WALK, node_budget=budget) == walk_count(g, length, 1, 2)
+def test_walk_tally_budget_boundary(set_node_budget, g, length, budget):
+    set_node_budget(budget)
+    assert count_walks(g, length, 1, 2, WalkClass.WALK) == walk_count(g, length, 1, 2)
+    set_node_budget(budget - 1)
     with pytest.raises(BudgetExceededError, match=f"walk tally exceeded its budget of {budget - 1}$"):
-        count_walks(g, length, 1, 2, WalkClass.WALK, node_budget=budget - 1)
+        count_walks(g, length, 1, 2, WalkClass.WALK)
 
 
 def test_walk_tally_counts_in_c():
@@ -182,25 +189,36 @@ def test_walk_tally_counts_in_c():
     assert isinstance(oracle._count_elements, types.BuiltinFunctionType)
 
 
+def _forbid_search(monkeypatch):
+    """Make both search kernels raise: stricter than a budget of 0, which
+    the environment cannot hold."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(oracle, "_search", refuse)
+    monkeypatch.setattr(oracle, "_walk_tally", refuse)
+
+
 @pytest.mark.parametrize("length", [1, 2])
-def test_short_closed_paths_need_no_search(length):
-    # a closed path shorter than 3 is no cycle, so it is 0 without charging
-    # a single node, even on a budget far below one search level
+def test_short_closed_paths_need_no_search(monkeypatch, length):
+    # a closed path shorter than 3 is no cycle, so it is 0 without a search
     k6 = families.complete_graph(6)
-    assert count_walks(k6, length, 1, 1, WalkClass.PATH, node_budget=0) == 0
-    assert enumerate_walks(k6, length, 1, 1, WalkClass.PATH, node_budget=0) == []
+    _forbid_search(monkeypatch)
+    assert count_walks(k6, length, 1, 1, WalkClass.PATH) == 0
+    assert enumerate_walks(k6, length, 1, 1, WalkClass.PATH) == []
 
 
-def _passes(fn, g, length, u, v, walk_class, budget) -> bool:
+def _passes(set_node_budget, fn, g, length, u, v, walk_class, budget) -> bool:
+    set_node_budget(budget)
     try:
-        fn(g, length, u, v, walk_class, node_budget=budget)
+        fn(g, length, u, v, walk_class)
     except BudgetExceededError:
         return False
     return True
 
 
 @pytest.mark.parametrize("name", ["K5", "petersen", "bowtie"])
-def test_path_count_and_enumeration_share_a_budget(name):
+def test_path_count_and_enumeration_share_a_budget(set_node_budget, name):
     # an open PATH count and its enumeration run the same search, so one node
     # budget is enough for both or for neither; the enumeration's smallest
     # passing budget is found by bisection
@@ -210,13 +228,13 @@ def test_path_count_and_enumeration_share_a_budget(name):
             fails, passes = 0, 10**6
             while passes - fails > 1:
                 mid = (fails + passes) // 2
-                if _passes(enumerate_walks, g, length, 1, v, WalkClass.PATH, mid):
+                if _passes(set_node_budget, enumerate_walks, g, length, 1, v, WalkClass.PATH, mid):
                     passes = mid
                 else:
                     fails = mid
             for budget in range(passes - 2, passes + 2):
-                listed = _passes(enumerate_walks, g, length, 1, v, WalkClass.PATH, budget)
-                counted = _passes(count_walks, g, length, 1, v, WalkClass.PATH, budget)
+                listed = _passes(set_node_budget, enumerate_walks, g, length, 1, v, WalkClass.PATH, budget)
+                counted = _passes(set_node_budget, count_walks, g, length, 1, v, WalkClass.PATH, budget)
                 assert listed == counted == (budget >= passes), (v, length, budget)
 
 
@@ -263,16 +281,22 @@ def _reference_budget(g, fn, length, u, v, cls):
 
 @pytest.mark.parametrize("name", ["K4", "bowtie", "petersen"])
 @pytest.mark.parametrize("cls", list(WalkClass), ids=lambda c: c.name)
-def test_budget_matches_admitted_prefixes(name, cls):
+def test_budget_matches_admitted_prefixes(monkeypatch, set_node_budget, name, cls):
     g = {"K4": families.complete_graph(4), "bowtie": families.bowtie_graph(), "petersen": families.petersen_graph()}[name]
     for fn in (count_walks, enumerate_walks):
         for length in range(6):
             for u, v in ((1, 1), (1, 2), (2, 1), (2, g.n)):
                 budget = _reference_budget(g, fn, length, u, v, cls)
-                fn(g, length, u, v, cls, node_budget=budget)
-                if budget:
-                    with pytest.raises(BudgetExceededError):
-                        fn(g, length, u, v, cls, node_budget=budget - 1)
+                if not budget:
+                    with monkeypatch.context() as patch:
+                        _forbid_search(patch)
+                        fn(g, length, u, v, cls)
+                    continue
+                set_node_budget(budget)
+                fn(g, length, u, v, cls)
+                set_node_budget(budget - 1)
+                with pytest.raises(BudgetExceededError):
+                    fn(g, length, u, v, cls)
 
 
 @pytest.mark.parametrize("table", [_walk_table, _trail_tables, _dni_tables])
@@ -440,25 +464,29 @@ class TestEuler:
 
     @pytest.mark.parametrize("n", [7, 8])
     @pytest.mark.parametrize("cls", [WalkClass.TRAIL, WalkClass.START_ONCE_TRAIL_EDGE_SET])
-    def test_wrong_parity_needs_no_search(self, n, cls):
+    def test_wrong_parity_needs_no_search(self, set_node_budget, n, cls):
         # an open trail through every edge needs exactly its ends odd, but
         # K7 has no odd vertex and K8 has eight; no trail is longer than
         # |E| either. Neither query charges a node.
         g = families.complete_graph(n)
         m = g.edge_count
-        assert count_walks(g, m, 1, 2, cls, node_budget=1) == 0
-        assert enumerate_walks(g, m, 1, 2, cls, node_budget=1) == []
+        set_node_budget(1)
+        assert count_walks(g, m, 1, 2, cls) == 0
+        assert enumerate_walks(g, m, 1, 2, cls) == []
         for u, v in ((1, 2), (1, 1)):
-            assert count_walks(g, m + 1, u, v, cls, node_budget=1) == 0
-            assert enumerate_walks(g, m + 1, u, v, cls, node_budget=1) == []
+            assert count_walks(g, m + 1, u, v, cls) == 0
+            assert enumerate_walks(g, m + 1, u, v, cls) == []
 
-    def test_right_parity_still_searches(self):
+    def test_right_parity_still_searches(self, set_node_budget):
         k7 = families.complete_graph(7)
+        set_node_budget(1000)
         with pytest.raises(BudgetExceededError, match="trail tally"):
-            count_closed_euler_trails(k7, 1, node_budget=1000)
+            count_closed_euler_trails(k7, 1)
         p4 = families.path_graph(4)  # odd ends 1 and 4
-        assert count_walks(p4, 3, 1, 4, WalkClass.TRAIL, node_budget=4) == 1
-        assert count_walks(p4, 3, 1, 3, WalkClass.TRAIL, node_budget=1) == 0
+        set_node_budget(4)
+        assert count_walks(p4, 3, 1, 4, WalkClass.TRAIL) == 1
+        set_node_budget(1)
+        assert count_walks(p4, 3, 1, 3, WalkClass.TRAIL) == 0
 
 
 class TestHamiltonian:
@@ -511,3 +539,12 @@ class TestHistogram:
     def test_length_must_be_positive(self, c4):
         with pytest.raises(ValueError):
             trail_edge_set_histogram(c4, 0, 1, 1)
+
+    @pytest.mark.parametrize("length", [21, 22])
+    def test_wrong_parity_needs_no_search(self, set_node_budget, length):
+        # K7 has 21 edges and no odd vertex: no trail from 1 to 2 is that long
+        k7 = families.complete_graph(7)
+        set_node_budget(1)
+        assert trail_edge_set_histogram(k7, length, 1, 2) == {}
+        with pytest.raises(ValueError):
+            trail_edge_set_histogram(k7, 0, 1, 2)

@@ -22,7 +22,7 @@ from trailcounts.fock import (
     graph_state,
     normal_ordered_expectation,
 )
-from trailcounts.graphs import Graph, matrix_power, pair_slots, walk_count
+from trailcounts.graphs import Graph, matrix_power, pair_slots, slot_of_pair, walk_count
 from trailcounts.nilpotent import (
     PathVariant,
     Polynomial,
@@ -162,11 +162,22 @@ def test_quadratic_form_squares_histogram(query):
     assert sum(hist.values()) == count_walks(g, l, u, v, WalkClass.TRAIL)
 
 
+def _on_pair_register(g, amplitudes):
+    """|E|-slot register amplitudes moved to the pair register: |E| slot s
+    is pair slot slot_of_pair(n, *g.sorted_edges()[s])."""
+    compact, pairs = Register.present_edges(g), Register.all_pairs(g.n)
+    slot_bits = [
+        (1 << compact.bit(s), 1 << pairs.bit(slot_of_pair(g.n, a, b))) for s, (a, b) in enumerate(g.sorted_edges())
+    ]
+    return {sum(pair for bit, pair in slot_bits if index & bit): amp for index, amp in amplitudes.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(graph_queries(min_l=1))
 def test_evolution_matches_dense_ladder_algebra(query):
-    # the sparse evolution, amplitude for amplitude, against the sum of every
-    # walk term applied literally to the dense reference state
+    # the compact evolution, amplitude for amplitude, against the sum of
+    # every walk term applied literally to the paper's reference state: the
+    # graph state on the pair register in edge space
     g, l, u, v = query
     for kind, clears in (
         (MatrixKind.D_EDGE, True),
@@ -174,17 +185,17 @@ def test_evolution_matches_dense_ladder_algebra(query):
         (MatrixKind.N_EDGE, False),
         (MatrixKind.M_VERTEX, False),
     ):
-        edge = kind.space is RegisterKind.EDGE_SPACE
-        if edge:
-            state = graph_state(g, present_edges_only=True)
+        if kind.space is RegisterKind.EDGE_SPACE:
+            state, moved = graph_state(g), lambda amplitudes: _on_pair_register(g, amplitudes)
         else:
-            state = StateVector.all_ones(Register.vertices(g.n))
+            state, moved = StateVector.all_ones(Register.vertices(g.n)), dict
         dense = StateVector.zero(state.register)
-        for _, term in expand_walk_terms(g, l, u, v, kind, present_edges_only=edge):
+        for _, term in expand_walk_terms(g, l, u, v, kind):
             dense = dense + term.apply(state)
         levels = _evolve(g, kind.space, u, l, clears, "test")
-        assert next(levels) == {u: {state.basis_index(): 1}}  # the reference state
-        assert _amplitudes_at(levels, v) == dict(dense.nonzero())
+        [(start, reference)] = next(levels).items()
+        assert start == u and moved(reference) == {state.basis_index(): 1}  # the reference state
+        assert moved(_amplitudes_at(levels, v)) == dict(dense.nonzero())
 
 
 @settings(max_examples=60, deadline=None)
