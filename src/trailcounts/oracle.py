@@ -254,15 +254,18 @@ def _search(
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)
-    tally: list[dict[int, dict[int, int]]] = [{} for _ in range(max_len + 1)]
     hits: dict[int, int] = {}
+    # an aimed search allocates nothing per level, so a length far beyond
+    # what the rule admits costs only the levels it reaches
+    if ends is None:
+        tally: list[dict[int, dict[int, int]]] = [{} for _ in range(max_len + 1)]
+        last = tally[max_len]
     if max_len == 0:
         return tally if ends is None else hits
-    last = tally[max_len]
     # y -> (the bits of y's steps, the bits of those into ends, {such a bit:
     # its end vertex}), built when a length-(max_len - 1) walk first ends at y
     aims: dict[int, tuple[int, int, dict[int, int]]] = {}
-    seq = [start] * (max_len + 1)
+    seq = None if found is None else [start]  # the walk to the vertex being expanded
     # one iterator over the admitted (vertex, mask) steps from seq[depth] per
     # depth below max_len - 2; the vertices at depth max_len - 1 are expanded
     # in place as soon as their parent admits them, and get no frame
@@ -321,8 +324,7 @@ def _search(
                     key = (current | bit) & keep
                     hits[key] = hits.get(key, 0) + 1
                     if found is not None:
-                        seq[max_len - 1], seq[max_len] = y, into[bit]
-                        found.append((key, tuple(seq)))
+                        found.append((key, (*seq[: max_len - 1], y, into[bit])))
         if remaining < 0:
             raise BudgetExceededError(what, budget)
         # the next vertex to expand is the deepest frame's next admitted step
@@ -330,7 +332,8 @@ def _search(
             step = next(stack[-1], None)
             if step is not None:
                 w, current = step
-                seq[len(stack)] = w
+                if seq is not None:
+                    seq[len(stack):] = (w,)
                 break
             stack.pop()
         else:
@@ -356,10 +359,11 @@ def _walk_tally(
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)
-    tally: list[dict[int, int]] = [{} for _ in range(max_len + 1)]
+    if ends is None:
+        tally: list[dict[int, int]] = [{} for _ in range(max_len + 1)]
+        last = tally[max_len]
     if max_len == 0:
         return tally if ends is None else 0
-    last = tally[max_len]
     # the vertices at depth rim get no frame: each is expanded in place as
     # soon as its parent admits it. Without ends, each counts its neighbour
     # tuple into the last level. With ends, the rim is one level higher, and

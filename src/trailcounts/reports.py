@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import fock, nilpotent, oracle
-from .errors import BudgetExceededError, CapacityError
+from .errors import BudgetExceededError
 from .graphs import Graph, decimal_str, walk_count
 from .nilpotent import PathVariant
 from .oracle import WalkClass
@@ -154,7 +154,7 @@ def _timed(fn) -> EngineValue:
     start = time.perf_counter()
     try:
         value, other = fn()
-    except (CapacityError, BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         return EngineValue(error=str(exc))
     elapsed = (time.perf_counter() - start) * 1000.0
     return EngineValue(value=int(value), wall_time_ms=round(elapsed, 3), other=other)

@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import decimal
 import io
 import itertools
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trailcounts import families, nilpotent, reports, verify
 from trailcounts.cli import main
@@ -127,17 +132,49 @@ class TestCount:
         assert code == 0
         assert "agree" in out
 
-    def test_capacity_exit_code(self, capsys, k8_file):
+    def test_capacity_exit_code(self, capsys, monkeypatch, tmp_path):
+        # K9 trails at l = 10 would hold about a gigabyte of Fock states; the
+        # budget refuses the level that would exceed it before building it
+        monkeypatch.setenv("TRAILCOUNTS_NODE_BUDGET", "1000000")
+        path = _edge_file(tmp_path, "k9", families.complete_graph(9))
         code, out, _ = run(
-            capsys, "count", "--input", k8_file, "--kind", "trails",
-            "--length", "3", "--from", "1", "--to", "2", "--engine", "fock",
+            capsys, "count", "--input", path, "--kind", "trails",
+            "--length", "10", "--from", "1", "--to", "2", "--engine", "fock", "--format", "json",
         )
         assert code == 2
-        assert "28" in out
+        assert json.loads(out)["engines"] == {
+            "fock": {"error": "normal-ordered evaluation exceeded its budget of 1000000"}
+        }
+
+    def test_wide_register_is_refused_under_the_default_budget(self, capsys, monkeypatch, tmp_path):
+        # K20 on 10**6 vertices: each basis index is 10**6 bits, so each node
+        # costs 1 + 10**6 // 64 = 15626, and the 6,498 steps into l = 3
+        # (about 800 MB of indices) are refused before they are tried
+        monkeypatch.delenv("TRAILCOUNTS_NODE_BUDGET", raising=False)
+        path = tmp_path / "wide.txt"
+        edges = (f"{u} {v}" for u in range(1, 21) for v in range(u + 1, 21))
+        path.write_text("\n".join(("n 1000000", *edges)) + "\n")
+        code, out, _ = run(
+            capsys, "count", "--input", str(path), "--kind", "paths",
+            "--length", "3", "--from", "1", "--to", "2", "--engine", "fock", "--format", "json",
+        )
+        assert code == 2
+        assert json.loads(out)["engines"] == {
+            "fock": {"error": "normal-ordered evaluation exceeded its budget of 100000000"}
+        }
+
+    def test_k8_trails_on_the_fock_engine(self, capsys, k8_file):
+        # 28 edges: the |E|-slot register has no width cap
+        code, out, _ = run(
+            capsys, "count", "--input", k8_file, "--kind", "trails",
+            "--length", "3", "--from", "1", "--to", "2", "--engine", "fock", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["engines"]["fock"]["value"] == "30"
 
     def test_k8_open_euler_is_zero_before_any_register(self, capsys, monkeypatch, k8_file):
         # all 28 degrees are odd, so parity answers on every engine: no
-        # search, no product and no 28-slot register, which the cap refuses
+        # search, no product and no register
         monkeypatch.setenv("TRAILCOUNTS_NODE_BUDGET", "1")
         monkeypatch.setenv("TRAILCOUNTS_TERM_BUDGET", "1")
         code, out, _ = run(
@@ -287,6 +324,18 @@ class TestCount:
         )
         assert code == 1
         assert "line 1" in err
+
+    @pytest.mark.parametrize("text, label", [("1 2\n2 1000001\n", "label 1000001"), ("n 1000001\n1 2\n", "count 1000001")])
+    def test_label_above_the_limit(self, capsys, tmp_path, text, label):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "count", "--input", str(path), "--kind", "walks",
+            "--length", "2", "--from", "1", "--to", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert f"vertex {label} exceeds the limit of 1000000" in err
 
     def test_missing_file(self, capsys):
         code, _, _ = run(
@@ -487,15 +536,18 @@ class TestBench:
         assert rows[0][0] == "family"
         assert len(rows) == 1 + 3 * 2
 
-    def test_complete_family_fock_capacity_dnf(self, capsys):
+    def test_complete_family_fock_capacity_dnf(self, capsys, monkeypatch):
+        # trails from 1 at l = 3 cost the step table's n (n-1) entries and
+        # (n-1) + (n-1)**2 + (n-1)**2 (n-2) steps
+        monkeypatch.setenv("TRAILCOUNTS_NODE_BUDGET", "300")
         code, out, _ = run(
             capsys, "bench", "--family", "complete", "--min-n", "7", "--max-n", "8",
             "--kind", "trails", "--length", "3", "--engines", "fock",
         )
         assert code == 0
         rows = {r[1]: r[5] for r in list(csv.reader(io.StringIO(out)))[1:]}
-        assert rows["7"] != "DNF"  # 21 slots fit the default cap
-        assert rows["8"] == "DNF"  # 28 slots refused
+        assert rows["7"] == "20"  # 42 + 222
+        assert rows["8"] == "DNF"  # 56 + 350 refused
 
     def test_complete_family_hamiltonian_from_k2(self, capsys):
         code, out, _ = run(
@@ -556,3 +608,80 @@ class TestBench:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert {r[5] for r in rows} == {"0"}
+
+
+# The CLI contract, on random edge lists and argv: every run returns 0 to 3
+# without raising, and a JSON output parses on exit 0. Labels and lengths
+# stay small and both budgets are 10**4, so no run does much work.
+_INPUT = "<input>"
+_label = st.integers(1, 12)
+_edges = st.lists(st.tuples(_label, _label).filter(lambda e: e[0] != e[1]), min_size=1, max_size=12)
+# one draw in four adds a line that is malformed or names a vertex out of range
+_junk = st.tuples(
+    st.integers(1, 4), st.sampled_from(["0 1", "3 3", "1 2 3", "a b", "n", "n 0", "n 2", "-1 2", "# comment"])
+).map(lambda drawn: [drawn[1]] if drawn[0] == 4 else [])
+
+
+def _edge_text(header, edges, junk):
+    return "\n".join([*header, *(f"{u} {v}" for u, v in edges), *junk])
+
+
+_edge_texts = st.builds(_edge_text, st.sampled_from([[], ["n 12"]]), _edges, _junk)
+
+
+def _option(name, values, odds=2):
+    """The option with a drawn value, left out once in `odds` draws."""
+    return st.tuples(st.integers(1, odds), values).map(lambda drawn: (name, str(drawn[1])) if drawn[0] < odds else ())
+
+
+def _command(*parts):
+    return st.tuples(*parts).map(lambda chosen: list(itertools.chain.from_iterable(chosen)))
+
+
+_count = _command(
+    st.just(("count", "--input", _INPUT)),
+    st.one_of(
+        st.sampled_from(reports.KINDS).map(lambda kind: ("--kind", kind)),
+        st.sampled_from([v.value for v in PathVariant]).map(lambda variant: ("--kind", "paths", "--variant", variant)),
+    ),
+    _option("--length", st.integers(-1, 12), odds=5),
+    st.integers(1, 12).map(lambda u: ("--from", str(u))),
+    _option("--to", st.integers(0, 13)),
+    _option("--engine", st.sampled_from(reports.ENGINES + ("all",))),
+    _option("--format", st.sampled_from(["json", "csv", "text"])),
+)
+_example = _command(st.just(("example", "--input", _INPUT)), _option("--format", st.sampled_from(["json", "text"])))
+_bench = _command(
+    st.just(("bench",)),
+    _option("--family", st.sampled_from(["cycle", "complete", "petersen"])),
+    _option("--min-n", st.integers(0, 6)),
+    _option("--max-n", st.integers(0, 6)),
+    _option("--kind", st.sampled_from(reports.KINDS)),
+    _option("--length", st.integers(-1, 12)),
+    _option("--engines", st.sampled_from(["oracle", "symbolic,fock", "oracle,symbolic,fock", "bogus"])),
+)
+# three counts for each example or bench run
+_argv = st.sampled_from([_count, _count, _count, _bench, _example]).flatmap(lambda command: command)
+
+
+def _count_argv(*query):
+    return ["count", "--input", _INPUT, *query, "--format", "json"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_texts, _argv)
+@example("1 2\n2 1000000000000\n", _count_argv("--kind", "paths", "--length", "2", "--from", "1", "--to", "2"))
+@example("1 2\n", _count_argv("--kind", "paths", "--length", "1000000000000", "--from", "1", "--to", "2", "--engine", "oracle"))
+@example("1 2\n2 3\n1 3\n", _count_argv("--kind", "paths", "--length", "1000000000", "--from", "1", "--to", "2", "--engine", "fock"))
+def test_cli_contract(text, argv):
+    budgets = {"TRAILCOUNTS_NODE_BUDGET": "10000", "TRAILCOUNTS_TERM_BUDGET": "10000"}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, budgets):
+        path = os.path.join(tmp, "graph.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if arg == _INPUT else arg for arg in argv])
+    assert code in (0, 1, 2, 3)
+    if code == 0 and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        json.loads(out.getvalue())

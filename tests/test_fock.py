@@ -59,6 +59,8 @@ class TestRegister:
         assert Register.present_edges(petersen).width == 15
         with pytest.raises(CapacityError):
             Register.all_pairs(petersen.n)
+        with pytest.raises(CapacityError, match="45"):
+            graph_state(petersen)
 
     def test_evaluators_pick_the_edge_register(self, petersen):
         # the 45-slot pair register exceeds the cap; the evaluators run on
@@ -70,17 +72,23 @@ class TestRegister:
             assert d_matrix_quadratic_form(petersen, l, u, v) == sum(c * c for c in hist.values())
             assert walk_count_expectation(petersen, l, u, v) == count_walks(petersen, l, u, v, WalkClass.WALK)
 
-    def test_no_edge_register_fits_k9(self):
-        # K9 has 36 edges, so even the |E|-slot register exceeds the cap
-        k9 = families.complete_graph(9)
-        for evaluate in (
-            lambda: normal_ordered_expectation(k9, 2, 1, 2, MatrixKind.N_EDGE),
-            lambda: d_matrix_quadratic_form(k9, 2, 1, 2),
-            lambda: walk_count_expectation(k9, 2, 1, 2),
-            lambda: annihilation_form_table(k9, 1, 2),
-        ):
-            with pytest.raises(CapacityError, match="36"):
-                evaluate()
+    def test_only_the_pair_register_has_a_cap(self, monkeypatch):
+        # the node budget bounds the evaluators, so the cap guards only the
+        # C(n,2)-slot register that graph_state renders
+        monkeypatch.setenv("TRAILCOUNTS_REGISTER_CAP", "1")
+        with pytest.raises(CapacityError, match="3 qubit slots but the cap is 1"):
+            Register.all_pairs(3)
+        k9 = families.complete_graph(9)  # 36 edges
+        assert Register.present_edges(k9).width == 36
+        assert Register.vertices(500).width == 500
+        assert normal_ordered_expectation(k9, 2, 1, 2, MatrixKind.N_EDGE) == 7
+        assert d_matrix_quadratic_form(k9, 2, 1, 2) == 7
+        assert walk_count_expectation(k9, 2, 1, 2) == 7
+        assert annihilation_form_table(k9, 1, 2)[2, 2] == 7
+        p500 = families.path_graph(500)
+        guarded = normal_ordered_expectation(p500, 499, 1, 500, MatrixKind.M_VERTEX, guard_vertex=1)
+        assert guarded == 1
+        assert f_matrix_amplitude(families.cycle_graph(30), 30, 1) == 2
 
     def test_vertex_register(self):
         reg = Register.vertices(5)
@@ -457,17 +465,19 @@ class TestEvolutionBudget:
         set_node_budget(10_000)
         evaluate(k4)
 
-    # smallest passing node budget on K4, K6, the bowtie and Petersen
+    # smallest passing node budget on K4, K6, the bowtie and Petersen: the
+    # step table's 2|E| entries, then the steps every level but the last
+    # tries, its live states times their degrees
     @pytest.mark.parametrize(
         "evaluate, budgets",
         [
-            (lambda g: normal_ordered_expectation(g, 5, 1, 2, MatrixKind.N_EDGE), (28, 306, 15, 46)),
-            (lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), (13, 56, 9, 22)),
-            (lambda g: normal_ordered_expectation_table(g, 1, 5, MatrixKind.M_VERTEX), (29, 151, 39, 67)),
-            (lambda g: walk_count_expectation(g, 5, 1, 2), (16, 24, 20, 30)),
-            (lambda g: d_matrix_quadratic_form(g, 5, 1, 2), (28, 306, 15, 46)),
-            (lambda g: annihilation_form_table(g, 1, 5), (28, 306, 15, 46)),
-            (lambda g: f_matrix_amplitude(g, g.n, 1), (25, 181, 39, 556)),
+            (lambda g: normal_ordered_expectation(g, 5, 1, 2, MatrixKind.N_EDGE), (96, 1560, 48, 168)),
+            (lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), (51, 310, 32, 96)),
+            (lambda g: normal_ordered_expectation_table(g, 1, 5, MatrixKind.M_VERTEX), (99, 785, 104, 231)),
+            (lambda g: walk_count_expectation(g, 5, 1, 2), (60, 150, 60, 120)),
+            (lambda g: d_matrix_quadratic_form(g, 5, 1, 2), (96, 1560, 48, 168)),
+            (lambda g: annihilation_form_table(g, 1, 5), (96, 1560, 48, 168)),
+            (lambda g: f_matrix_amplitude(g, g.n, 1), (87, 935, 104, 1698)),
         ],
         ids=["n-edge", "m-vertex-guarded", "m-vertex-table", "walks", "d-form", "d-form-table", "f-amplitude"],
     )
@@ -480,20 +490,65 @@ class TestEvolutionBudget:
                 evaluate(g)
 
     def test_budget_counts_merged_live_states(self, k4, set_node_budget):
-        # 3**20 walks, but at most 4 live states per level: 1 + 3 + 18 * 4
-        set_node_budget(76)
+        # 3**20 walks, but at most 4 live states per level, each trying its 3
+        # steps: the 12-entry step table, then 3 * (1 + 3 + 18 * 4)
+        set_node_budget(240)
         assert walk_count_expectation(k4, 20, 1, 2) == walk_count(k4, 20, 1, 2)
-        set_node_budget(75)
+        set_node_budget(239)
         with pytest.raises(BudgetExceededError):
             walk_count_expectation(k4, 20, 1, 2)
+
+    def test_budget_is_charged_per_word_of_the_basis_index(self, k4, set_node_budget):
+        # K4 on 128 vertices: the vertex register's indices are 128 bits, so
+        # each node costs 1 + 128 // 64 = 3, and K4 alone passes with 51;
+        # K12's 66-slot edge register costs 2 a node: (132 + 11 + 121) * 2
+        for g, evaluate, budget in (
+            (Graph.from_edges(128, k4.edges),
+             lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), 3 * 51),
+            (families.complete_graph(12), lambda g: walk_count_expectation(g, 2, 1, 2), 528),
+        ):
+            set_node_budget(budget)
+            evaluate(g)
+            set_node_budget(budget - 1)
+            with pytest.raises(BudgetExceededError):
+                evaluate(g)
+
+    def test_budget_refuses_a_level_before_building_it(self, monkeypatch, k4, set_node_budget):
+        # K4 trails at l = 5 cost 12 step-table entries and 84 steps; one
+        # node short, the last level is refused before any state of it is
+        # stored
+        built = []
+        real = fock._evolve
+
+        def recording(*args):
+            for level in real(*args):
+                built.append(sum(map(len, level.values())))
+                yield level
+
+        monkeypatch.setattr(fock, "_evolve", recording)
+        set_node_budget(95)
+        with pytest.raises(BudgetExceededError):
+            normal_ordered_expectation(k4, 5, 1, 2, MatrixKind.N_EDGE)
+        assert len(built) == 5  # levels 0..4
+
+    def test_evolution_stops_after_its_first_empty_level(self, set_node_budget):
+        # a vertex-space evolution on K3 empties after three steps, so a
+        # length of 10**9 costs three levels, and an empty level charges
+        # nothing
+        k3 = families.complete_graph(3)
+        set_node_budget(100)
+        levels = list(fock._evolve(k3, fock.RegisterKind.VERTEX_SPACE, 1, 10**9, True, "test"))
+        assert len(levels) == 5 and levels[-1] == {} and all(levels[:-1])
+        assert normal_ordered_expectation(k3, 10**9, 1, 2, MatrixKind.M_VERTEX) == 0
+        assert normal_ordered_expectation(k3, 10**9, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1) == 0
+        assert f_matrix_amplitude(k3, 10**9, 1) == 0
 
 
 class TestLongWalks:
     def test_plain_expectation_beyond_the_recursion_limit(self, k2):
         assert walk_count_expectation(k2, 3000, 1, 1) == 1
 
-    def test_annihilation_beyond_the_recursion_limit(self, monkeypatch):
-        monkeypatch.setenv("TRAILCOUNTS_REGISTER_CAP", "1500")
+    def test_annihilation_beyond_the_recursion_limit(self):
         c = families.cycle_graph(1500)
         assert f_matrix_amplitude(c, 1500, 1) == 2
         assert normal_ordered_expectation(c, 1500, 1, 1, MatrixKind.N_EDGE) == 2

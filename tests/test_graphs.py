@@ -9,6 +9,7 @@ import pytest
 from trailcounts import families
 from trailcounts.errors import EdgeListError
 from trailcounts.graphs import (
+    MAX_LABEL,
     Graph,
     _adjacency,
     adjacency_matrix,
@@ -81,6 +82,24 @@ class TestParse:
         # int() reads Arabic-Indic digits, underscores and a plus sign
         with pytest.raises(EdgeListError, match="expected an integer"):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("1 2\n2 1000001\n", 2, "vertex label 1000001 exceeds the limit of 1000000"),
+            ("1 2\n2 1000000000000\n", 2, "vertex label 1000000000000 exceeds"),
+            ("# big\nn 1000001\n", 2, "vertex count 1000001 exceeds the limit of 1000000"),
+        ],
+    )
+    def test_label_above_the_limit(self, text, line, message):
+        # every engine builds per-vertex tables over 1..n, so n is bounded
+        with pytest.raises(EdgeListError, match=f"line {line}: {message}"):
+            parse_edge_list(text)
+
+    def test_label_at_the_limit(self):
+        assert MAX_LABEL == 10**6
+        assert parse_edge_list(f"1 2\n2 {MAX_LABEL}\n").n == MAX_LABEL
+        assert parse_edge_list(f"n {MAX_LABEL}\n").n == MAX_LABEL
 
     def test_negative_label_reads_as_an_integer(self):
         with pytest.raises(EdgeListError, match="start at 1"):

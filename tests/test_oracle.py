@@ -121,6 +121,17 @@ class TestCount:
             for l in range(1, 6):
                 assert count_walks(bowtie, l, 2, 4, cls) == count_walks(bowtie, l, 4, 2, cls)
 
+    def test_aimed_search_costs_only_the_levels_it_reaches(self, k2, set_node_budget):
+        # no path on K2 is longer than 1, so every search here dies at depth 2
+        # and allocates nothing per level of its length
+        set_node_budget(10)
+        huge = 10**12
+        assert count_walks(k2, huge, 1, 2, WalkClass.PATH) == 0
+        assert count_walks(k2, huge, 1, 1, WalkClass.PATH) == 0
+        assert count_dni_and_paths(k2, huge, 1, 2) == (0, 0)
+        assert enumerate_walks(k2, huge, 1, 2, WalkClass.PATH) == []
+        assert enumerate_walks(k2, huge, 1, 2, WalkClass.DISTINCT_NON_INITIAL) == []
+
     def test_budget_exceeded(self, set_node_budget):
         k6 = families.complete_graph(6)
         set_node_budget(10)
