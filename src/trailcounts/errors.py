@@ -19,10 +19,7 @@ class CapacityError(RuntimeError):
     def __init__(self, required: int, cap: int):
         self.required = required
         self.cap = cap
-        super().__init__(
-            f"register needs {required} qubit slots but the cap is {cap} "
-            f"(raise it via the TRAILCOUNTS_REGISTER_CAP environment variable)"
-        )
+        super().__init__(f"register needs {required} qubit slots but the cap is {cap}")
 
 
 class BudgetExceededError(RuntimeError):

@@ -38,9 +38,14 @@ from dataclasses import dataclass, field
 
 from . import limits
 from .errors import BudgetExceededError, CapacityError
-from .graphs import Graph, decimal_str, pair_slots, trails_ruled_out
+from .graphs import Graph, _adjacency, decimal_str, pair_slots, trails_ruled_out
 
 SlotLabel = object  # (u, v) pair for edge spaces, int vertex for vertex space
+
+# qubit slots of the C(n,2)-slot pair register that graph_state and
+# expand_walk_terms render (n <= 7); the evaluators' registers have no cap,
+# since the node budget bounds them
+PAIR_REGISTER_CAP = 24
 
 
 class RegisterKind(enum.Enum):
@@ -82,10 +87,11 @@ class Register:
     @classmethod
     def all_pairs(cls, n: int) -> "Register":
         """Edge space over every unordered pair of distinct vertices, the only
-        register with a cap: C(n,2) is checked before any slot is built."""
-        width, cap = n * (n - 1) // 2, limits.register_cap()
-        if width > cap:
-            raise CapacityError(width, cap)
+        register with a cap, PAIR_REGISTER_CAP: C(n,2) is checked before any
+        slot is built."""
+        width = n * (n - 1) // 2
+        if width > PAIR_REGISTER_CAP:
+            raise CapacityError(width, PAIR_REGISTER_CAP)
         return cls(RegisterKind.EDGE_SPACE, pair_slots(n))
 
     @classmethod
@@ -390,8 +396,10 @@ def _evolve(
     destination vertex in vertex space): an annihilation operator when
     steps clear their slot, a number operator otherwise; either drops the
     term when the slot is empty. Terms that reach the same vertex and index
-    merge into one amplitude. Before it is built, each step-table entry and
-    each step a level will try costs 1 + width // 64 nodes, an index's words."""
+    merge into one amplitude. The step table comes from `_step_table`, in
+    one pass over the edge slots or the cached adjacency. Before it is
+    built, each step-table entry and each step a level will try costs
+    1 + width // 64 nodes, an index's words."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
@@ -401,14 +409,7 @@ def _evolve(
     remaining = budget - words * 2 * g.edge_count  # the step table's entries
     if remaining < 0:
         raise BudgetExceededError(what, budget)
-    # step w -> x needs `bit` set and moves a surviving state to index ^ flip
-    top = register.width - 1  # slot s is bit top - s, as Register.bit says
-    steps = {}
-    for w in range(1, g.n + 1):
-        steps[w] = row = []
-        for x in g.neighbors(w):
-            bit = 1 << (top - _step_slot(register, w, x))
-            row.append((x, bit, bit if clears else 0))
+    steps = _step_table(g, register, clears)
     level = {start: {reference: 1}}
     yield level
     for _ in range(max_len):
@@ -429,6 +430,36 @@ def _evolve(
         yield level
         if not level:
             return
+
+
+def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[int, int, int]]]:
+    """steps[w]: one (x, bit, flip) triple per step w -> x, in ascending x;
+    the step needs `bit` set and moves a surviving state to index ^ flip
+    (flip is bit when steps clear their slot, else 0). steps[0] is empty.
+
+    In edge space (the |E|-slot register, whose slots are g.sorted_edges()),
+    one pass over the slots appends each edge's bit to both of its ends:
+    vertex r gets its edges (a, r), a < r, before its edges (r, b), each
+    group in ascending order. In vertex space the step's bit is its
+    destination's, read from each cached neighbour tuple: a bit is built
+    per step, so a wide register with few edges builds few wide integers."""
+    top = register.width - 1  # slot s is bit top - s, as Register.bit says
+    if register.kind is RegisterKind.EDGE_SPACE:
+        steps = [[] for _ in range(g.n + 1)]
+        for s, (a, b) in enumerate(register.slots):
+            bit = 1 << (top - s)
+            flip = bit if clears else 0
+            steps[a].append((b, bit, flip))
+            steps[b].append((a, bit, flip))
+        return steps
+    steps = [[]]
+    for ws in _adjacency(g).values():
+        row = []
+        for x in ws:
+            bit = 1 << (top + 1 - x)  # vertex x sits at slot x - 1
+            row.append((x, bit, bit if clears else 0))
+        steps.append(row)
+    return steps
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:

@@ -8,13 +8,9 @@ from __future__ import annotations
 
 import os
 
-REGISTER_CAP_ENV = "TRAILCOUNTS_REGISTER_CAP"
 TERM_BUDGET_ENV = "TRAILCOUNTS_TERM_BUDGET"
 NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 
-# qubit slots of the C(n,2)-slot pair register that graph_state and expand_walk_terms
-# render (n <= 7); the evaluators' registers have no cap, since the node budget bounds them
-_DEFAULT_REGISTER_CAP = 24
 # live monomials in the level or matrix product being built, checked while it is built
 _DEFAULT_TERM_BUDGET = 10_000_000
 # the root and every admitted step of a search; Fock step-table entries and level steps, in index words
@@ -32,10 +28,6 @@ def _env_int(name: str, default: int) -> int:
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
-
-
-def register_cap() -> int:
-    return _env_int(REGISTER_CAP_ENV, _DEFAULT_REGISTER_CAP)
 
 
 def term_budget() -> int:

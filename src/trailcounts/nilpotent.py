@@ -14,13 +14,21 @@ search and the Fock edge register use) and vertex generators indexed by
 vertex-1 (path counting with the destination-vertex observable). Edge
 monomial masks are therefore |E| bits wide, not C(n,2).
 
-A PolyMatrix stores only its nonzero entries, row by row, and the builders
-fill them from adjacency lists. All multiplication goes through one
-monomial-product helper, `_mul_into`, and one row step, `_row_times` (a
-sparse row vector times a matrix): a matrix product is one row step per row
-of the left factor, and a single entry of a power is repeated row steps on
-one row. The term budget is checked inside the row step, while a level or
-product is being built.
+A PolyMatrix stores only its nonzero entries, row by row. The builders
+fill them in one pass over the sorted edges or the cached adjacency, each
+entry a one-term polynomial shared by every entry with the same generator.
+They take a trusted path, `_monomial` and `_matrix`, which skips the public
+constructors' zero filter and column range check: a generator's coefficient
+is 1, and every column comes from an edge of the graph.
+
+All multiplication goes through one monomial-product helper, `_mul_into`,
+and one row step, `_row_times` (a sparse row vector times a matrix): a
+matrix product is one row step per row of the left factor, and a single
+entry of a power is repeated row steps on one row. `_mul_into` loops over
+the right factor's terms first. A row step multiplies a row entry, which may
+hold many terms, by an entry of the base matrix, which holds one, so each
+entry product is one loop over the row entry's terms. The term budget is
+checked inside the row step, while a level or product is being built.
 
 Coefficients are plain Python integers; they never go negative here, but zero
 coefficients are always dropped so equality is structural.
@@ -33,7 +41,7 @@ from typing import Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph, decimal_str, trails_ruled_out
+from .graphs import Graph, _adjacency, decimal_str, trails_ruled_out
 
 
 class Polynomial:
@@ -131,13 +139,23 @@ class Polynomial:
 
 
 def _mul_into(acc: dict[int, int], left: dict[int, int], right: dict[int, int]) -> None:
-    """acc += left * right on raw term dicts: the one monomial-product loop."""
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
+    """acc += left * right on raw term dicts: the one monomial-product loop.
+    The right factor's terms are the outer loop, so a one-term right factor
+    costs one pass over the left's terms."""
+    for m2, c2 in right.items():
+        for m1, c1 in left.items():
             if m1 & m2:
                 continue  # x*x = 0
             m = m1 | m2
             acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def _monomial(mask: int) -> Polynomial:
+    """The one-term polynomial 1 * mask, past Polynomial.__init__'s zero
+    filter: the builders' trusted path."""
+    p = object.__new__(Polynomial)
+    p._terms = {mask: 1}
+    return p
 
 
 def _mask_generators(mask: int) -> tuple[int, ...]:
@@ -190,6 +208,15 @@ class PolyMatrix:
         return PolyMatrix(out)
 
 
+def _matrix(rows: list[dict[int, Polynomial]]) -> PolyMatrix:
+    """A PolyMatrix over rows as given, past PolyMatrix.__init__'s column
+    range check and empty-entry filter: the builders' trusted path, for rows
+    whose columns come from the graph's edges and whose entries are nonzero."""
+    m = object.__new__(PolyMatrix)
+    m.rows = rows
+    return m
+
+
 def _row_times(
     row: dict[int, dict[int, int]], m: PolyMatrix, budget: int, label: str, live: int = 0
 ) -> tuple[dict[int, dict[int, int]], int]:
@@ -227,11 +254,12 @@ def formal_adjacency_edges(g: Graph) -> PolyMatrix:
     """Adjacency matrix with each 1 replaced by the generator of its edge,
     indexed by the edge's position in g.sorted_edges(); entries (u, v) and
     (v, u) share one generator, matching one qubit per edge. Filling rows in
-    sorted-edge order keeps each row's columns ascending."""
+    one pass in sorted-edge order keeps each row's columns ascending: a row
+    r gets its edges (a, r), a < r, before its edges (r, b)."""
     rows: list[dict[int, Polynomial]] = [{} for _ in range(g.n)]
     for i, (a, b) in enumerate(g.sorted_edges()):
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = Polynomial.generator(i)
-    return PolyMatrix(rows)
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = _monomial(1 << i)
+    return _matrix(rows)
 
 
 class PathVariant(enum.Enum):
@@ -252,16 +280,22 @@ def vertex_observable_matrix(
 ) -> PolyMatrix:
     """Matrix with entry (a, b) the generator of the destination vertex b
     whenever {a, b} is an edge, else zero. For START_GUARDED, row `start` is
-    additionally multiplied by the start vertex's own generator."""
+    additionally multiplied by the start vertex's own generator. Column b's
+    entries share one generator, and each row reads its vertex's ascending
+    neighbour tuple in the cached adjacency."""
     if variant is PathVariant.START_GUARDED:
         if start is None:
             raise ValueError("START_GUARDED needs the start vertex")
         g.require_vertex(start)
-    rows = [{b - 1: Polynomial.generator(b - 1) for b in g.neighbors(a)} for a in range(1, g.n + 1)]
+    adjacency = _adjacency(g)
+    # generator[b]: x_(b-1), built only for the vertices with an edge
+    generator = {b: _monomial(1 << (b - 1)) for b, ws in adjacency.items() if ws}
+    rows = [{b - 1: generator[b] for b in ws} for ws in adjacency.values()]
     if variant is PathVariant.START_GUARDED:
-        guard = Polynomial.generator(start - 1)
-        rows[start - 1] = {b: p * guard for b, p in rows[start - 1].items()}
-    return PolyMatrix(rows)
+        # b != start (no self-loops), so each guarded entry is one monomial
+        guard = 1 << (start - 1)
+        rows[start - 1] = {b: _monomial(1 << b | guard) for b in rows[start - 1]}
+    return _matrix(rows)
 
 
 def _row_power_entry(m: PolyMatrix, length: int, u: int, v: int) -> Polynomial:

@@ -13,8 +13,13 @@ the sequence's mask. The bit depends on the step rule:
     distinct-non-initial  the destination vertex's bit, so v1..vl are
                           pairwise distinct
 
-Walk counts run the same search without the rule (`_walk_tally`): each
-visited vertex's whole neighbour tuple is admitted at once, in C.
+Each search first builds its step table, every vertex's (neighbour, bit)
+pairs in ascending neighbour order, in one linear pass (`_step_table`): the
+trail rule appends each edge's bit to both of its ends in one pass over
+g.sorted_edges(), and the other rules pair the cached adjacency with the
+vertex bits or zeros. Walk counts run the same search without the rule
+(`_walk_tally`), straight on the cached adjacency: each visited vertex's
+whole neighbour tuple is admitted at once, in C.
 
 Without `ends`, both kernels tally every walk, per length and end vertex;
 the sweep reads these tables through caches. With `ends`, a per-query
@@ -56,7 +61,7 @@ from collections import _count_elements
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph, trails_ruled_out
+from .graphs import Graph, _adjacency, trails_ruled_out
 
 WalkSeq = tuple[int, ...]
 
@@ -241,16 +246,11 @@ def _search(
     order. Under the walk rule, whose steps carry no bit and whose mask must
     be 0, the aim bits are the end vertices' bits.
 
-    The root and every admitted step charge one node against the budget;
-    each expansion charges its admitted steps together."""
-    adjacency = {a: g.neighbors(a) for a in range(1, g.n + 1)}
-    if rule is WalkClass.TRAIL:
-        edge_bit = {e: 1 << i for i, e in enumerate(g.sorted_edges())}
-        steps = {a: tuple((w, edge_bit[min(a, w), max(a, w)]) for w in ws) for a, ws in adjacency.items()}
-    elif rule is WalkClass.DISTINCT_NON_INITIAL:
-        steps = {a: tuple((w, 1 << (w - 1)) for w in ws) for a, ws in adjacency.items()}
-    else:
-        steps = {a: tuple((w, 0) for w in ws) for a, ws in adjacency.items()}
+    The steps come from `_step_table`, built in one pass over the edges or
+    the cached adjacency before the root is charged. The root and every
+    admitted step charge one node against the budget; each expansion charges
+    its admitted steps together."""
+    steps = _step_table(g, rule)
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)
@@ -340,6 +340,27 @@ def _search(
             return tally if ends is None else hits
 
 
+def _step_table(g: Graph, rule: WalkClass) -> list[list[tuple[int, int]]]:
+    """steps[a]: the (neighbour, bit) pairs of the steps from vertex a under
+    the rule, in ascending neighbour order; steps[0] is empty. The trail rule
+    appends each edge's bit to both of its ends in one pass over
+    g.sorted_edges(): vertex r gets its edges (a, r), a < r, before its edges
+    (r, b), each group in ascending order. The other rules read each cached
+    neighbour tuple once, pairing it with its vertex bits
+    (DISTINCT_NON_INITIAL) or zeros (WALK)."""
+    if rule is WalkClass.TRAIL:
+        steps = [[] for _ in range(g.n + 1)]
+        for i, (a, b) in enumerate(g.sorted_edges()):
+            bit = 1 << i
+            steps[a].append((b, bit))
+            steps[b].append((a, bit))
+        return steps
+    adjacency = _adjacency(g).values()
+    if rule is WalkClass.DISTINCT_NON_INITIAL:
+        return [[], *([(w, 1 << (w - 1)) for w in ws] for ws in adjacency)]
+    return [[], *([(w, 0) for w in ws] for ws in adjacency)]
+
+
 def _walk_tally(
     g: Graph, start: int, max_len: int, budget: int, what: str, ends: set[int] | None = None
 ) -> list[dict[int, int]] | int:
@@ -352,10 +373,11 @@ def _walk_tally(
     in ends: the search stops at the walks of length max_len - 2, and each
     adds, over its neighbours y, how many ends are next to y, in C.
 
-    The root and every step charge one node against the budget, exactly as
-    in `_search`: each vertex a walk visits below the last level charges its
-    degree."""
-    adjacency = [()] + [g.neighbors(a) for a in range(1, g.n + 1)]
+    It reads the neighbour tuples of graphs._adjacency directly, with no
+    step table. The root and every step charge one node against the budget,
+    exactly as in `_search`: each vertex a walk visits below the last level
+    charges its degree."""
+    adjacency = [(), *_adjacency(g).values()]  # adjacency[a]: a's ascending neighbours
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)

@@ -193,7 +193,7 @@ class _Tables:
 def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
     vertices = range(1, g.n + 1)
     rows = {u: list(walk_rows(g, u, l_max)) for u in vertices}
-    t = _Tables(gid, g, rows, g.n * (g.n - 1) // 2 <= limits.register_cap())
+    t = _Tables(gid, g, rows, g.n * (g.n - 1) // 2 <= fock.PAIR_REGISTER_CAP)
     if "oracle" in engines:
         budget = limits.node_budget()
         t.walk = {u: oracle._walk_table(g, u, l_max, budget) for u in vertices}

@@ -44,8 +44,10 @@ class TestRegister:
             Register.all_pairs(8)
 
     def test_cap_env_override(self, monkeypatch):
+        # the cap is the module constant: the environment no longer raises it
         monkeypatch.setenv("TRAILCOUNTS_REGISTER_CAP", "30")
-        assert Register.all_pairs(8).width == 28
+        with pytest.raises(CapacityError, match="^register needs 28 qubit slots but the cap is 24$"):
+            Register.all_pairs(8)
 
     def test_refused_pair_register_builds_no_slots(self, monkeypatch):
         def no_slots(n):
@@ -72,12 +74,21 @@ class TestRegister:
             assert d_matrix_quadratic_form(petersen, l, u, v) == sum(c * c for c in hist.values())
             assert walk_count_expectation(petersen, l, u, v) == count_walks(petersen, l, u, v, WalkClass.WALK)
 
-    def test_only_the_pair_register_has_a_cap(self, monkeypatch):
+    def test_only_the_pair_register_has_a_cap(self, petersen):
         # the node budget bounds the evaluators, so the cap guards only the
         # C(n,2)-slot register that graph_state renders
-        monkeypatch.setenv("TRAILCOUNTS_REGISTER_CAP", "1")
-        with pytest.raises(CapacityError, match="3 qubit slots but the cap is 1"):
-            Register.all_pairs(3)
+        assert fock.PAIR_REGISTER_CAP == 24
+        assert Register.all_pairs(7).width == 21
+        k8 = families.complete_graph(8)
+        for g, slots in ((k8, 28), (petersen, 45)):
+            with pytest.raises(CapacityError, match=f"{slots} qubit slots but the cap is 24"):
+                Register.all_pairs(g.n)
+            with pytest.raises(CapacityError, match=f"{slots} qubit slots"):
+                graph_state(g)
+        assert normal_ordered_expectation(k8, 3, 1, 2, MatrixKind.N_EDGE) == 30
+        assert normal_ordered_expectation(petersen, 5, 1, 2, MatrixKind.N_EDGE) == count_walks(
+            petersen, 5, 1, 2, WalkClass.TRAIL
+        )
         k9 = families.complete_graph(9)  # 36 edges
         assert Register.present_edges(k9).width == 36
         assert Register.vertices(500).width == 500

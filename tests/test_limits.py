@@ -6,7 +6,6 @@ from trailcounts import fock, graphs, limits, nilpotent, oracle, reports, verify
 
 
 def test_defaults():
-    assert limits.register_cap() == 24
     assert limits.term_budget() == 10_000_000
     assert limits.node_budget() == 100_000_000
 
