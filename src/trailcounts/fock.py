@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from . import limits
 from .errors import BudgetExceededError, CapacityError
-from .graphs import Graph, _adjacency, decimal_str, pair_slots, trails_ruled_out
+from .graphs import Graph, decimal_str, pair_slots, trails_ruled_out
 
 SlotLabel = object  # (u, v) pair for edge spaces, int vertex for vertex space
 
@@ -314,10 +314,7 @@ def expand_walk_terms(
     pair register in edge space (graph_state's) and the vertex register in
     vertex space. Unpruned and exponential; meant for inspection at desk
     scale."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    g.require_query(length, u, v, 1)
     edge = matrix_kind.space is RegisterKind.EDGE_SPACE
     register = Register.all_pairs(g.n) if edge else Register.vertices(g.n)
     op_kind = LadderKind.NUMBER if matrix_kind in _NUMBER_KINDS else LadderKind.ANNIHILATE
@@ -397,7 +394,7 @@ def _evolve(
     steps clear their slot, a number operator otherwise; either drops the
     term when the slot is empty. Terms that reach the same vertex and index
     merge into one amplitude. The step table comes from `_step_table`, in
-    one pass over the edge slots or the cached adjacency. Before it is
+    one pass over the edge slots or Graph.adjacency. Before it is
     built, each step-table entry and each step a level will try costs
     1 + width // 64 nodes, an index's words."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
@@ -441,7 +438,7 @@ def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[i
     one pass over the slots appends each edge's bit to both of its ends:
     vertex r gets its edges (a, r), a < r, before its edges (r, b), each
     group in ascending order. In vertex space the step's bit is its
-    destination's, read from each cached neighbour tuple: a bit is built
+    destination's, read from each tuple of Graph.adjacency: a bit is built
     per step, so a wide register with few edges builds few wide integers."""
     top = register.width - 1  # slot s is bit top - s, as Register.bit says
     if register.kind is RegisterKind.EDGE_SPACE:
@@ -453,7 +450,7 @@ def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[i
             steps[b].append((a, bit, flip))
         return steps
     steps = [[]]
-    for ws in _adjacency(g).values():
+    for ws in g.adjacency.values():
         row = []
         for x in ws:
             bit = 1 << (top + 1 - x)  # vertex x sits at slot x - 1
@@ -515,10 +512,7 @@ def _normal_ordered_pair(
     number its count note compares it with: for N_EDGE the squared amplitudes'
     sum (d_matrix_quadratic_form), for M_VERTEX the sum of those whose start
     slot, bit n - u, is still occupied (the path count when u != v)."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    g.require_query(length, u, v, 1)
     if matrix_kind not in _NUMBER_KINDS:
         raise ValueError("normal-ordered expectation applies to the number-operator matrices")
     if guard_vertex is not None:
@@ -554,10 +548,7 @@ def walk_count_expectation(g: Graph, length: int, u: int, v: int) -> int:
     entry on the graph state: every walk term evaluates to its occupation
     product, which is 1 for every walk inside the graph, so this equals the
     walk count. Length 0 follows the identity-power convention."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    g.require_query(length, u, v, 0)
     if length == 0:
         return 1 if u == v else 0
     levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation")
@@ -591,9 +582,7 @@ def f_matrix_amplitude(g: Graph, length: int, u: int) -> int:
     state. Zero whenever length < n (fewer than n slots get annihilated);
     at length n it equals the number of directed Hamiltonian traversals
     through u."""
-    g.require_vertex(u)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    g.require_query(length, u, u, 1)
     levels = _evolve(g, RegisterKind.VERTEX_SPACE, u, length, True, "transition-amplitude evaluation")
     return _amplitudes_at(levels, u).get(0, 0)
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 import decimal
 import functools
 import re
-from collections import _count_elements
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 
-from .errors import EdgeListError
+from . import limits
+from .errors import BudgetExceededError, EdgeListError
 
 Edge = tuple[int, int]
 
@@ -67,11 +66,22 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
+    @functools.cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """{u: u's neighbours in ascending order} for every vertex 1..n,
+        built once per graph from the sorted edges: vertex r gets its edges
+        (a, r), a < r, before its edges (r, b), each group ascending."""
+        adj: dict[int, list[int]] = {u: [] for u in range(1, self.n + 1)}
+        for u, v in self.sorted_edges():
+            adj[u].append(v)
+            adj[v].append(u)
+        return {u: tuple(vs) for u, vs in adj.items()}
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbors of u (sorted order drives lexicographic walk
         enumeration everywhere)."""
         self.require_vertex(u)
-        return _adjacency(self)[u]
+        return self.adjacency[u]
 
     def degree(self, u: int) -> int:
         return len(self.neighbors(u))
@@ -80,7 +90,21 @@ class Graph:
         if not (1 <= u <= self.n):
             raise ValueError(f"vertex {u} out of range 1..{self.n}")
 
+    def require_query(self, length: int, u: int, v: int, least: int) -> None:
+        """Refuse a query from u to v whose ends are not vertices or whose
+        length is below the operation's least."""
+        self.require_vertex(u)
+        self.require_vertex(v)
+        if length < least:
+            raise ValueError(f"length must be >= {least}, got {length}")
+
     def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges in lexicographic order, sorted once per graph: the
+        edge-slot order that fixes every edge bit."""
+        return self._sorted_edges
+
+    @functools.cached_property
+    def _sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
     def __repr__(self) -> str:  # compact, deterministic
@@ -93,15 +117,6 @@ def decimal_str(count: int) -> str:
     (4300 digits by default); decimal.Decimal converts every int exactly,
     without that limit, and leaves the process-wide setting alone."""
     return str(decimal.Decimal(count))
-
-
-@functools.lru_cache(maxsize=128)
-def _adjacency(g: Graph) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = {u: [] for u in range(1, g.n + 1)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
 
 @functools.lru_cache(maxsize=128)
@@ -252,8 +267,14 @@ def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
     save more than 3n a step. Each saves at most n - 2, so that needs four of
     them and more than 7n/4 edges: a sparse or small graph pushes without a
     degree being read. A step on K_n then costs O(n) additions, not n(n-1).
-    The lists are built once per call from the one adjacency lookup."""
-    adj = _adjacency(g)
+    The lists are built once per call from g.adjacency.
+
+    Each level is charged against the node budget before it is yielded: its
+    live entries times the 64-bit words of its largest count. A count grows
+    by a word every few dozen levels, so the charge grows with the square of
+    the length, and a length far beyond desk scale stops with
+    BudgetExceededError("adjacency power") instead of running for hours."""
+    adj = g.adjacency
     # pull: dense vertex -> itself and its non-neighbours, the entries its count is taken back from
     push, pull = adj, {}
     if 4 * len(g.edges) > 7 * g.n:
@@ -264,6 +285,10 @@ def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
             everyone = set(vertices)
             pull = {w: tuple(everyone.difference(adj[w])) for w in dense}
             push = {**adj, **dict.fromkeys(pull, ())}
+    budget = limits.node_budget()
+    remaining = budget - 1  # level 0: one entry of one word
+    if remaining < 0:
+        raise BudgetExceededError("adjacency power", budget)
     row = {start: 1}
     yield row
     for _ in range(max_len):
@@ -288,20 +313,23 @@ def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
             if 0 in nxt.values():
                 nxt = {x: c for x, c in nxt.items() if c}
         row = nxt
+        if row:
+            remaining -= len(row) * (1 + max(row.values()).bit_length() // 64)
+            if remaining < 0:
+                raise BudgetExceededError("adjacency power", budget)
         yield row
 
 
 def walk_count(g: Graph, length: int, u: int, v: int) -> int:
     """Number of walks of the given length from u to v, the (u, v) entry of
-    the adjacency-matrix power, read from the last of walk_rows. Length 0
-    uses the identity convention: one empty walk at each vertex.
+    the adjacency-matrix power, read from the last of walk_rows, or 0 at
+    the first empty row, since every later row is empty too. Length 0 uses
+    the identity convention: one empty walk at each vertex.
     """
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 0:
-        raise ValueError(f"walk length must be >= 0, got {length}")
+    g.require_query(length, u, v, 0)
     for row in walk_rows(g, u, length):
-        pass
+        if not row:
+            return 0
     return row.get(v, 0)
 
 
@@ -314,9 +342,7 @@ def trails_ruled_out(g: Graph, length: int, u: int, v: int) -> bool:
     m = len(g.edges)
     if length != m:
         return length > m
-    degree: dict[int, int] = {}
-    _count_elements(degree, chain.from_iterable(g.edges))
-    odd = {a for a, d in degree.items() if d % 2}
+    odd = {a for a, near in g.adjacency.items() if len(near) % 2}
     return odd != ({u, v} if u != v else set())
 
 

@@ -13,7 +13,8 @@ NODE_BUDGET_ENV = "TRAILCOUNTS_NODE_BUDGET"
 
 # live monomials in the level or matrix product being built, checked while it is built
 _DEFAULT_TERM_BUDGET = 10_000_000
-# the root and every admitted step of a search; Fock step-table entries and level steps, in index words
+# the root and every admitted step of a search; Fock step-table entries and level steps, in index words;
+# adjacency-power rows' live entries, in words of each level's largest count
 _DEFAULT_NODE_BUDGET = 100_000_000
 
 

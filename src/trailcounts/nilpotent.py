@@ -15,7 +15,7 @@ vertex-1 (path counting with the destination-vertex observable). Edge
 monomial masks are therefore |E| bits wide, not C(n,2).
 
 A PolyMatrix stores only its nonzero entries, row by row. The builders
-fill them in one pass over the sorted edges or the cached adjacency, each
+fill them in one pass over the sorted edges or Graph.adjacency, each
 entry a one-term polynomial shared by every entry with the same generator.
 They take a trusted path, `_monomial` and `_matrix`, which skips the public
 constructors' zero filter and column range check: a generator's coefficient
@@ -41,7 +41,7 @@ from typing import Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph, _adjacency, decimal_str, trails_ruled_out
+from .graphs import Graph, decimal_str, trails_ruled_out
 
 
 class Polynomial:
@@ -282,12 +282,12 @@ def vertex_observable_matrix(
     whenever {a, b} is an edge, else zero. For START_GUARDED, row `start` is
     additionally multiplied by the start vertex's own generator. Column b's
     entries share one generator, and each row reads its vertex's ascending
-    neighbour tuple in the cached adjacency."""
+    neighbour tuple in Graph.adjacency."""
     if variant is PathVariant.START_GUARDED:
         if start is None:
             raise ValueError("START_GUARDED needs the start vertex")
         g.require_vertex(start)
-    adjacency = _adjacency(g)
+    adjacency = g.adjacency
     # generator[b]: x_(b-1), built only for the vertices with an edge
     generator = {b: _monomial(1 << (b - 1)) for b, ws in adjacency.items() if ws}
     rows = [{b - 1: generator[b] for b in ws} for ws in adjacency.values()]
@@ -315,10 +315,7 @@ def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:
     """Sum of coefficients of entry (u, v) of the formal adjacency matrix to
     the given power under x*x = 0; equals the trail count. A query that
     graphs.trails_ruled_out settles is 0 without a product."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    g.require_query(length, u, v, 1)
     if trails_ruled_out(g, length, u, v):
         return 0
     return _row_power_entry(formal_adjacency_edges(g), length, u, v).coefficient_sum()
@@ -350,10 +347,7 @@ def path_count_symbolic(g: Graph, length: int, u: int, v: int, variant: PathVari
 
 def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant) -> Polynomial:
     """The power entry (u, v) that path_count_symbolic sums, after its checks."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    g.require_query(length, u, v, 1)
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     m = vertex_observable_matrix(g, variant, start=u)
@@ -374,6 +368,5 @@ def cycle_count_symbolic(g: Graph, length: int, u: int) -> int:
     (u, u): the number of directed cycles of the given length through u
     (each undirected cycle traversed in two directions). At length n this is
     the directed Hamiltonian count through u."""
-    if length < 3:
-        raise ValueError(f"cycles need length >= 3, got {length}")
-    return _path_entry(g, length, u, u, PathVariant.LITERAL).coefficient_sum()
+    g.require_query(length, u, u, 3)
+    return _row_power_entry(vertex_observable_matrix(g), length, u, u).coefficient_sum()

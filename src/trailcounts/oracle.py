@@ -16,10 +16,10 @@ the sequence's mask. The bit depends on the step rule:
 Each search first builds its step table, every vertex's (neighbour, bit)
 pairs in ascending neighbour order, in one linear pass (`_step_table`): the
 trail rule appends each edge's bit to both of its ends in one pass over
-g.sorted_edges(), and the other rules pair the cached adjacency with the
+g.sorted_edges(), and the other rules pair Graph.adjacency with the
 vertex bits or zeros. Walk counts run the same search without the rule
-(`_walk_tally`), straight on the cached adjacency: each visited vertex's
-whole neighbour tuple is admitted at once, in C.
+(`_walk_tally`), straight on Graph.adjacency: each visited vertex's whole
+neighbour tuple is admitted at once, in C.
 
 Without `ends`, both kernels tally every walk, per length and end vertex;
 the sweep reads these tables through caches. With `ends`, a per-query
@@ -61,7 +61,7 @@ from collections import _count_elements
 
 from . import limits
 from .errors import BudgetExceededError
-from .graphs import Graph, _adjacency, trails_ruled_out
+from .graphs import Graph, trails_ruled_out
 
 WalkSeq = tuple[int, ...]
 
@@ -92,10 +92,7 @@ def _without_search(g: Graph, length: int, u: int, v: int, walk_class: WalkClass
     """Check a query's vertices and length. Return its walks when they need
     no search (length 0, a closed path too short to be a cycle, or a trail
     too long or of the wrong degree parity to be one), else None."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    g.require_query(length, u, v, 0)
     if length == 0:
         return [(u,)] if u == v else []
     if walk_class is WalkClass.PATH and u == v and length < 3:
@@ -180,11 +177,8 @@ def trail_edge_set_histogram(g: Graph, length: int, u: int, v: int) -> dict[froz
     """For each edge set S, the number of trails of the given length from u
     to v traversing exactly S. Zero entries are omitted, so a query that
     graphs.trails_ruled_out settles is {} without a search."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if _without_search(g, length, u, v, WalkClass.TRAIL) is not None:
+    g.require_query(length, u, v, 1)
+    if trails_ruled_out(g, length, u, v):
         return {}
     counter = _search(g, u, length, WalkClass.TRAIL, limits.node_budget(), "trail tally", keep=-1, ends={v})  # every edge bit
     edges = g.sorted_edges()  # trail mask bit i is edges[i]
@@ -198,7 +192,6 @@ def count_closed_euler_trails(g: Graph, u: int) -> int:
     """Closed trails from u traversing every edge exactly once; each
     traversal direction is a distinct trail. 0 when no Eulerian circuit
     through u exists; the edgeless graph counts one empty circuit."""
-    g.require_vertex(u)
     return count_walks(g, g.edge_count, u, u, WalkClass.TRAIL)
 
 
@@ -208,7 +201,6 @@ def count_hamiltonian_cycles_through(g: Graph, u: int, directed: bool = False) -
     closed length-n sequences visiting every vertex exactly once, which is
     2x the undirected count for n >= 3 but also admits the degenerate
     back-and-forth traversal on K2 (a sequence, not a cycle)."""
-    g.require_vertex(u)
     # a cycle through every vertex; on n <= 2 vertices the closed
     # distinct-non-initial sequences are the degenerate traversals
     walk_class = WalkClass.PATH if g.n >= 3 else WalkClass.DISTINCT_NON_INITIAL
@@ -247,7 +239,7 @@ def _search(
     be 0, the aim bits are the end vertices' bits.
 
     The steps come from `_step_table`, built in one pass over the edges or
-    the cached adjacency before the root is charged. The root and every
+    Graph.adjacency before the root is charged. The root and every
     admitted step charge one node against the budget; each expansion charges
     its admitted steps together."""
     steps = _step_table(g, rule)
@@ -345,8 +337,8 @@ def _step_table(g: Graph, rule: WalkClass) -> list[list[tuple[int, int]]]:
     the rule, in ascending neighbour order; steps[0] is empty. The trail rule
     appends each edge's bit to both of its ends in one pass over
     g.sorted_edges(): vertex r gets its edges (a, r), a < r, before its edges
-    (r, b), each group in ascending order. The other rules read each cached
-    neighbour tuple once, pairing it with its vertex bits
+    (r, b), each group in ascending order. The other rules read each
+    neighbour tuple of Graph.adjacency once, pairing it with its vertex bits
     (DISTINCT_NON_INITIAL) or zeros (WALK)."""
     if rule is WalkClass.TRAIL:
         steps = [[] for _ in range(g.n + 1)]
@@ -355,7 +347,7 @@ def _step_table(g: Graph, rule: WalkClass) -> list[list[tuple[int, int]]]:
             steps[a].append((b, bit))
             steps[b].append((a, bit))
         return steps
-    adjacency = _adjacency(g).values()
+    adjacency = g.adjacency.values()
     if rule is WalkClass.DISTINCT_NON_INITIAL:
         return [[], *([(w, 1 << (w - 1)) for w in ws] for ws in adjacency)]
     return [[], *([(w, 0) for w in ws] for ws in adjacency)]
@@ -373,11 +365,11 @@ def _walk_tally(
     in ends: the search stops at the walks of length max_len - 2, and each
     adds, over its neighbours y, how many ends are next to y, in C.
 
-    It reads the neighbour tuples of graphs._adjacency directly, with no
+    It reads the neighbour tuples of Graph.adjacency directly, with no
     step table. The root and every step charge one node against the budget,
     exactly as in `_search`: each vertex a walk visits below the last level
     charges its degree."""
-    adjacency = [(), *_adjacency(g).values()]  # adjacency[a]: a's ascending neighbours
+    adjacency = [(), *g.adjacency.values()]  # adjacency[a]: a's ascending neighbours
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)

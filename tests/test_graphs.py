@@ -1,17 +1,21 @@
 import decimal
+import functools
+import gc
+import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from trailcounts import families
-from trailcounts.errors import EdgeListError
+from trailcounts import families, reports
+from trailcounts.cli import main
+from trailcounts.errors import BudgetExceededError, EdgeListError
 from trailcounts.graphs import (
     MAX_LABEL,
     Graph,
-    _adjacency,
     adjacency_matrix,
     decimal_str,
     identity_matrix,
@@ -297,20 +301,69 @@ def test_decimal_str_is_exact_past_the_digit_limit():
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_adjacency_cache_is_bounded():
-    assert _adjacency.cache_info().maxsize == 128
-    for n in range(1, 201):
-        walk_count(Graph(n, frozenset()), 1, 1, 1)
-    assert _adjacency.cache_info().currsize <= 128
+def test_graph_is_freed_after_every_kind():
+    # the graph owns its adjacency and edge order, so no module-level cache
+    # keeps a queried graph alive
+    g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
+    for kind, spec in reports.KIND_TABLE.items():
+        report = reports.run_count_query(g, "g", kind, spec.min_length + 2, 1, 1 if spec.closed else 3)
+        assert all(ev.error is None for ev in report.engines.values())
+    ref = weakref.ref(g)
+    del g, report
+    gc.collect()
+    assert ref() is None
 
 
-def test_walk_count_looks_up_adjacency_once():
+def test_sorted_edges_is_sorted_once(petersen):
+    edges = petersen.sorted_edges()
+    assert edges == tuple(sorted(petersen.edges))
+    assert petersen.sorted_edges() is edges
+
+
+def test_adjacency_is_built_once_per_graph(monkeypatch):
+    built = []
+    build = Graph.adjacency.func
+    adjacency = functools.cached_property(lambda g: built.append(g) or build(g))
+    adjacency.__set_name__(Graph, "adjacency")
+    monkeypatch.setattr(Graph, "adjacency", adjacency)
     g = families.cycle_graph(11)
-    walk_count(g, 0, 1, 1)  # fill the cache
-    before = _adjacency.cache_info()
+    for kind in ("walks", "trails", "paths", "cycles"):
+        reports.run_count_query(g, "c11", kind, 11, 1, 1)
     walk_count(g, 50, 1, 2)
-    after = _adjacency.cache_info()
-    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+    assert g.degree(5) == 2 and trails_ruled_out(g, 11, 1, 2)
+    assert len(built) == 1 and built[0] is g
+    assert g.adjacency == {u: tuple(sorted({u % 11 + 1, (u - 2) % 11 + 1})) for u in range(1, 12)}
+    other = families.cycle_graph(11)
+    assert other.neighbors(1) == (2, 11)
+    assert len(built) == 2 and built[1] is other
+
+
+class TestWalkBudget:
+    """walk_rows charges each level its live entries times the 64-bit words
+    of its largest count."""
+
+    def test_charge_per_level(self, p3, set_node_budget):
+        # rows from vertex 1 of P3: {1: 1}, {2: 1}, {1: 1, 3: 1}, {2: 2}, {1: 2, 3: 2}
+        set_node_budget(7)
+        assert walk_count(p3, 4, 1, 3) == 2
+        set_node_budget(6)
+        with pytest.raises(BudgetExceededError, match="^adjacency power exceeded its budget of 6$"):
+            walk_count(p3, 4, 1, 3)
+
+    def test_cli_exits_2_on_a_far_length(self, capsys, tmp_path):
+        path = tmp_path / "p3.txt"
+        path.write_text("1 2\n2 3\n")
+        code = main(
+            ["count", "--input", str(path), "--kind", "walks", "--length", str(10**20),
+             "--from", "1", "--to", "3", "--engine", "symbolic", "--format", "json"]
+        )
+        assert code == 2
+        engines = json.loads(capsys.readouterr().out)["engines"]
+        assert engines == {"symbolic": {"error": "adjacency power exceeded its budget of 100000000"}}
+
+    def test_empty_row_ends_the_count(self):
+        # an isolated vertex has no walk past length 0, at any length
+        assert walk_count(Graph(2, frozenset()), 10**20, 1, 1) == 0
 
 
 def test_import_loads_no_numpy():
