@@ -15,7 +15,6 @@ import csv
 import hashlib
 import io
 import sys
-import time
 from pathlib import Path
 
 from . import families, reports, verify
@@ -230,14 +229,11 @@ def _cmd_bench(args) -> int:
     for g in graphs:
         length = spec.length(g, args.length)
         u, v = 1, (1 if spec.closed else min(2, g.n))
-        for engine in engines:
-            start = time.perf_counter()
-            try:
-                value = decimal_str(getattr(spec, engine)(g, length, u, v, PathVariant.LITERAL)[0])
-            except BudgetExceededError:
-                value = "DNF"
-            elapsed = round((time.perf_counter() - start) * 1000.0, 3)
-            writer.writerow([args.family, g.n, args.kind, length, engine, value, elapsed])
+        report = reports.run_count_query(g, args.family, args.kind, length, u, v, engines)
+        for engine, ev in report.engines.items():
+            # a refused engine prints DNF, and its None time an empty cell
+            value = "DNF" if ev.error is not None else decimal_str(ev.value)
+            writer.writerow([args.family, g.n, args.kind, length, engine, value, ev.wall_time_ms])
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ summing coefficients of an entry counts trails.
 Two generator universes are used: edge generators indexed by the edge's
 position in g.sorted_edges() (trail counting, the same bit the oracle's trail
 search and the Fock edge register use) and vertex generators indexed by
-vertex-1 (path counting with the destination-vertex observable). Edge
-monomial masks are therefore |E| bits wide, not C(n,2).
+vertex-1 (path counting with the destination-vertex observable; the
+start-guarded count seeds the start's generator into the first row of the
+power). Edge monomial masks are therefore |E| bits wide, not C(n,2).
 
 A PolyMatrix stores only its nonzero entries, row by row. The builders
 fill them in one pass over the sorted edges or Graph.adjacency, each
@@ -267,43 +268,38 @@ class PathVariant(enum.Enum):
     counts walks whose non-initial vertices are pairwise distinct, which can
     exceed the path count when the start vertex is revisited). START_GUARDED
     additionally multiplies the start vertex's generator into every term,
-    which is the minimal correction making the count equal the path count.
-    START_GUARDED is an artifact-introduced variant, not part of the original
-    observable definition."""
+    which is the minimal correction making the count equal the path count:
+    the same literal row power, seeded with the start generator before the
+    first step, so any step back into the start kills its term. The oracle
+    and the Fock engine apply the same guard as the start's bit set before
+    the first step. START_GUARDED is an artifact-introduced variant, not part
+    of the original observable definition."""
 
     LITERAL = "literal"
     START_GUARDED = "guarded"
 
 
-def vertex_observable_matrix(
-    g: Graph, variant: PathVariant = PathVariant.LITERAL, start: int | None = None
-) -> PolyMatrix:
+def vertex_observable_matrix(g: Graph) -> PolyMatrix:
     """Matrix with entry (a, b) the generator of the destination vertex b
-    whenever {a, b} is an edge, else zero. For START_GUARDED, row `start` is
-    additionally multiplied by the start vertex's own generator. Column b's
-    entries share one generator, and each row reads its vertex's ascending
-    neighbour tuple in Graph.adjacency."""
-    if variant is PathVariant.START_GUARDED:
-        if start is None:
-            raise ValueError("START_GUARDED needs the start vertex")
-        g.require_vertex(start)
+    whenever {a, b} is an edge, else zero. Column b's entries share one
+    generator, and each row reads its vertex's ascending neighbour tuple in
+    Graph.adjacency."""
     adjacency = g.adjacency
     # generator[b]: x_(b-1), built only for the vertices with an edge
     generator = {b: _monomial(1 << (b - 1)) for b, ws in adjacency.items() if ws}
-    rows = [{b - 1: generator[b] for b in ws} for ws in adjacency.values()]
-    if variant is PathVariant.START_GUARDED:
-        # b != start (no self-loops), so each guarded entry is one monomial
-        guard = 1 << (start - 1)
-        rows[start - 1] = {b: _monomial(1 << b | guard) for b in rows[start - 1]}
-    return _matrix(rows)
+    return _matrix([{b - 1: generator[b] for b in ws} for ws in adjacency.values()])
 
 
-def _row_power_entry(m: PolyMatrix, length: int, u: int, v: int) -> Polynomial:
+def _row_power_entry(m: PolyMatrix, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
     """Entry (u, v) of m**length via row-vector products; same value as
     matrix_power_nilpotent(m, length).entry(u, v) at a fraction of the work.
-    Returns zero at the first empty level: every later level is empty too."""
+    The monomial `seed` is multiplied into row u before the first step (the
+    path start guard). Returns zero at the first empty level: every later
+    level is empty too."""
     budget = limits.term_budget()
-    row = {j: p._terms for j, p in m.rows[u - 1].items()}
+    row: dict[int, dict[int, int]] = {}
+    for j, p in m.rows[u - 1].items():
+        _mul_into(row.setdefault(j, {}), p._terms, {seed: 1})  # seed 0 is the monomial 1
     for _ in range(length - 1):
         if not row:
             break
@@ -339,9 +335,9 @@ def path_count_symbolic(g: Graph, length: int, u: int, v: int, variant: PathVari
 
     LITERAL counts walks whose non-initial vertices are pairwise distinct
     (DISTINCT_NON_INITIAL), which exceeds the path count whenever a walk
-    revisits the start vertex. START_GUARDED multiplies the start vertex's
-    generator into every term before reduction and equals the path count;
-    it requires u != v (a closed walk always revisits the start)."""
+    revisits the start vertex. START_GUARDED seeds the row power with the
+    start vertex's generator, so it is in every term, and equals the path
+    count; it requires u != v (a closed walk always revisits the start)."""
     return _path_entry(g, length, u, v, variant).coefficient_sum()
 
 
@@ -350,8 +346,8 @@ def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant) -> 
     g.require_query(length, u, v, 1)
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
-    m = vertex_observable_matrix(g, variant, start=u)
-    return _row_power_entry(m, length, u, v)
+    guard = 1 << (u - 1) if variant is PathVariant.START_GUARDED else 0
+    return _row_power_entry(vertex_observable_matrix(g), length, u, v, guard)
 
 
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:

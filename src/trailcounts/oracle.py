@@ -167,10 +167,18 @@ def count_dni_and_paths(g: Graph, length: int, u: int, v: int) -> tuple[int, int
         return len(trivial), len(trivial)  # length 0: both count the empty walk
     budget, start_bit = limits.node_budget(), 1 << (u - 1)
     hits = _search(g, u, length, WalkClass.DISTINCT_NON_INITIAL, budget, "path tally", keep=start_bit, ends={v})
-    dni = sum(hits.values())
-    if u == v:
+    return _dni_and_paths(hits, length, u == v)
+
+
+def _dni_and_paths(row: dict[int, int], length: int, closed: bool) -> tuple[int, int]:
+    """The DISTINCT_NON_INITIAL count and the PATH count of the
+    distinct-non-initial walks of one length and end vertex, from row:
+    {the walk's mask & the start bit: how many such walks}. The one path
+    rule that count_dni_and_paths and the sweep's _dni_tables share."""
+    dni = sum(row.values())
+    if closed:
         return dni, (dni if length >= 3 else 0)  # a closed one is a cycle unless it turns straight back
-    return dni, hits.get(0, 0)  # a walk that never entered the start carries no start bit
+    return dni, row.get(0, 0)  # a walk that never entered the start carries no start bit
 
 
 def trail_edge_set_histogram(g: Graph, length: int, u: int, v: int) -> dict[frozenset[tuple[int, int]], int]:
@@ -471,9 +479,7 @@ def _dni_tables(g: Graph, start: int, max_len: int, budget: int) -> tuple[dict, 
     for depth, level in enumerate(tally):
         for w, row in level.items():
             key = depth, w  # one key object shared by both tables
-            dni[key] = sum(row.values())
-            # a walk that never entered the start carries no start bit
-            paths = (dni[key] if depth >= 3 else 0) if w == start else row.get(0, 0)
+            dni[key], paths = _dni_and_paths(row, depth, w == start)
             if paths:
                 path[key] = paths
     return dni, path

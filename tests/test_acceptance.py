@@ -13,7 +13,7 @@ import time
 import pytest
 
 from trailcounts import families, verify
-from trailcounts.fock import f_matrix_amplitude, is_hamiltonian
+from trailcounts.fock import MatrixKind, f_matrix_amplitude, is_hamiltonian, normal_ordered_expectation
 from trailcounts.graphs import Graph
 from trailcounts.nilpotent import euler_trail_count_symbolic
 from trailcounts.oracle import count_closed_euler_trails, count_hamiltonian_cycles_through
@@ -161,6 +161,29 @@ def test_criterion_6_euler_convention(sweep):
         ok,
         "closed circuits counted per traversal direction (c4 -> 2)",
     )
+
+
+# OEIS A007082: a(n) Eulerian circuits of K_n, n odd, each direction its
+# own. A closed trail from vertex 1 is a circuit cut open at one of its
+# (n - 1) / 2 visits to 1, so there are ((n - 1) / 2) a(n); past the
+# oracle's range (K7) only the symbolic and Fock engines are asked
+@pytest.mark.parametrize(
+    "n, circuits, engines",
+    [
+        (3, 2, ("oracle", "symbolic", "fock")),
+        (5, 264, ("oracle", "symbolic", "fock")),
+        (7, 129_976_320, ("symbolic", "fock")),
+    ],
+    ids=["K3", "K5", "K7"],
+)
+def test_closed_euler_trails_of_complete_graphs_match_oeis(n, circuits, engines):
+    g = families.complete_graph(n)
+    evaluate = {
+        "oracle": lambda: count_closed_euler_trails(g, 1),
+        "symbolic": lambda: euler_trail_count_symbolic(g, 1, 1),
+        "fock": lambda: normal_ordered_expectation(g, g.edge_count, 1, 1, MatrixKind.N_EDGE),
+    }
+    assert {e: evaluate[e]() for e in engines} == dict.fromkeys(engines, (n - 1) // 2 * circuits)
 
 
 def test_criterion_7_randomized_property_suite():

@@ -211,15 +211,6 @@ class TestVertexObservable:
         assert m.entry(2, 1) == Polynomial.generator(0)
         assert m.entry(1, 1).is_zero()
 
-    def test_guarded_row_carries_start_generator(self, c4):
-        m = vertex_observable_matrix(c4, PathVariant.START_GUARDED, start=1)
-        assert m.entry(1, 2) == Polynomial.generator(1) * Polynomial.generator(0)
-        assert m.entry(2, 4) == Polynomial.generator(3)
-
-    def test_guarded_requires_start(self, c4):
-        with pytest.raises(ValueError):
-            vertex_observable_matrix(c4, PathVariant.START_GUARDED)
-
 
 class TestPathCounts:
     def test_c4_guarded_equals_path_count(self, c4):
@@ -304,6 +295,24 @@ class TestBudgets:
             evaluate(k4)
         set_term_budget(10_000)
         evaluate(k4)
+
+    @pytest.mark.parametrize(
+        "g, length, smallest, value",
+        [
+            (families.complete_graph(6), 5, 30, 24),
+            (families.petersen_graph(), 7, 54, 8),
+            (families.complete_graph(7), 6, 60, 120),
+        ],
+        ids=["K6", "petersen", "K7"],
+    )
+    def test_guarded_path_budget_boundary(self, set_term_budget, g, length, smallest, value):
+        # the smallest budgets the guarded observable matrix needed: the
+        # start-generator seed charges the same terms
+        set_term_budget(smallest)
+        assert path_count_symbolic(g, length, 1, 2, PathVariant.START_GUARDED) == value
+        set_term_budget(smallest - 1)
+        with pytest.raises(BudgetExceededError, match="polynomial row product"):
+            path_count_symbolic(g, length, 1, 2, PathVariant.START_GUARDED)
 
     def test_row_power_boundary(self, set_term_budget):
         # the largest level of K6 trails at l=6 holds exactly 935 monomials

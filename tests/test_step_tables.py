@@ -57,15 +57,23 @@ class TestNilpotentBuilders:
     @graphs
     @pytest.mark.parametrize("variant", list(PathVariant), ids=lambda v: v.value)
     def test_vertex_observable_matrix(self, g, variant):
-        for start in (1, g.n // 2 + 1, g.n):
-            rows = [{b - 1: Polynomial.generator(b - 1) for b in g.neighbors(a)} for a in range(1, g.n + 1)]
-            if variant is PathVariant.START_GUARDED:
-                guard = Polynomial.generator(start - 1)
-                rows[start - 1] = {b: p * guard for b, p in rows[start - 1].items()}
-            built = nilpotent.vertex_observable_matrix(g, variant, start)
+        rows = [{b - 1: Polynomial.generator(b - 1) for b in g.neighbors(a)} for a in range(1, g.n + 1)]
+        if variant is PathVariant.LITERAL:
+            built = nilpotent.vertex_observable_matrix(g)
             assert built == PolyMatrix(rows)
             assert _ascending(built.rows)
             assert all(p.term_count() == 1 for row in built.rows for p in row.values())
+            return
+        # the guarded count seeds the literal row power with the start
+        # generator; the reference multiplies it into the start's row
+        for start in (1, g.n // 2 + 1, g.n):
+            guard = Polynomial.generator(start - 1)
+            guarded = list(rows)
+            guarded[start - 1] = {b: p * guard for b, p in rows[start - 1].items()}
+            for length in (1, 2, 3, 5):
+                power = nilpotent.matrix_power_nilpotent(PolyMatrix(guarded), length)
+                for v in {1, 2, g.n // 2, g.n} - {start}:
+                    assert nilpotent._path_entry(g, length, start, v, variant) == power.entry(start, v)
 
 
 def _reference_product(left: dict, right: dict) -> dict:
