@@ -512,7 +512,7 @@ def _normal_ordered_pair(
     number its count note compares it with: for N_EDGE the squared amplitudes'
     sum (d_matrix_quadratic_form), for M_VERTEX the sum of those whose start
     slot, bit n - u, is still occupied (the path count when u != v)."""
-    g.require_query(length, u, v, 1)
+    g.require_query(length, u, v, 0)
     if matrix_kind not in _NUMBER_KINDS:
         raise ValueError("normal-ordered expectation applies to the number-operator matrices")
     if guard_vertex is not None:
@@ -547,10 +547,8 @@ def walk_count_expectation(g: Graph, length: int, u: int, v: int) -> int:
     """Expectation of the PLAIN (not normally ordered) number-matrix power
     entry on the graph state: every walk term evaluates to its occupation
     product, which is 1 for every walk inside the graph, so this equals the
-    walk count. Length 0 follows the identity-power convention."""
+    walk count."""
     g.require_query(length, u, v, 0)
-    if length == 0:
-        return 1 if u == v else 0
     levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation")
     return sum(_amplitudes_at(levels, v).values())
 
@@ -582,7 +580,7 @@ def f_matrix_amplitude(g: Graph, length: int, u: int) -> int:
     state. Zero whenever length < n (fewer than n slots get annihilated);
     at length n it equals the number of directed Hamiltonian traversals
     through u."""
-    g.require_query(length, u, u, 1)
+    g.require_query(length, u, u, 0)
     levels = _evolve(g, RegisterKind.VERTEX_SPACE, u, length, True, "transition-amplitude evaluation")
     return _amplitudes_at(levels, u).get(0, 0)
 

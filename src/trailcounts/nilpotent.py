@@ -12,8 +12,9 @@ Two generator universes are used: edge generators indexed by the edge's
 position in g.sorted_edges() (trail counting, the same bit the oracle's trail
 search and the Fock edge register use) and vertex generators indexed by
 vertex-1 (path counting with the destination-vertex observable; the
-start-guarded count seeds the start's generator into the first row of the
-power). Edge monomial masks are therefore |E| bits wide, not C(n,2).
+start-guarded count seeds the start's generator into the identity row the
+power starts from). Edge monomial masks are therefore |E| bits wide, not
+C(n,2).
 
 A PolyMatrix stores only its nonzero entries, row by row. The builders
 fill them in one pass over the sorted edges or Graph.adjacency, each
@@ -293,14 +294,13 @@ def vertex_observable_matrix(g: Graph) -> PolyMatrix:
 def _row_power_entry(m: PolyMatrix, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
     """Entry (u, v) of m**length via row-vector products; same value as
     matrix_power_nilpotent(m, length).entry(u, v) at a fraction of the work.
-    The monomial `seed` is multiplied into row u before the first step (the
-    path start guard). Returns zero at the first empty level: every later
-    level is empty too."""
+    The power starts from row u of the identity, holding the monomial `seed`
+    (the path start guard; seed 0 is the monomial 1), and takes `length` row
+    steps, so length 0 is the identity's entry. Returns zero at the first
+    empty level: every later level is empty too."""
     budget = limits.term_budget()
-    row: dict[int, dict[int, int]] = {}
-    for j, p in m.rows[u - 1].items():
-        _mul_into(row.setdefault(j, {}), p._terms, {seed: 1})  # seed 0 is the monomial 1
-    for _ in range(length - 1):
+    row = {u - 1: {seed: 1}}
+    for _ in range(length):
         if not row:
             break
         row, _ = _row_times(row, m, budget, "polynomial row product")
@@ -311,7 +311,7 @@ def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:
     """Sum of coefficients of entry (u, v) of the formal adjacency matrix to
     the given power under x*x = 0; equals the trail count. A query that
     graphs.trails_ruled_out settles is 0 without a product."""
-    g.require_query(length, u, v, 1)
+    g.require_query(length, u, v, 0)
     if trails_ruled_out(g, length, u, v):
         return 0
     return _row_power_entry(formal_adjacency_edges(g), length, u, v).coefficient_sum()
@@ -321,12 +321,7 @@ def euler_trail_count_symbolic(g: Graph, u: int, v: int) -> int:
     """Trail count at length |E|: trails traversing every edge exactly once.
     For u == v this is the closed Eulerian-circuit count (each direction a
     distinct trail). The edgeless graph counts one empty circuit."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    m = g.edge_count
-    if m == 0:
-        return 1 if u == v else 0
-    return trail_count_symbolic(g, m, u, v)
+    return trail_count_symbolic(g, g.edge_count, u, v)
 
 
 def path_count_symbolic(g: Graph, length: int, u: int, v: int, variant: PathVariant = PathVariant.LITERAL) -> int:
@@ -343,7 +338,7 @@ def path_count_symbolic(g: Graph, length: int, u: int, v: int, variant: PathVari
 
 def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant) -> Polynomial:
     """The power entry (u, v) that path_count_symbolic sums, after its checks."""
-    g.require_query(length, u, v, 1)
+    g.require_query(length, u, v, 0)
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     guard = 1 << (u - 1) if variant is PathVariant.START_GUARDED else 0

@@ -184,10 +184,11 @@ def _dni_and_paths(row: dict[int, int], length: int, closed: bool) -> tuple[int,
 def trail_edge_set_histogram(g: Graph, length: int, u: int, v: int) -> dict[frozenset[tuple[int, int]], int]:
     """For each edge set S, the number of trails of the given length from u
     to v traversing exactly S. Zero entries are omitted, so a query that
-    graphs.trails_ruled_out settles is {} without a search."""
-    g.require_query(length, u, v, 1)
-    if trails_ruled_out(g, length, u, v):
-        return {}
+    graphs.trails_ruled_out settles is {} without a search, and length 0
+    has the empty edge set's one empty trail when u == v."""
+    trivial = _without_search(g, length, u, v, WalkClass.START_ONCE_TRAIL_EDGE_SET)
+    if trivial is not None:
+        return {frozenset(): 1} if trivial else {}
     counter = _search(g, u, length, WalkClass.TRAIL, limits.node_budget(), "trail tally", keep=-1, ends={v})  # every edge bit
     edges = g.sorted_edges()  # trail mask bit i is edges[i]
     return {

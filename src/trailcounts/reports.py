@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import fock, nilpotent, oracle
@@ -180,12 +180,12 @@ class Kind:
         return given if self.derived_length is None else self.derived_length(g)
 
 
-def _trails_oracle(g, l, u, v, variant):
-    return oracle.count_walks(g, l, u, v, WalkClass.TRAIL), None  # 1 if u == v else 0 at l = 0
-
-
-def _trails_fock(g, l, u, v, variant):
-    return fock._normal_ordered_pair(g, l, u, v, fock.MatrixKind.N_EDGE)
+_TRAILS = Kind(
+    1, False, note=DMATRIX_SQUARED,
+    oracle=lambda g, l, u, v, variant: (oracle.count_walks(g, l, u, v, WalkClass.TRAIL), None),
+    symbolic=lambda g, l, u, v, variant: (nilpotent.trail_count_symbolic(g, l, u, v), None),
+    fock=lambda g, l, u, v, variant: fock._normal_ordered_pair(g, l, u, v, fock.MatrixKind.N_EDGE),
+)
 
 
 def _open_literal(u, v, variant, value, paths):
@@ -219,19 +219,12 @@ KIND_TABLE: dict[str, Kind] = {
         symbolic=lambda g, l, u, v, variant: (walk_count(g, l, u, v), None),
         fock=lambda g, l, u, v, variant: (fock.walk_count_expectation(g, l, u, v), None),
     ),
-    "trails": Kind(
-        1, False, oracle=_trails_oracle, fock=_trails_fock, note=DMATRIX_SQUARED,
-        symbolic=lambda g, l, u, v, variant: (nilpotent.trail_count_symbolic(g, l, u, v), None),
-    ),
+    "trails": _TRAILS,
     "paths": Kind(
         1, False, oracle=_paths_oracle, symbolic=_paths_symbolic, fock=_paths_fock, note=PROP2_LITERAL_OVERCOUNT
     ),
-    "euler": Kind(
-        1, False, oracle=_trails_oracle, derived_length=lambda g: g.edge_count, note=DMATRIX_SQUARED,
-        symbolic=lambda g, l, u, v, variant: (nilpotent.euler_trail_count_symbolic(g, u, v), None),
-        # an edgeless graph has one empty closed trail at each vertex
-        fock=lambda g, l, u, v, variant: _trails_fock(g, l, u, v, variant) if l else (int(u == v), None),
-    ),
+    # the trails at length |E|; on an edgeless graph, the empty trail
+    "euler": replace(_TRAILS, derived_length=lambda g: g.edge_count),
     "cycles": Kind(
         3, True,
         oracle=lambda g, l, u, v, variant: (oracle.count_walks(g, l, u, u, WalkClass.PATH), None),

@@ -48,7 +48,7 @@ from .fock import Amplitudes, LadderKind, LadderOp, MatrixKind, Register, Regist
 from .graphs import Graph, adjacency_matrix, parse_edge_list, walk_count, walk_rows
 from .nilpotent import PathVariant, Polynomial
 from .oracle import WalkClass
-from .reports import DMATRIX_SQUARED, PROP2_LITERAL_OVERCOUNT, canonical_json, matrix_to_decimal_rows
+from .reports import DMATRIX_SQUARED, KIND_TABLE, PROP2_LITERAL_OVERCOUNT, canonical_json, matrix_to_decimal_rows
 
 _MAX_STORED_FAILURES = 20
 _MAX_STORED_FLAGS_PER_CODE = 2000
@@ -444,7 +444,7 @@ def run_sweep(config: SweepConfig | None = None) -> VerifySummary:
         ctx.warnings.append("the oracle engine is disabled: ground-truth cross-checks are skipped")
     for gid, g in graphs:
         _sweep_graph(ctx, gid, g)
-    extras = _hamiltonian_extras(config)
+    extras = _hamiltonian_extras(config) if "oracle" in config.engines else []
     for gid, g in extras:
         _hamiltonian_checks(ctx, gid, g)
     elapsed = time.perf_counter() - start
@@ -532,12 +532,12 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
             ctx.check("trail-op-matches-table", nilpotent.trail_count_symbolic(g, l, u, v) == entry.coefficient_sum(), loc)
             ctx.check("path-op-literal-matches-table", nilpotent.path_count_symbolic(g, l, u, v) == literal.coefficient_sum(), loc)
             if u != v:
-                ctx.check(
-                    "path-op-guarded-matches-filter",
-                    nilpotent.path_count_symbolic(g, l, u, v, PathVariant.START_GUARDED)
-                    == nilpotent.guarded_sum_from_literal(literal, u),
-                    loc,
-                )
+                paths = nilpotent.guarded_sum_from_literal(literal, u)
+                guarded = {nilpotent.path_count_symbolic(g, l, u, v, PathVariant.START_GUARDED)}
+                if t.fock_edge:
+                    # what `count --kind paths --variant guarded` runs on Fock
+                    guarded.add(KIND_TABLE["paths"].fock(g, l, u, v, PathVariant.START_GUARDED)[0])
+                ctx.check("path-op-guarded-matches-filter", guarded == {paths}, loc)
             if l >= 3:
                 ctx.check(
                     "cycle-op-matches-table",

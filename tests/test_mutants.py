@@ -45,6 +45,14 @@ MUTANTS = {
         "guard = 0",
         "path-op-guarded-matches-filter",
     ),
+    # the Fock guarded path count keeps the start's slot occupied and
+    # counts the literal observable
+    "fock-guard-dropped": (
+        "fock.py",
+        "reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))",
+        "pass",
+        "path-op-guarded-matches-filter",
+    ),
 }
 
 

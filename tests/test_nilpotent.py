@@ -167,8 +167,8 @@ class TestTrailCounts:
                     ).coefficient_sum()
 
     def test_length_validation(self, c4):
-        with pytest.raises(ValueError):
-            trail_count_symbolic(c4, 0, 1, 2)
+        with pytest.raises(ValueError, match="^length must be >= 0, got -1$"):
+            trail_count_symbolic(c4, -1, 1, 2)
 
     def test_budget(self, set_term_budget):
         k6 = families.complete_graph(6)
@@ -322,6 +322,16 @@ class TestBudgets:
         set_term_budget(934)
         with pytest.raises(BudgetExceededError, match="polynomial row product"):
             trail_count_symbolic(k6, 6, 1, 2)
+
+    def test_first_row_step_is_charged(self, set_term_budget):
+        # the power starts from the identity row, so its first level is a
+        # row product too: K7 trails at l=1 build vertex 1's 6 edge monomials
+        k7 = families.complete_graph(7)
+        set_term_budget(6)
+        assert trail_count_symbolic(k7, 1, 1, 2) == 1
+        set_term_budget(5)
+        with pytest.raises(BudgetExceededError, match="polynomial row product"):
+            trail_count_symbolic(k7, 1, 1, 2)
 
     def test_matrix_power_raises(self, k4, set_term_budget):
         set_term_budget(2)

@@ -547,9 +547,9 @@ class TestHistogram:
             hist = trail_edge_set_histogram(k4, l, 1, 2)
             assert sum(hist.values()) == count_walks(k4, l, 1, 2, WalkClass.TRAIL)
 
-    def test_length_must_be_positive(self, c4):
-        with pytest.raises(ValueError):
-            trail_edge_set_histogram(c4, 0, 1, 1)
+    def test_length_must_be_non_negative(self, c4):
+        with pytest.raises(ValueError, match="^length must be >= 0, got -1$"):
+            trail_edge_set_histogram(c4, -1, 1, 1)
 
     @pytest.mark.parametrize("length", [21, 22])
     def test_wrong_parity_needs_no_search(self, set_node_budget, length):
@@ -557,5 +557,6 @@ class TestHistogram:
         k7 = families.complete_graph(7)
         set_node_budget(1)
         assert trail_edge_set_histogram(k7, length, 1, 2) == {}
-        with pytest.raises(ValueError):
-            trail_edge_set_histogram(k7, 0, 1, 2)
+        assert trail_edge_set_histogram(k7, 0, 1, 2) == {}
+        with pytest.raises(ValueError, match="^length must be >= 0, got -1$"):
+            trail_edge_set_histogram(k7, -1, 1, 2)

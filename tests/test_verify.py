@@ -2,9 +2,11 @@
 reaches. The expected summaries were recorded from the cell-by-cell checks
 that the per-start checks replaced."""
 
+import inspect
+
 import pytest
 
-from trailcounts import fock, nilpotent, verify
+from trailcounts import fock, nilpotent, oracle, verify
 
 SMALL = verify.SweepConfig(n_max=4, l_max=4)
 
@@ -96,3 +98,14 @@ def test_non_eulerian_closed_check_runs_the_row_power(monkeypatch, engines):
     # K2 and P3 are not Eulerian; K3's three closed checks read the full chain
     assert (inv.cases, inv.failure_count) == (5, 2)
     assert [(f["symbolic"], f["oracle"]) for f in inv.failures] == [(1, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("engines", [("symbolic", "fock"), ("fock",)])
+def test_sweep_without_the_oracle_calls_no_oracle_op(monkeypatch, engines):
+    calls = []
+    for name, op in vars(oracle).copy().items():
+        if inspect.isfunction(op) and op.__module__ == oracle.__name__ and not name.startswith("_"):
+            spy = lambda *args, op=op, name=name, **kwargs: calls.append(name) or op(*args, **kwargs)
+            monkeypatch.setattr(oracle, name, spy)
+    assert verify.run_sweep(verify.SweepConfig(n_max=4, l_max=4, engines=engines)).passed
+    assert calls == []
