@@ -393,22 +393,24 @@ def _evolve(
     destination vertex in vertex space): an annihilation operator when
     steps clear their slot, a number operator otherwise; either drops the
     term when the slot is empty. Terms that reach the same vertex and index
-    merge into one amplitude. The step table comes from `_step_table`, in
-    one pass over the edge slots or Graph.adjacency. Before it is
-    built, each step-table entry and each step a level will try costs
+    merge into one amplitude. Level 0 is yielded before anything is
+    charged; only a first step builds the step table (`_step_table`). Before
+    it is built, each step-table entry and each step a level will try costs
     1 + width // 64 nodes, an index's words."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
         # the guard's number operator uses up its slot before the first step
         reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))
+    level = {start: {reference: 1}}
+    yield level
+    if not max_len:
+        return
     budget, words = limits.node_budget(), 1 + register.width // 64
     remaining = budget - words * 2 * g.edge_count  # the step table's entries
     if remaining < 0:
         raise BudgetExceededError(what, budget)
     steps = _step_table(g, register, clears)
-    level = {start: {reference: 1}}
-    yield level
     for _ in range(max_len):
         remaining -= words * sum(map(operator.mul, map(len, level.values()), map(len, map(steps.__getitem__, level))))
         if remaining < 0:
@@ -429,34 +431,19 @@ def _evolve(
             return
 
 
-def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[int, int, int]]]:
-    """steps[w]: one (x, bit, flip) triple per step w -> x, in ascending x;
-    the step needs `bit` set and moves a surviving state to index ^ flip
-    (flip is bit when steps clear their slot, else 0). steps[0] is empty.
-
-    In edge space (the |E|-slot register, whose slots are g.sorted_edges()),
-    one pass over the slots appends each edge's bit to both of its ends:
-    vertex r gets its edges (a, r), a < r, before its edges (r, b), each
-    group in ascending order. In vertex space the step's bit is its
-    destination's, read from each tuple of Graph.adjacency: a bit is built
-    per step, so a wide register with few edges builds few wide integers."""
-    top = register.width - 1  # slot s is bit top - s, as Register.bit says
-    if register.kind is RegisterKind.EDGE_SPACE:
-        steps = [[] for _ in range(g.n + 1)]
-        for s, (a, b) in enumerate(register.slots):
-            bit = 1 << (top - s)
-            flip = bit if clears else 0
-            steps[a].append((b, bit, flip))
-            steps[b].append((a, bit, flip))
-        return steps
-    steps = [[]]
-    for ws in g.adjacency.values():
-        row = []
-        for x in ws:
-            bit = 1 << (top + 1 - x)  # vertex x sits at slot x - 1
-            row.append((x, bit, bit if clears else 0))
-        steps.append(row)
-    return steps
+def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[int, int, int]] | tuple[()]]:
+    """steps[w]: one (x, bit, flip) triple per step w -> x, in
+    Graph.incidence's ascending x; steps[0] and an edgeless vertex's entry
+    are (). The step needs `bit` set and moves a surviving state to
+    index ^ flip (flip is bit when steps clear their slot, else 0). Its slot
+    is its edge's position in edge space (the |E|-slot register) and x - 1
+    in vertex space; a bit is built per step, so a wide register with few
+    edges builds few wide integers."""
+    top, edge = register.width - 1, register.kind is RegisterKind.EDGE_SPACE  # slot s is bit top - s
+    return [
+        [(x, (bit := 1 << (top - (i if edge else x - 1))), bit if clears else 0) for x, i in pairs] if pairs else ()
+        for pairs in g.incidence
+    ]
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:

@@ -68,14 +68,31 @@ class Graph:
 
     @functools.cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """{u: u's neighbours in ascending order} for every vertex 1..n,
-        built once per graph from the sorted edges: vertex r gets its edges
-        (a, r), a < r, before its edges (r, b), each group ascending."""
+        """{u: u's neighbours in ascending order} for every vertex 1..n, in
+        `incidence`'s order but built in its own pass over the sorted edges:
+        `walk_rows` and `oracle._walk_tally` read only this, so their walk
+        queries build no incidence."""
         adj: dict[int, list[int]] = {u: [] for u in range(1, self.n + 1)}
         for u, v in self.sorted_edges():
             adj[u].append(v)
             adj[v].append(u)
         return {u: tuple(vs) for u, vs in adj.items()}
+
+    @functools.cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """incidence[u]: u's (neighbour, edge position) pairs in ascending
+        neighbour order, an edge's position in sorted_edges() being the bit
+        a trail step carries in every engine; entry 0 and each edgeless
+        vertex hold the empty tuple. One pass over the sorted edges appends
+        each to both ends: vertex r gets its edges (a, r), a < r, before its
+        edges (r, b), each group ascending, so the neighbours ascend."""
+        rows: list = [()] * (self.n + 1)  # a list only once a vertex has an edge
+        for i, (a, b) in enumerate(self.sorted_edges()):
+            rows[a] = rows[a] or []
+            rows[a].append((b, i))
+            rows[b] = rows[b] or []
+            rows[b].append((a, i))
+        return tuple(map(tuple, rows))
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbors of u (sorted order drives lexicographic walk
@@ -140,7 +157,7 @@ def slot_of_pair(n: int, u: int, v: int) -> int:
 # Largest vertex label or `n` header an edge list may give. Every engine
 # builds a per-vertex table over 1..n, so one huge label would cost memory
 # and time in proportion to it, whatever the edge count; at this bound each
-# engine answers walks at length 2 within about 2 s and 300 MB.
+# engine answers walks, trails and paths at l = 2 within about 1.1 s and 240 MB.
 MAX_LABEL = 10**6
 
 
@@ -342,7 +359,7 @@ def trails_ruled_out(g: Graph, length: int, u: int, v: int) -> bool:
     m = len(g.edges)
     if length != m:
         return length > m
-    odd = {a for a, near in g.adjacency.items() if len(near) % 2}
+    odd = {a for a, pairs in enumerate(g.incidence) if len(pairs) % 2}
     return odd != ({u, v} if u != v else set())
 
 

@@ -17,7 +17,7 @@ power starts from). Edge monomial masks are therefore |E| bits wide, not
 C(n,2).
 
 A PolyMatrix stores only its nonzero entries, row by row. The builders
-fill them in one pass over the sorted edges or Graph.adjacency, each
+read each row off Graph.incidence, in its ascending column order, each
 entry a one-term polynomial shared by every entry with the same generator.
 They take a trusted path, `_monomial` and `_matrix`, which skips the public
 constructors' zero filter and column range check: a generator's coefficient
@@ -190,6 +190,10 @@ class PolyMatrix:
         return len(self.rows)
 
     def entry(self, u: int, v: int) -> Polynomial:
+        """Entry (u, v); both ends must be vertices 1..n."""
+        for end in (u, v):
+            if not 1 <= end <= self.n:
+                raise ValueError(f"vertex {end} out of range 1..{self.n}")
         return self.rows[u - 1].get(v - 1) or Polynomial.zero()
 
     def __eq__(self, other) -> bool:
@@ -255,13 +259,9 @@ def matrix_power_nilpotent(m: PolyMatrix, exponent: int) -> PolyMatrix:
 def formal_adjacency_edges(g: Graph) -> PolyMatrix:
     """Adjacency matrix with each 1 replaced by the generator of its edge,
     indexed by the edge's position in g.sorted_edges(); entries (u, v) and
-    (v, u) share one generator, matching one qubit per edge. Filling rows in
-    one pass in sorted-edge order keeps each row's columns ascending: a row
-    r gets its edges (a, r), a < r, before its edges (r, b)."""
-    rows: list[dict[int, Polynomial]] = [{} for _ in range(g.n)]
-    for i, (a, b) in enumerate(g.sorted_edges()):
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = _monomial(1 << i)
-    return _matrix(rows)
+    (v, u) share one generator, matching one qubit per edge."""
+    generator = [_monomial(1 << i) for i in range(g.edge_count)]
+    return _matrix([{x - 1: generator[i] for x, i in pairs} if pairs else {} for pairs in g.incidence[1:]])
 
 
 class PathVariant(enum.Enum):
@@ -283,12 +283,11 @@ class PathVariant(enum.Enum):
 def vertex_observable_matrix(g: Graph) -> PolyMatrix:
     """Matrix with entry (a, b) the generator of the destination vertex b
     whenever {a, b} is an edge, else zero. Column b's entries share one
-    generator, and each row reads its vertex's ascending neighbour tuple in
-    Graph.adjacency."""
-    adjacency = g.adjacency
+    generator."""
+    incidence = g.incidence
     # generator[b]: x_(b-1), built only for the vertices with an edge
-    generator = {b: _monomial(1 << (b - 1)) for b, ws in adjacency.items() if ws}
-    return _matrix([{b - 1: generator[b] for b in ws} for ws in adjacency.values()])
+    generator = {b: _monomial(1 << (b - 1)) for b, pairs in enumerate(incidence) if pairs}
+    return _matrix([{x - 1: generator[x] for x, _ in pairs} if pairs else {} for pairs in incidence[1:]])
 
 
 def _row_power_entry(m: PolyMatrix, length: int, u: int, v: int, seed: int = 0) -> Polynomial:

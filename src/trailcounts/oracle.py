@@ -14,10 +14,8 @@ the sequence's mask. The bit depends on the step rule:
                           pairwise distinct
 
 Each search first builds its step table, every vertex's (neighbour, bit)
-pairs in ascending neighbour order, in one linear pass (`_step_table`): the
-trail rule appends each edge's bit to both of its ends in one pass over
-g.sorted_edges(), and the other rules pair Graph.adjacency with the
-vertex bits or zeros. Walk counts run the same search without the rule
+pairs in ascending neighbour order, read off Graph.incidence
+(`_step_table`). Walk counts run the same search without the rule
 (`_walk_tally`), straight on Graph.adjacency: each visited vertex's whole
 neighbour tuple is admitted at once, in C.
 
@@ -151,7 +149,7 @@ def count_walks(g: Graph, length: int, u: int, v: int, walk_class: WalkClass = W
     if walk_class is WalkClass.DISTINCT_NON_INITIAL:
         return count_dni_and_paths(g, length, u, v)[0]
     if walk_class is WalkClass.PATH:
-        length, ends = (length - 1, set(g.neighbors(u))) if u == v else (length, {v})
+        length, ends = (length - 1, {x for x, _ in g.incidence[u]}) if u == v else (length, {v})
         rule = WalkClass.DISTINCT_NON_INITIAL
         return _search(g, u, length, rule, budget, "path tally", keep=0, mask=1 << (u - 1), ends=ends).get(0, 0)
     raise ValueError(f"unknown walk class {walk_class!r}")
@@ -247,10 +245,9 @@ def _search(
     order. Under the walk rule, whose steps carry no bit and whose mask must
     be 0, the aim bits are the end vertices' bits.
 
-    The steps come from `_step_table`, built in one pass over the edges or
-    Graph.adjacency before the root is charged. The root and every
-    admitted step charge one node against the budget; each expansion charges
-    its admitted steps together."""
+    The steps come from `_step_table`, built before the root is charged.
+    The root and every admitted step charge one node against the budget;
+    each expansion charges its admitted steps together."""
     steps = _step_table(g, rule)
     remaining = budget - 1
     if remaining < 0:
@@ -341,25 +338,17 @@ def _search(
             return tally if ends is None else hits
 
 
-def _step_table(g: Graph, rule: WalkClass) -> list[list[tuple[int, int]]]:
+def _step_table(g: Graph, rule: WalkClass) -> list[list[tuple[int, int]] | tuple[()]]:
     """steps[a]: the (neighbour, bit) pairs of the steps from vertex a under
-    the rule, in ascending neighbour order; steps[0] is empty. The trail rule
-    appends each edge's bit to both of its ends in one pass over
-    g.sorted_edges(): vertex r gets its edges (a, r), a < r, before its edges
-    (r, b), each group in ascending order. The other rules read each
-    neighbour tuple of Graph.adjacency once, pairing it with its vertex bits
-    (DISTINCT_NON_INITIAL) or zeros (WALK)."""
+    the rule, in Graph.incidence's ascending neighbour order; steps[0] and
+    an edgeless vertex's entry are (). A step's bit is its edge's under
+    TRAIL, its neighbour's under DISTINCT_NON_INITIAL and 0 under WALK."""
+    incidence = g.incidence
     if rule is WalkClass.TRAIL:
-        steps = [[] for _ in range(g.n + 1)]
-        for i, (a, b) in enumerate(g.sorted_edges()):
-            bit = 1 << i
-            steps[a].append((b, bit))
-            steps[b].append((a, bit))
-        return steps
-    adjacency = g.adjacency.values()
+        return [[(x, 1 << i) for x, i in pairs] if pairs else () for pairs in incidence]
     if rule is WalkClass.DISTINCT_NON_INITIAL:
-        return [[], *([(w, 1 << (w - 1)) for w in ws] for ws in adjacency)]
-    return [[], *([(w, 0) for w in ws] for ws in adjacency)]
+        return [[(x, 1 << (x - 1)) for x, _ in pairs] if pairs else () for pairs in incidence]
+    return [[(x, 0) for x, _ in pairs] if pairs else () for pairs in incidence]
 
 
 def _walk_tally(

@@ -532,12 +532,8 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
             ctx.check("trail-op-matches-table", nilpotent.trail_count_symbolic(g, l, u, v) == entry.coefficient_sum(), loc)
             ctx.check("path-op-literal-matches-table", nilpotent.path_count_symbolic(g, l, u, v) == literal.coefficient_sum(), loc)
             if u != v:
-                paths = nilpotent.guarded_sum_from_literal(literal, u)
-                guarded = {nilpotent.path_count_symbolic(g, l, u, v, PathVariant.START_GUARDED)}
-                if t.fock_edge:
-                    # what `count --kind paths --variant guarded` runs on Fock
-                    guarded.add(KIND_TABLE["paths"].fock(g, l, u, v, PathVariant.START_GUARDED)[0])
-                ctx.check("path-op-guarded-matches-filter", guarded == {paths}, loc)
+                symbolic = nilpotent.path_count_symbolic(g, l, u, v, PathVariant.START_GUARDED)
+                _guarded_path_check(ctx, t, l, u, v, loc, symbolic, nilpotent.guarded_sum_from_literal(literal, u))
             if l >= 3:
                 ctx.check(
                     "cycle-op-matches-table",
@@ -545,6 +541,8 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
                     loc,
                 )
         if t.fock_edge:
+            if t.edge_powers is None and u != v:
+                _guarded_path_check(ctx, t, l, u, v, loc)
             sums, squares = t.fock_edge[u]
             trails = sums.get((l, v), 0)
             ctx.check("fock-op-matches-table", fock.normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE) == trails, loc)
@@ -559,6 +557,15 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
                 terms = fock.expand_walk_terms(g, l, u, v, MatrixKind.N_EDGE)
                 literal = sum(fock.normal_ordered_term_expectation(term, psi) for _, term in terms)
                 ctx.check("compact-register-matches-full-register", literal == trails, loc)
+
+
+def _guarded_path_check(ctx: _Ctx, t: _Tables, l: int, u: int, v: int, loc: dict, *symbolic: int):
+    """The guarded path counts from u to v != u, the symbolic ones given,
+    must equal the oracle's path table, and so must Fock's when it is on."""
+    guarded = set(symbolic)
+    if t.fock_edge:  # what `count --kind paths --variant guarded` runs on Fock
+        guarded.add(KIND_TABLE["paths"].fock(t.g, l, u, v, PathVariant.START_GUARDED)[0])
+    ctx.check("path-op-guarded-matches-filter", guarded == {t.dni[u][1].get((l, v), 0)}, loc)
 
 
 def _euler_checks(ctx: _Ctx, t: _Tables):

@@ -338,6 +338,23 @@ def test_adjacency_is_built_once_per_graph(monkeypatch):
     assert len(built) == 2 and built[1] is other
 
 
+def test_incidence_is_built_once_and_not_for_walks(monkeypatch):
+    built = []
+    build = Graph.incidence.func
+    incidence = functools.cached_property(lambda g: built.append(g) or build(g))
+    incidence.__set_name__(Graph, "incidence")
+    monkeypatch.setattr(Graph, "incidence", incidence)
+    g = families.cycle_graph(11)
+    # walks on the symbolic and oracle engines read only the adjacency
+    reports.run_count_query(g, "c11", "walks", 11, 1, 2, engines=("oracle", "symbolic"))
+    walk_count(g, 50, 1, 2)
+    assert built == []
+    for kind in ("trails", "paths", "cycles", "walks"):
+        reports.run_count_query(g, "c11", kind, 11, 1, 1 if kind == "cycles" else 2)
+    assert len(built) == 1 and built[0] is g
+    assert g.incidence[1] == ((2, 0), (11, 1))
+
+
 class TestWalkBudget:
     """walk_rows charges each level its live entries times the 64-bit words
     of its largest count."""

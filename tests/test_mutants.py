@@ -1,11 +1,11 @@
 """Mutation rows for the invariant sweep.
 
 Each row replaces one line in a copy of the package source, runs a small
-sweep (n <= 4, l <= 4, every engine) on the copy in a fresh interpreter,
-and names the first invariant that must fail. The unmutated copy must pass:
-without that control, a row could pass because the copy or the subprocess
-is broken. A row is a fault that `count` can make and the sweep must see,
-so each mutates code that `count` runs.
+sweep (n <= 4, l <= 4, on the row's engines) on the copy in a fresh
+interpreter, and names the first invariant that must fail. The unmutated
+copy must pass: without that control, a row could pass because the copy or
+the subprocess is broken. A row is a fault that `count` can make and the
+sweep must see, so each mutates code that `count` runs.
 """
 
 import json
@@ -20,14 +20,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SWEEP = """
 import json
+import sys
 import trailcounts
 from trailcounts import verify
-summary = verify.run_sweep(verify.SweepConfig(n_max=4, l_max=4))
+summary = verify.run_sweep(verify.SweepConfig(n_max=4, l_max=4, engines=tuple(sys.argv[1:])))
 failed = [inv.name for inv in summary.invariants if not inv.passed]
 print(json.dumps({"file": trailcounts.__file__, "failed": failed}))
 """
 
-# (module, the line as it stands, its replacement, the first invariant that fails)
+ALL = ("oracle", "symbolic", "fock")
+FOCK_GUARD = "reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))"
+
+# (module, the line as it stands, its replacement, the first invariant that
+# fails, the engines swept)
 MUTANTS = {
     # a closed distinct-non-initial walk that turns straight back counts
     # as a cycle, in count's path note and in the sweep's path table alike
@@ -36,6 +41,7 @@ MUTANTS = {
         "return dni, (dni if length >= 3 else 0)",
         "return dni, (dni if length >= 2 else 0)",
         "count-monotonicity-path-trail-walk",
+        ALL,
     ),
     # the symbolic guarded path count loses its start-generator seed and
     # counts the literal observable
@@ -44,21 +50,22 @@ MUTANTS = {
         "guard = 1 << (u - 1) if variant is PathVariant.START_GUARDED else 0",
         "guard = 0",
         "path-op-guarded-matches-filter",
+        ALL,
     ),
     # the Fock guarded path count keeps the start's slot occupied and
     # counts the literal observable
-    "fock-guard-dropped": (
-        "fock.py",
-        "reference &= ~(1 << register.bit(register.slot_index(guard_vertex)))",
-        "pass",
-        "path-op-guarded-matches-filter",
+    "fock-guard-dropped": ("fock.py", FOCK_GUARD, "pass", "path-op-guarded-matches-filter", ALL),
+    # the same fault with the symbolic engine off: the Fock guarded count
+    # is then checked against the oracle's path table alone
+    "fock-guard-dropped-without-symbolic": (
+        "fock.py", FOCK_GUARD, "pass", "path-op-guarded-matches-filter", ("oracle", "fock")
     ),
 }
 
 
-def _sweep_copy(root: Path, mutant: tuple[str, str, str] | None = None) -> list[str]:
-    """The invariants that fail on a copy of the source, with one line
-    replaced if a mutant is given."""
+def _sweep_copy(root: Path, mutant: tuple[str, str, str] | None = None, engines: tuple[str, ...] = ALL) -> list[str]:
+    """The invariants that fail on a sweep of the given engines over a copy
+    of the source, with one line replaced if a mutant is given."""
     shutil.copytree(SRC, root / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     package = root / "src" / "trailcounts"
     if mutant is not None:
@@ -68,7 +75,7 @@ def _sweep_copy(root: Path, mutant: tuple[str, str, str] | None = None) -> list[
         assert text.count(line) == 1, f"{module} no longer holds {line!r} exactly once"
         path.write_text(text.replace(line, replacement))
     run = subprocess.run(
-        [sys.executable, "-c", SWEEP],
+        [sys.executable, "-c", SWEEP, *engines],
         cwd=root,
         env={"PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
@@ -87,6 +94,6 @@ def test_unmutated_copy_passes(tmp_path):
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_sweep_catches_mutant(tmp_path, name):
-    *mutant, first = MUTANTS[name]
-    failed = _sweep_copy(tmp_path, tuple(mutant))
+    *mutant, first, engines = MUTANTS[name]
+    failed = _sweep_copy(tmp_path, tuple(mutant), engines)
     assert failed[:1] == [first], failed

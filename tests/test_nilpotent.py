@@ -91,6 +91,13 @@ class TestFormalAdjacency:
         assert m.entry(1, 4).is_zero()
         assert m.entry(2, 2).is_zero()
 
+    @pytest.mark.parametrize("u, v, bad", [(0, 2, 0), (2, 0, 0), (4, 1, 4), (1, 4, 4), (-1, 1, -1)])
+    def test_entry_refuses_ends_outside_the_vertices(self, p3, u, v, bad):
+        # entry (0, 2) would read row 3 through a negative index
+        m = formal_adjacency_edges(p3)
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range 1..3$"):
+            m.entry(u, v)
+
     def test_edgeless_all_zero(self):
         m = formal_adjacency_edges(Graph(3, frozenset()))
         assert all(m.entry(u, v).is_zero() for u in (1, 2, 3) for v in (1, 2, 3))

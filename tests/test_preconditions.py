@@ -117,3 +117,15 @@ def test_length_zero_is_the_identity(g):
             trails = run_count_query(g, "g", "trails", g.edge_count, u, v)
             assert [euler.engines[e].value for e in ENGINES] == [trails.engines[e].value for e in ENGINES]
             assert euler.notes == trails.notes
+
+
+@pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)
+def test_length_zero_needs_no_budget(g, set_node_budget, set_term_budget):
+    # the identity takes no step, so no engine charges a table or a level for it
+    set_node_budget(1)
+    set_term_budget(1)
+    for u in range(1, g.n + 1):
+        assert fock.f_matrix_amplitude(g, 0, u) == 0
+        for v in range(1, g.n + 1):
+            for name in IDENTITY_AT_ZERO:
+                assert OPS[name][0](g, 0, u, v) == (u == v), name

@@ -1,6 +1,6 @@
-"""Every engine's per-call tables, built in one pass over the edges or the
-cached adjacency, equal the per-entry constructions they replace, and the
-monomial product gives the same terms in either operand order."""
+"""Graph.incidence and every engine's per-call tables read off it equal the
+per-entry constructions they replace, and the monomial product gives the
+same terms in either operand order."""
 
 import random
 
@@ -39,6 +39,20 @@ def _edge_index(g: Graph) -> dict:
 
 def _ascending(rows) -> bool:
     return all(list(row) == sorted(row) for row in rows)
+
+
+@graphs
+def test_incidence(g):
+    index = _edge_index(g)
+    incidence = g.incidence
+    assert len(incidence) == g.n + 1 and incidence[0] == ()
+    for a in range(1, g.n + 1):
+        neighbours = [x for x, _ in incidence[a]]
+        assert neighbours == sorted(neighbours) == list(g.adjacency[a])
+        assert all(index[min(a, x), max(a, x)] == i for x, i in incidence[a])
+    # each edge position sits once at each of its two ends
+    ends = sorted((i, a) for a in range(1, g.n + 1) for _, i in incidence[a])
+    assert ends == sorted((i, a) for i, e in enumerate(g.sorted_edges()) for a in e)
 
 
 class TestNilpotentBuilders:
@@ -116,7 +130,7 @@ def test_oracle_step_table(g, rule):
     steps = oracle._step_table(g, rule)
     assert len(steps) == g.n + 1 and not steps[0]
     for a in range(1, g.n + 1):
-        assert steps[a] == [(w, bit(a, w)) for w in g.neighbors(a)]
+        assert list(steps[a]) == [(w, bit(a, w)) for w in g.neighbors(a)]
 
 
 @graphs
@@ -131,4 +145,4 @@ def test_fock_step_table(g, space, clears):
         for w in g.neighbors(a):
             bit = 1 << register.bit(fock._step_slot(register, a, w))
             expected.append((w, bit, bit if clears else 0))
-        assert steps[a] == expected
+        assert list(steps[a]) == expected
