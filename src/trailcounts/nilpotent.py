@@ -39,7 +39,8 @@ coefficients are always dropped so equality is structural.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, ValuesView
+import types
+from typing import Callable, Iterator, Mapping, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
@@ -214,7 +215,13 @@ class PolyMatrix:
         return PolyMatrix(out)
 
 
-def _matrix(rows: list[dict[int, Polynomial]]) -> PolyMatrix:
+# an edgeless vertex's row in the builders' matrices: one shared read-only
+# mapping, as Graph.incidence shares (); PolyMatrix.__init__ and mul build
+# rows of their own, so no shared row is written through
+_NO_ENTRIES = types.MappingProxyType({})
+
+
+def _matrix(rows: list[Mapping[int, Polynomial]]) -> PolyMatrix:
     """A PolyMatrix over rows as given, past PolyMatrix.__init__'s column
     range check and empty-entry filter: the builders' trusted path, for rows
     whose columns come from the graph's edges and whose entries are nonzero."""
@@ -261,7 +268,7 @@ def formal_adjacency_edges(g: Graph) -> PolyMatrix:
     indexed by the edge's position in g.sorted_edges(); entries (u, v) and
     (v, u) share one generator, matching one qubit per edge."""
     generator = [_monomial(1 << i) for i in range(g.edge_count)]
-    return _matrix([{x - 1: generator[i] for x, i in pairs} if pairs else {} for pairs in g.incidence[1:]])
+    return _matrix([{x - 1: generator[i] for x, i in pairs} if pairs else _NO_ENTRIES for pairs in g.incidence[1:]])
 
 
 class PathVariant(enum.Enum):
@@ -287,18 +294,20 @@ def vertex_observable_matrix(g: Graph) -> PolyMatrix:
     incidence = g.incidence
     # generator[b]: x_(b-1), built only for the vertices with an edge
     generator = {b: _monomial(1 << (b - 1)) for b, pairs in enumerate(incidence) if pairs}
-    return _matrix([{x - 1: generator[x] for x, _ in pairs} if pairs else {} for pairs in incidence[1:]])
+    return _matrix([{x - 1: generator[x] for x, _ in pairs} if pairs else _NO_ENTRIES for pairs in incidence[1:]])
 
 
-def _row_power_entry(m: PolyMatrix, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
-    """Entry (u, v) of m**length via row-vector products; same value as
-    matrix_power_nilpotent(m, length).entry(u, v) at a fraction of the work.
-    The power starts from row u of the identity, holding the monomial `seed`
-    (the path start guard; seed 0 is the monomial 1), and takes `length` row
-    steps, so length 0 is the identity's entry. Returns zero at the first
-    empty level: every later level is empty too."""
+def _row_power_entry(build: Callable[[Graph], PolyMatrix], g: Graph, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
+    """Entry (u, v) of m**length for m = build(g), via row-vector products;
+    same value as matrix_power_nilpotent(m, length).entry(u, v) at a fraction
+    of the work. The power starts from row u of the identity, holding the
+    monomial `seed` (the path start guard; seed 0 is the monomial 1), and
+    takes `length` row steps, so length 0 is the identity's entry and builds
+    no matrix. Returns zero at the first empty level: every later level is
+    empty too."""
     budget = limits.term_budget()
     row = {u - 1: {seed: 1}}
+    m = build(g) if length else None
     for _ in range(length):
         if not row:
             break
@@ -313,7 +322,7 @@ def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:
     g.require_query(length, u, v, 0)
     if trails_ruled_out(g, length, u, v):
         return 0
-    return _row_power_entry(formal_adjacency_edges(g), length, u, v).coefficient_sum()
+    return _row_power_entry(formal_adjacency_edges, g, length, u, v).coefficient_sum()
 
 
 def euler_trail_count_symbolic(g: Graph, u: int, v: int) -> int:
@@ -341,7 +350,7 @@ def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant) -> 
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     guard = 1 << (u - 1) if variant is PathVariant.START_GUARDED else 0
-    return _row_power_entry(vertex_observable_matrix(g), length, u, v, guard)
+    return _row_power_entry(vertex_observable_matrix, g, length, u, v, guard)
 
 
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:
@@ -359,4 +368,4 @@ def cycle_count_symbolic(g: Graph, length: int, u: int) -> int:
     (each undirected cycle traversed in two directions). At length n this is
     the directed Hamiltonian count through u."""
     g.require_query(length, u, u, 3)
-    return _row_power_entry(vertex_observable_matrix(g), length, u, u).coefficient_sum()
+    return _row_power_entry(vertex_observable_matrix, g, length, u, u).coefficient_sum()

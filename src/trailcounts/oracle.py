@@ -367,7 +367,7 @@ def _walk_tally(
     step table. The root and every step charge one node against the budget,
     exactly as in `_search`: each vertex a walk visits below the last level
     charges its degree."""
-    adjacency = [(), *g.adjacency.values()]  # adjacency[a]: a's ascending neighbours
+    adjacency = g.adjacency
     remaining = budget - 1
     if remaining < 0:
         raise BudgetExceededError(what, budget)

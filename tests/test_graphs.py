@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -332,27 +333,52 @@ def test_adjacency_is_built_once_per_graph(monkeypatch):
     walk_count(g, 50, 1, 2)
     assert g.degree(5) == 2 and trails_ruled_out(g, 11, 1, 2)
     assert len(built) == 1 and built[0] is g
-    assert g.adjacency == {u: tuple(sorted({u % 11 + 1, (u - 2) % 11 + 1})) for u in range(1, 12)}
+    assert g.adjacency == ((), *(tuple(sorted({u % 11 + 1, (u - 2) % 11 + 1})) for u in range(1, 12)))
     other = families.cycle_graph(11)
     assert other.neighbors(1) == (2, 11)
     assert len(built) == 2 and built[1] is other
 
 
-def test_incidence_is_built_once_and_not_for_walks(monkeypatch):
+def test_incidence_is_built_once_per_graph(monkeypatch):
     built = []
     build = Graph.incidence.func
     incidence = functools.cached_property(lambda g: built.append(g) or build(g))
     incidence.__set_name__(Graph, "incidence")
     monkeypatch.setattr(Graph, "incidence", incidence)
     g = families.cycle_graph(11)
-    # walks on the symbolic and oracle engines read only the adjacency
-    reports.run_count_query(g, "c11", "walks", 11, 1, 2, engines=("oracle", "symbolic"))
-    walk_count(g, 50, 1, 2)
-    assert built == []
-    for kind in ("trails", "paths", "cycles", "walks"):
+    # adjacency is read off incidence, so walks on every engine build it too
+    for kind in ("walks", "trails", "paths", "cycles"):
         reports.run_count_query(g, "c11", kind, 11, 1, 1 if kind == "cycles" else 2)
+    walk_count(g, 50, 1, 2)
     assert len(built) == 1 and built[0] is g
     assert g.incidence[1] == ((2, 0), (11, 1))
+    other = families.cycle_graph(11)
+    reports.run_count_query(other, "c11", "walks", 11, 1, 2, engines=("oracle",))
+    assert len(built) == 2 and built[1] is other
+
+
+# bytes per vertex label that one query on a graph with two edges may peak
+# at: a few pointers per label for incidence, adjacency and each per-call
+# table, no container per edgeless vertex
+SPARSE_BYTES_PER_LABEL = 40
+
+
+@pytest.mark.parametrize(
+    "kind, engine",
+    # Fock paths are left out: the Fock vertex register holds a slot per label
+    [(kind, engine) for kind in ("walks", "trails", "paths") for engine in reports.ENGINES if (kind, engine) != ("paths", "fock")],
+)
+def test_sparse_labels_cost_a_few_pointers_each(kind, engine):
+    n = 50_000
+    g = Graph.from_edges(n, [(1, 2), (2, n)])
+    tracemalloc.start()
+    try:
+        report = reports.run_count_query(g, "sparse", kind, 2, 1, 1 if kind == "walks" else n, engines=(engine,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.engines[engine].value == 1
+    assert peak < SPARSE_BYTES_PER_LABEL * n, peak / n
 
 
 class TestWalkBudget:

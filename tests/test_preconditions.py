@@ -120,6 +120,23 @@ def test_length_zero_is_the_identity(g):
 
 
 @pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)
+def test_length_zero_builds_no_symbolic_matrix(g, monkeypatch):
+    # the symbolic row power answers length 0 from the identity row and
+    # builds its observable matrix only at its first step
+    def refuse(g):
+        raise AssertionError("built a matrix at length 0")
+
+    monkeypatch.setattr(nilpotent, "formal_adjacency_edges", refuse)
+    monkeypatch.setattr(nilpotent, "vertex_observable_matrix", refuse)
+    for u in range(1, g.n + 1):
+        for v in range(1, g.n + 1):
+            assert nilpotent.trail_count_symbolic(g, 0, u, v) == (u == v)
+            assert nilpotent.path_count_symbolic(g, 0, u, v) == (u == v)
+            if u != v:
+                assert nilpotent.path_count_symbolic(g, 0, u, v, PathVariant.START_GUARDED) == 0
+
+
+@pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)
 def test_length_zero_needs_no_budget(g, set_node_budget, set_term_budget):
     # the identity takes no step, so no engine charges a table or a level for it
     set_node_budget(1)
