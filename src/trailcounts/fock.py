@@ -34,13 +34,11 @@ from __future__ import annotations
 import enum
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import limits
 from .errors import BudgetExceededError, CapacityError
 from .graphs import Graph, decimal_str, pair_slots, trails_ruled_out
-
-SlotLabel = object  # (u, v) pair for edge spaces, int vertex for vertex space
 
 # qubit slots of the C(n,2)-slot pair register that graph_state and
 # expand_walk_terms render (n <= 7); the evaluators' registers have no cap,
@@ -55,14 +53,15 @@ class RegisterKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Register:
-    """A named qubit register: ordered slot labels, one qubit per slot."""
+    """A named qubit register: ordered slot labels ((u, v) edges in edge
+    space, vertices in vertex space), one qubit per slot."""
 
     kind: RegisterKind
-    slots: tuple
-    _slot_of: dict = field(init=False, repr=False, compare=False)
+    slots: tuple | range
 
     def __post_init__(self):
-        object.__setattr__(self, "_slot_of", {label: i for i, label in enumerate(self.slots)})
+        """No per-slot work. Kept as a hook for a wrapper that reads each
+        new register's width: a dataclass calls it only if it is defined."""
 
     @property
     def width(self) -> int:
@@ -74,8 +73,8 @@ class Register:
 
     def slot_index(self, label) -> int:
         try:
-            return self._slot_of[label]
-        except KeyError:
+            return self.slots.index(label)
+        except ValueError:
             raise ValueError(f"no slot {label!r} in this register") from None
 
     def bit(self, slot: int) -> int:
@@ -103,7 +102,7 @@ class Register:
 
     @classmethod
     def vertices(cls, n: int) -> "Register":
-        return cls(RegisterKind.VERTEX_SPACE, tuple(range(1, n + 1)))
+        return cls(RegisterKind.VERTEX_SPACE, range(1, n + 1))
 
 
 def _occupied_index(register: Register, labels) -> int:

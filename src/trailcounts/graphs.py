@@ -148,11 +148,11 @@ def slot_of_pair(n: int, u: int, v: int) -> int:
     return (a - 1) * (2 * n - a) // 2 + (b - a - 1)
 
 
-# Largest vertex label or `n` header an edge list may give. Every engine
-# builds a per-vertex table over 1..n, so one huge label would cost memory
-# and time in proportion to it, whatever the edge count; at this bound each
-# engine answers walks, trails and paths at l = 2 within about 0.5 s and 160 MB
-# (Fock paths; every other query stays under 55 MB) on a 2 vCPU host.
+# Largest vertex label or `n` header an edge list may give. Graph.incidence,
+# Graph.adjacency and every engine's step table hold an entry per label in
+# 1..n, so one huge label would cost memory and time in proportion to it,
+# whatever the edge count; at this bound each engine answers walks, trails
+# and paths at l = 2 within about 0.4 s and 55 MB on a 2 vCPU host.
 MAX_LABEL = 10**6
 
 
@@ -279,13 +279,22 @@ def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
     save more than 3n a step. Each saves at most n - 2, so that needs four of
     them and more than 7n/4 edges: a sparse or small graph pushes without a
     degree being read. A step on K_n then costs O(n) additions, not n(n-1).
-    The lists are built once per call from g.adjacency.
+    The lists are built once per call from g.adjacency, after level 0 is
+    yielded, so length 0 reads no table.
 
     Each level is charged against the node budget before it is yielded: its
     live entries times the 64-bit words of its largest count. A count grows
     by a word every few dozen levels, so the charge grows with the square of
     the length, and a length far beyond desk scale stops with
     BudgetExceededError("adjacency power") instead of running for hours."""
+    budget = limits.node_budget()
+    remaining = budget - 1  # level 0: one entry of one word
+    if remaining < 0:
+        raise BudgetExceededError("adjacency power", budget)
+    row = {start: 1}
+    yield row
+    if not max_len:
+        return
     adj = g.adjacency
     # pull: dense vertex -> itself and its non-neighbours, the entries its count is taken back from
     push, pull = adj, {}
@@ -297,12 +306,6 @@ def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
             everyone = set(vertices)
             pull = {w: tuple(everyone.difference(adj[w])) for w in dense}
             push = [() if w in pull else near for w, near in enumerate(adj)]
-    budget = limits.node_budget()
-    remaining = budget - 1  # level 0: one entry of one word
-    if remaining < 0:
-        raise BudgetExceededError("adjacency power", budget)
-    row = {start: 1}
-    yield row
     for _ in range(max_len):
         if pull:
             total = 0
@@ -354,7 +357,9 @@ def trails_ruled_out(g: Graph, length: int, u: int, v: int) -> bool:
     m = len(g.edges)
     if length != m:
         return length > m
-    odd = {a for a, pairs in enumerate(g.incidence) if len(pairs) % 2}
+    odd = set()  # each edge flips the parity of both its ends
+    for edge in g.edges:
+        odd.symmetric_difference_update(edge)
     return odd != ({u, v} if u != v else set())
 
 

@@ -783,7 +783,7 @@ def _property_ladder_anticommutation(rng, cases) -> InvariantResult:
     inv = InvariantResult("ladder-anticommutation")
     for _ in range(cases):
         width = rng.randint(1, 6)
-        register = Register(fock.RegisterKind.VERTEX_SPACE, tuple(range(1, width + 1)))
+        register = Register.vertices(width)
         state = _random_state(rng, register)
         slot = rng.randrange(width)
         a = LadderOp(LadderKind.ANNIHILATE, slot)
@@ -805,7 +805,7 @@ def _property_nilpotency(rng, cases) -> InvariantResult:
         algebra_ok = (mono * mono).is_zero() and (
             Polynomial.generator(gens[0]) * Polynomial.generator(gens[0])
         ).is_zero()
-        register = Register(fock.RegisterKind.VERTEX_SPACE, tuple(range(1, width + 1)))
+        register = Register.vertices(width)
         state = StateVector.all_ones(register)
         repeated = fock.OperatorTerm(
             (LadderOp(LadderKind.NUMBER, gens[0]), LadderOp(LadderKind.NUMBER, gens[0]))

@@ -1,4 +1,5 @@
 import decimal
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -109,6 +110,17 @@ class TestRegister:
     def test_unknown_slot(self):
         with pytest.raises(ValueError):
             Register.vertices(3).slot_index(9)
+
+    def test_vertex_register_holds_no_per_slot_table(self):
+        # the labels 1..n are a range, which finds a slot without a table
+        tracemalloc.start()
+        try:
+            reg = Register.vertices(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reg.slot_index(10**6) == 999_999
+        assert peak < 2**20, peak
 
 
 class TestStateVector:

@@ -364,9 +364,7 @@ SPARSE_BYTES_PER_LABEL = 40
 
 
 @pytest.mark.parametrize(
-    "kind, engine",
-    # Fock paths are left out: the Fock vertex register holds a slot per label
-    [(kind, engine) for kind in ("walks", "trails", "paths") for engine in reports.ENGINES if (kind, engine) != ("paths", "fock")],
+    "kind, engine", [(kind, engine) for kind in ("walks", "trails", "paths") for engine in reports.ENGINES]
 )
 def test_sparse_labels_cost_a_few_pointers_each(kind, engine):
     n = 50_000
@@ -439,6 +437,9 @@ class TestTrailsRuledOut:
             (families.cycle_graph(4), 4, 1, 2, True),
             (Graph(2, frozenset()), 0, 1, 1, False),  # the empty circuit
             (Graph(2, frozenset()), 0, 1, 2, True),
+            (Graph.from_edges(6, [(1, 2), (2, 6)]), 2, 1, 6, False),  # 3, 4 and 5 edgeless
+            (Graph.from_edges(6, [(1, 2), (2, 6)]), 2, 6, 1, False),
+            (Graph.from_edges(6, [(1, 2), (2, 6)]), 2, 1, 2, True),
         ],
     )
     def test_edge_count_and_parity(self, graph, length, u, v, ruled_out):

@@ -137,6 +137,16 @@ def test_length_zero_builds_no_symbolic_matrix(g, monkeypatch):
 
 
 @pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)
+def test_length_zero_builds_no_neighbour_table(g):
+    # walk_rows yields the identity row before it reads g.adjacency
+    g = Graph(g.n, g.edges)  # a fresh graph: no cached table yet
+    for u in range(1, g.n + 1):
+        for v in range(1, g.n + 1):
+            assert walk_count(g, 0, u, v) == (u == v)
+    assert "adjacency" not in vars(g) and "incidence" not in vars(g)
+
+
+@pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)
 def test_length_zero_needs_no_budget(g, set_node_budget, set_term_budget):
     # the identity takes no step, so no engine charges a table or a level for it
     set_node_budget(1)
