@@ -88,6 +88,15 @@ class Graph:
             rows[b].append((a, i))
         return tuple(map(tuple, rows))
 
+    @functools.cached_property
+    def odd_vertices(self) -> frozenset[int]:
+        """The vertices of odd degree, found once per graph from the edges
+        alone, O(|E|): each edge flips the parity of both its ends."""
+        odd: set[int] = set()
+        for edge in self.edges:
+            odd.symmetric_difference_update(edge)
+        return frozenset(odd)
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbors of u (sorted order drives lexicographic walk
         enumeration everywhere)."""
@@ -357,10 +366,7 @@ def trails_ruled_out(g: Graph, length: int, u: int, v: int) -> bool:
     m = len(g.edges)
     if length != m:
         return length > m
-    odd = set()  # each edge flips the parity of both its ends
-    for edge in g.edges:
-        odd.symmetric_difference_update(edge)
-    return odd != ({u, v} if u != v else set())
+    return g.odd_vertices != ({u, v} if u != v else set())
 
 
 def occupation_string(g: Graph) -> str:

@@ -16,21 +16,23 @@ start-guarded count seeds the start's generator into the identity row the
 power starts from). Edge monomial masks are therefore |E| bits wide, not
 C(n,2).
 
-A PolyMatrix stores only its nonzero entries, row by row. The builders
-read each row off Graph.incidence, in its ascending column order, each
-entry a one-term polynomial shared by every entry with the same generator.
-They take a trusted path, `_monomial` and `_matrix`, which skips the public
-constructors' zero filter and column range check: a generator's coefficient
-is 1, and every column comes from an edge of the graph.
+Every count is one entry of a power, taken as row steps: the power starts
+from one row of the identity and steps it through a step table read off
+Graph.incidence (`_edge_steps`, `_vertex_steps`), which gives each row its
+(column, generator bit) pairs in ascending column order. Every entry of the
+base matrix is one generator, so a row step (`_row_times`) ORs its bit into
+each term of a row entry that lacks it and drops the others; the term
+budget is checked inside the row step, while a level is being built.
 
-All multiplication goes through one monomial-product helper, `_mul_into`,
-and one row step, `_row_times` (a sparse row vector times a matrix): a
-matrix product is one row step per row of the left factor, and a single
-entry of a power is repeated row steps on one row. `_mul_into` loops over
-the right factor's terms first. A row step multiplies a row entry, which may
-hold many terms, by an entry of the base matrix, which holds one, so each
-entry product is one loop over the row entry's terms. The term budget is
-checked inside the row step, while a level or product is being built.
+A PolyMatrix stores only its nonzero entries, row by row. The public
+builders are views over the same step tables, each entry a one-term
+polynomial shared by every entry with the same generator, built past the
+public constructors' zero filter and column range check (`_trusted`,
+`_matrix`): a generator's coefficient is 1, and every column comes from an
+edge of the graph. PolyMatrix.mul is the general product, on the one
+monomial-product helper `_mul_into`, so matrix_power_nilpotent checks the
+row steps against an independent product. `_mul_into` loops over the right
+factor's terms first.
 
 Coefficients are plain Python integers; they never go negative here, but zero
 coefficients are always dropped so equality is structural.
@@ -39,8 +41,9 @@ coefficients are always dropped so equality is structural.
 from __future__ import annotations
 
 import enum
+import itertools
 import types
-from typing import Callable, Iterator, Mapping, ValuesView
+from typing import Callable, Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
@@ -153,11 +156,11 @@ def _mul_into(acc: dict[int, int], left: dict[int, int], right: dict[int, int]) 
             acc[m] = acc.get(m, 0) + c1 * c2
 
 
-def _monomial(mask: int) -> Polynomial:
-    """The one-term polynomial 1 * mask, past Polynomial.__init__'s zero
-    filter: the builders' trusted path."""
+def _trusted(terms: dict[int, int]) -> Polynomial:
+    """terms as a Polynomial, past Polynomial.__init__'s zero filter: the
+    trusted path for term dicts that hold no zero coefficient."""
     p = object.__new__(Polynomial)
-    p._terms = {mask: 1}
+    p._terms = terms
     return p
 
 
@@ -209,47 +212,78 @@ class PolyMatrix:
         budget, live = limits.term_budget(), 0
         out: list[dict[int, Polynomial]] = []
         for row in self.rows:
-            terms = {k: p._terms for k, p in row.items()}
-            product, live = _row_times(terms, other, budget, "polynomial matrix product", live)
+            product: dict[int, dict[int, int]] = {}
+            for k, left in row.items():
+                for j, right in other.rows[k].items():
+                    acc = product.setdefault(j, {})
+                    before = len(acc)
+                    _mul_into(acc, left._terms, right._terms)
+                    live += len(acc) - before
+                    if live > budget:
+                        raise BudgetExceededError("polynomial matrix product", budget)
             out.append({j: Polynomial(acc) for j, acc in product.items()})
         return PolyMatrix(out)
 
 
-# an edgeless vertex's row in the builders' matrices: one shared read-only
+Steps = list[tuple[tuple[int, int], ...]]
+
+
+def _edge_steps(g: Graph) -> Steps:
+    """steps[k]: row k + 1 of formal_adjacency_edges as (column, generator
+    bit) pairs in Graph.incidence's ascending order, the bit that of the
+    edge's position; () for an edgeless vertex. Rows are read through
+    islice: a slice would copy an entry per label."""
+    rows = itertools.islice(g.incidence, 1, None)
+    return [tuple((x - 1, 1 << i) for x, i in pairs) if pairs else () for pairs in rows]
+
+
+def _vertex_steps(g: Graph) -> Steps:
+    """steps[k]: row k + 1 of vertex_observable_matrix, the bit that of the
+    neighbour stepped to; () for an edgeless vertex."""
+    rows = itertools.islice(g.incidence, 1, None)
+    return [tuple((x - 1, 1 << (x - 1)) for x, _ in pairs) if pairs else () for pairs in rows]
+
+
+# an edgeless vertex's row in the matrix views: one shared read-only
 # mapping, as Graph.incidence shares (); PolyMatrix.__init__ and mul build
 # rows of their own, so no shared row is written through
 _NO_ENTRIES = types.MappingProxyType({})
 
 
-def _matrix(rows: list[Mapping[int, Polynomial]]) -> PolyMatrix:
-    """A PolyMatrix over rows as given, past PolyMatrix.__init__'s column
-    range check and empty-entry filter: the builders' trusted path, for rows
-    whose columns come from the graph's edges and whose entries are nonzero."""
+def _matrix(steps: Steps) -> PolyMatrix:
+    """The PolyMatrix a step table stands for, past PolyMatrix.__init__'s
+    column range check and empty-entry filter (its columns come from the
+    graph's edges): entry (k, j) is the monomial of its bit, one shared
+    monomial per generator."""
+    monomial = {bit: _trusted({bit: 1}) for bit in {bit for row in steps for _, bit in row}}
     m = object.__new__(PolyMatrix)
-    m.rows = rows
+    m.rows = [{j: monomial[bit] for j, bit in row} if row else _NO_ENTRIES for row in steps]
     return m
 
 
-def _row_times(
-    row: dict[int, dict[int, int]], m: PolyMatrix, budget: int, label: str, live: int = 0
-) -> tuple[dict[int, dict[int, int]], int]:
-    """The sparse row vector `row` (column -> term dict) times m: one row of
-    a matrix product, one level of a row power. `live` counts the monomials
-    built so far and is checked after every entry product, so a blow-up
-    stops while the level is being built. Returns the product row (no empty
-    entries) and the updated count."""
+def _row_times(row: dict[int, dict[int, int]], steps: Steps, budget: int, label: str) -> dict[int, dict[int, int]]:
+    """The sparse row vector `row` (column -> term dict) times the matrix
+    `steps` stands for: one level of a row power. A step's entry is one
+    generator, so its product ORs the bit into each term that lacks it and
+    drops the rest (x*x = 0). The monomials built so far are checked after
+    every entry product, so a blow-up stops while the level is being built.
+    The product row holds no empty entry."""
     out: dict[int, dict[int, int]] = {}
+    live = 0
     for k, left in row.items():
-        for j, right in m.rows[k].items():
-            acc = out.get(j)
-            if acc is None:
-                acc = out[j] = {}
+        for j, bit in steps[k]:
+            acc = out.get(j) or {}
             before = len(acc)
-            _mul_into(acc, left, right._terms)
-            live += len(acc) - before
-            if live > budget:
-                raise BudgetExceededError(label, budget)
-    return {j: acc for j, acc in out.items() if acc}, live
+            for m, c in left.items():
+                if not m & bit:
+                    m |= bit
+                    acc[m] = acc.get(m, 0) + c
+            if len(acc) > before:  # else the count is unchanged and was checked
+                out[j] = acc
+                live += len(acc) - before
+                if live > budget:
+                    raise BudgetExceededError(label, budget)
+    return out
 
 
 def matrix_power_nilpotent(m: PolyMatrix, exponent: int) -> PolyMatrix:
@@ -267,8 +301,7 @@ def formal_adjacency_edges(g: Graph) -> PolyMatrix:
     """Adjacency matrix with each 1 replaced by the generator of its edge,
     indexed by the edge's position in g.sorted_edges(); entries (u, v) and
     (v, u) share one generator, matching one qubit per edge."""
-    generator = [_monomial(1 << i) for i in range(g.edge_count)]
-    return _matrix([{x - 1: generator[i] for x, i in pairs} if pairs else _NO_ENTRIES for pairs in g.incidence[1:]])
+    return _matrix(_edge_steps(g))
 
 
 class PathVariant(enum.Enum):
@@ -291,28 +324,25 @@ def vertex_observable_matrix(g: Graph) -> PolyMatrix:
     """Matrix with entry (a, b) the generator of the destination vertex b
     whenever {a, b} is an edge, else zero. Column b's entries share one
     generator."""
-    incidence = g.incidence
-    # generator[b]: x_(b-1), built only for the vertices with an edge
-    generator = {b: _monomial(1 << (b - 1)) for b, pairs in enumerate(incidence) if pairs}
-    return _matrix([{x - 1: generator[x] for x, _ in pairs} if pairs else _NO_ENTRIES for pairs in incidence[1:]])
+    return _matrix(_vertex_steps(g))
 
 
-def _row_power_entry(build: Callable[[Graph], PolyMatrix], g: Graph, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
-    """Entry (u, v) of m**length for m = build(g), via row-vector products;
-    same value as matrix_power_nilpotent(m, length).entry(u, v) at a fraction
-    of the work. The power starts from row u of the identity, holding the
-    monomial `seed` (the path start guard; seed 0 is the monomial 1), and
-    takes `length` row steps, so length 0 is the identity's entry and builds
-    no matrix. Returns zero at the first empty level: every later level is
-    empty too."""
+def _row_power_entry(steps_of: Callable[[Graph], Steps], g: Graph, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
+    """Entry (u, v) of m**length for the matrix m that steps_of(g) stands
+    for, via row steps; same value as matrix_power_nilpotent(m,
+    length).entry(u, v) at a fraction of the work. The power starts from row
+    u of the identity, holding the monomial `seed` (the path start guard;
+    seed 0 is the monomial 1), and takes `length` row steps, so length 0 is
+    the identity's entry and builds no step table. Returns zero at the first
+    empty level: every later level is empty too."""
     budget = limits.term_budget()
     row = {u - 1: {seed: 1}}
-    m = build(g) if length else None
+    steps = steps_of(g) if length else None
     for _ in range(length):
         if not row:
             break
-        row, _ = _row_times(row, m, budget, "polynomial row product")
-    return Polynomial(row.get(v - 1))
+        row = _row_times(row, steps, budget, "polynomial row product")
+    return _trusted(row.get(v - 1, {}))
 
 
 def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:
@@ -322,7 +352,7 @@ def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:
     g.require_query(length, u, v, 0)
     if trails_ruled_out(g, length, u, v):
         return 0
-    return _row_power_entry(formal_adjacency_edges, g, length, u, v).coefficient_sum()
+    return _row_power_entry(_edge_steps, g, length, u, v).coefficient_sum()
 
 
 def euler_trail_count_symbolic(g: Graph, u: int, v: int) -> int:
@@ -350,7 +380,7 @@ def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant) -> 
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     guard = 1 << (u - 1) if variant is PathVariant.START_GUARDED else 0
-    return _row_power_entry(vertex_observable_matrix, g, length, u, v, guard)
+    return _row_power_entry(_vertex_steps, g, length, u, v, guard)
 
 
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:
@@ -368,4 +398,4 @@ def cycle_count_symbolic(g: Graph, length: int, u: int) -> int:
     (each undirected cycle traversed in two directions). At length n this is
     the directed Hamiltonian count through u."""
     g.require_query(length, u, u, 3)
-    return _row_power_entry(vertex_observable_matrix, g, length, u, u).coefficient_sum()
+    return _row_power_entry(_vertex_steps, g, length, u, u).coefficient_sum()

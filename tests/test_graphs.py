@@ -444,3 +444,26 @@ class TestTrailsRuledOut:
     )
     def test_edge_count_and_parity(self, graph, length, u, v, ruled_out):
         assert trails_ruled_out(graph, length, u, v) is ruled_out
+
+    @pytest.mark.parametrize(
+        "kind, length, v, value, passes",
+        [("euler", 6, 1, 2, 1), ("trails", 6, 4, 0, 1), ("trails", 3, 4, 2, 0)],
+    )
+    def test_parity_pass_runs_once_per_graph(self, monkeypatch, kind, length, v, value, passes):
+        # every engine reads the odd-degree set its graph caches; below |E|
+        # the edge count alone answers
+        seen = []
+        real = Graph.odd_vertices.func
+
+        def counted(g):
+            seen.append(g)
+            return real(g)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Graph, "odd_vertices")
+        monkeypatch.setattr(Graph, "odd_vertices", prop)
+        g = families.cycle_graph(6)
+        report = reports.run_count_query(g, "c6", kind, length, 1, v)
+        assert sorted(report.engines) == ["fock", "oracle", "symbolic"]
+        assert {e.value for e in report.engines.values()} == {value}
+        assert len(seen) == passes

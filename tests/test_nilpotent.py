@@ -321,6 +321,27 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="polynomial row product"):
             path_count_symbolic(g, length, 1, 2, PathVariant.START_GUARDED)
 
+    @pytest.mark.parametrize(
+        "count, smallest, value",
+        [
+            (lambda: cycle_count_symbolic(families.cycle_graph(600), 600, 1), 4, 2),
+            (lambda: euler_trail_count_symbolic(families.cycle_graph(600), 1, 1), 2, 2),
+            (lambda: path_count_symbolic(families.path_graph(600), 599, 1, 600, PathVariant.START_GUARDED), 1, 1),
+            (lambda: trail_count_symbolic(families.complete_graph(7), 8, 1, 2), 22290, 29040),
+        ],
+        ids=["C600-cycles", "C600-euler", "P600-guarded-paths", "K7-trails"],
+    )
+    def test_generator_row_step_boundary(self, set_term_budget, count, smallest, value):
+        # the smallest passing budgets of the long row powers and of a
+        # term-heavy one, as the Polynomial-matrix row step charged them;
+        # a budget below 1 cannot be set
+        set_term_budget(smallest)
+        assert count() == value
+        if smallest > 1:
+            set_term_budget(smallest - 1)
+            with pytest.raises(BudgetExceededError, match="polynomial row product"):
+                count()
+
     def test_row_power_boundary(self, set_term_budget):
         # the largest level of K6 trails at l=6 holds exactly 935 monomials
         k6 = families.complete_graph(6)

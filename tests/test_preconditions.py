@@ -122,12 +122,12 @@ def test_length_zero_is_the_identity(g):
 @pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)
 def test_length_zero_builds_no_symbolic_matrix(g, monkeypatch):
     # the symbolic row power answers length 0 from the identity row and
-    # builds its observable matrix only at its first step
+    # builds its step table only at its first step
     def refuse(g):
-        raise AssertionError("built a matrix at length 0")
+        raise AssertionError("built a matrix or step table at length 0")
 
-    monkeypatch.setattr(nilpotent, "formal_adjacency_edges", refuse)
-    monkeypatch.setattr(nilpotent, "vertex_observable_matrix", refuse)
+    for builder in ("formal_adjacency_edges", "vertex_observable_matrix", "_edge_steps", "_vertex_steps"):
+        monkeypatch.setattr(nilpotent, builder, refuse)
     for u in range(1, g.n + 1):
         for v in range(1, g.n + 1):
             assert nilpotent.trail_count_symbolic(g, 0, u, v) == (u == v)

@@ -26,10 +26,14 @@ from trailcounts.graphs import Graph, matrix_power, pair_slots, slot_of_pair, wa
 from trailcounts.nilpotent import (
     PathVariant,
     Polynomial,
+    _edge_steps,
+    _row_power_entry,
+    _vertex_steps,
     formal_adjacency_edges,
     matrix_power_nilpotent,
     path_count_symbolic,
     trail_count_symbolic,
+    vertex_observable_matrix,
 )
 from trailcounts.oracle import (
     WalkClass,
@@ -135,6 +139,20 @@ def test_edge_power_terms_match_trail_edge_sets(query):
     by_edge_set = {frozenset(edges[i] for i in gens): c for gens, c in entry.terms()}
     assert by_edge_set == trail_edge_set_histogram(g, l, u, v)
     assert trail_count_symbolic(g, l, u, v) == entry.coefficient_sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_queries(min_l=1))
+def test_row_power_matches_matrix_power_term_for_term(query):
+    # the generator row step against the general _mul_into product, in
+    # both generator spaces; a start seed multiplies into every term
+    g, l, u, v = query
+    for steps_of, build in ((_edge_steps, formal_adjacency_edges), (_vertex_steps, vertex_observable_matrix)):
+        literal = _row_power_entry(steps_of, g, l, u, v)
+        assert literal == matrix_power_nilpotent(build(g), l).entry(u, v)
+        if u != v:
+            seeded = _row_power_entry(steps_of, g, l, u, v, 1 << (u - 1))
+            assert seeded == Polynomial.generator(u - 1) * literal
 
 
 @settings(max_examples=60, deadline=None)

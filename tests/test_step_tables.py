@@ -90,6 +90,16 @@ class TestNilpotentBuilders:
                     assert nilpotent._path_entry(g, length, start, v, variant) == power.entry(start, v)
 
 
+@graphs
+def test_nilpotent_step_tables(g):
+    index = _edge_index(g)
+    edge, vertex = nilpotent._edge_steps(g), nilpotent._vertex_steps(g)
+    assert len(edge) == len(vertex) == g.n
+    for a in range(1, g.n + 1):
+        assert list(edge[a - 1]) == [(w - 1, 1 << index[min(a, w), max(a, w)]) for w in g.neighbors(a)]
+        assert list(vertex[a - 1]) == [(w - 1, 1 << (w - 1)) for w in g.neighbors(a)]
+
+
 def _reference_product(left: dict, right: dict) -> dict:
     out: dict = {}
     for m1, c1 in left.items():
