@@ -18,11 +18,14 @@ C(n,2).
 
 Every count is one entry of a power, taken as row steps: the power starts
 from one row of the identity and steps it through a step table read off
-Graph.incidence (`_edge_steps`, `_vertex_steps`), which gives each row its
-(column, generator bit) pairs in ascending column order. Every entry of the
-base matrix is one generator, so a row step (`_row_times`) ORs its bit into
-each term of a row entry that lacks it and drops the others; the term
-budget is checked inside the row step, while a level is being built.
+Graph.incidence (`_edge_steps`, `_vertex_steps`), indexed by vertex as
+incidence is, which gives each vertex its (neighbour, generator bit) pairs
+in ascending neighbour order. Every entry of the base matrix is one
+generator, so a row step (`_row_times`) ORs its bit into each term of a row
+entry that lacks it and drops the others; the term budget is checked inside
+the row step, while a level is being built. Each live monomial is charged
+the 64-bit words of the widest mask it can hold (`_words`), as the Fock
+engine charges a basis index: 1 + |E| // 64 for edge generators.
 
 A PolyMatrix stores only its nonzero entries, row by row. The public
 builders are views over the same step tables, each entry a one-term
@@ -31,7 +34,8 @@ public constructors' zero filter and column range check (`_trusted`,
 `_matrix`): a generator's coefficient is 1, and every column comes from an
 edge of the graph. PolyMatrix.mul is the general product, on the one
 monomial-product helper `_mul_into`, so matrix_power_nilpotent checks the
-row steps against an independent product. `_mul_into` loops over the right
+row steps against an independent product; it charges each monomial the
+words of the widest mask in either operand. `_mul_into` loops over the right
 factor's terms first.
 
 Coefficients are plain Python integers; they never go negative here, but zero
@@ -41,7 +45,6 @@ coefficients are always dropped so equality is structural.
 from __future__ import annotations
 
 import enum
-import itertools
 import types
 from typing import Callable, Iterator, ValuesView
 
@@ -164,6 +167,12 @@ def _trusted(terms: dict[int, int]) -> Polynomial:
     return p
 
 
+def _words(masks) -> int:
+    """The 64-bit words of the widest of `masks`: the term budget's charge
+    for each live monomial built from them."""
+    return 1 + max(masks, default=0).bit_length() // 64
+
+
 def _mask_generators(mask: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -210,6 +219,7 @@ class PolyMatrix:
         if self.n != other.n:
             raise ValueError("matrix dimensions differ")
         budget, live = limits.term_budget(), 0
+        words = _words(max(p._terms) for m in (self, other) for row in m.rows for p in row.values())
         out: list[dict[int, Polynomial]] = []
         for row in self.rows:
             product: dict[int, dict[int, int]] = {}
@@ -218,7 +228,7 @@ class PolyMatrix:
                     acc = product.setdefault(j, {})
                     before = len(acc)
                     _mul_into(acc, left._terms, right._terms)
-                    live += len(acc) - before
+                    live += (len(acc) - before) * words
                     if live > budget:
                         raise BudgetExceededError("polynomial matrix product", budget)
             out.append({j: Polynomial(acc) for j, acc in product.items()})
@@ -229,19 +239,16 @@ Steps = list[tuple[tuple[int, int], ...]]
 
 
 def _edge_steps(g: Graph) -> Steps:
-    """steps[k]: row k + 1 of formal_adjacency_edges as (column, generator
+    """steps[u]: row u of formal_adjacency_edges as (neighbour, generator
     bit) pairs in Graph.incidence's ascending order, the bit that of the
-    edge's position; () for an edgeless vertex. Rows are read through
-    islice: a slice would copy an entry per label."""
-    rows = itertools.islice(g.incidence, 1, None)
-    return [tuple((x - 1, 1 << i) for x, i in pairs) if pairs else () for pairs in rows]
+    edge's position; () for entry 0 and each edgeless vertex."""
+    return [tuple((x, 1 << i) for x, i in pairs) if pairs else () for pairs in g.incidence]
 
 
 def _vertex_steps(g: Graph) -> Steps:
-    """steps[k]: row k + 1 of vertex_observable_matrix, the bit that of the
-    neighbour stepped to; () for an edgeless vertex."""
-    rows = itertools.islice(g.incidence, 1, None)
-    return [tuple((x - 1, 1 << (x - 1)) for x, _ in pairs) if pairs else () for pairs in rows]
+    """steps[u]: row u of vertex_observable_matrix, the bit that of the
+    neighbour stepped to; () for entry 0 and each edgeless vertex."""
+    return [tuple((x, 1 << (x - 1)) for x, _ in pairs) if pairs else () for pairs in g.incidence]
 
 
 # an edgeless vertex's row in the matrix views: one shared read-only
@@ -251,23 +258,25 @@ _NO_ENTRIES = types.MappingProxyType({})
 
 
 def _matrix(steps: Steps) -> PolyMatrix:
-    """The PolyMatrix a step table stands for, past PolyMatrix.__init__'s
-    column range check and empty-entry filter (its columns come from the
-    graph's edges): entry (k, j) is the monomial of its bit, one shared
-    monomial per generator."""
+    """The PolyMatrix a step table stands for, its rows 0-based, past
+    PolyMatrix.__init__'s column range check and empty-entry filter (its
+    columns come from the graph's edges): entry (u, x) is the monomial of
+    its bit, one shared monomial per generator."""
     monomial = {bit: _trusted({bit: 1}) for bit in {bit for row in steps for _, bit in row}}
     m = object.__new__(PolyMatrix)
-    m.rows = [{j: monomial[bit] for j, bit in row} if row else _NO_ENTRIES for row in steps]
+    m.rows = [{x - 1: monomial[bit] for x, bit in row} if row else _NO_ENTRIES for row in steps[1:]]
     return m
 
 
-def _row_times(row: dict[int, dict[int, int]], steps: Steps, budget: int, label: str) -> dict[int, dict[int, int]]:
-    """The sparse row vector `row` (column -> term dict) times the matrix
+def _row_times(
+    row: dict[int, dict[int, int]], steps: Steps, words: int, budget: int, label: str
+) -> dict[int, dict[int, int]]:
+    """The sparse row vector `row` (vertex -> term dict) times the matrix
     `steps` stands for: one level of a row power. A step's entry is one
     generator, so its product ORs the bit into each term that lacks it and
-    drops the rest (x*x = 0). The monomials built so far are checked after
-    every entry product, so a blow-up stops while the level is being built.
-    The product row holds no empty entry."""
+    drops the rest (x*x = 0). The monomials built so far, `words` each, are
+    checked after every entry product, so a blow-up stops while the level is
+    being built. The product row holds no empty entry."""
     out: dict[int, dict[int, int]] = {}
     live = 0
     for k, left in row.items():
@@ -280,7 +289,7 @@ def _row_times(row: dict[int, dict[int, int]], steps: Steps, budget: int, label:
                     acc[m] = acc.get(m, 0) + c
             if len(acc) > before:  # else the count is unchanged and was checked
                 out[j] = acc
-                live += len(acc) - before
+                live += (len(acc) - before) * words
                 if live > budget:
                     raise BudgetExceededError(label, budget)
     return out
@@ -336,13 +345,14 @@ def _row_power_entry(steps_of: Callable[[Graph], Steps], g: Graph, length: int, 
     the identity's entry and builds no step table. Returns zero at the first
     empty level: every later level is empty too."""
     budget = limits.term_budget()
-    row = {u - 1: {seed: 1}}
-    steps = steps_of(g) if length else None
+    row = {u: {seed: 1}}
+    steps = steps_of(g) if length else ()
+    words = _words(bit for pairs in steps for _, bit in pairs)
     for _ in range(length):
         if not row:
             break
-        row = _row_times(row, steps, budget, "polynomial row product")
-    return _trusted(row.get(v - 1, {}))
+        row = _row_times(row, steps, words, budget, "polynomial row product")
+    return _trusted(row.get(v, {}))
 
 
 def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:

@@ -255,13 +255,22 @@ def run_count_query(
 ) -> CountReport:
     """Evaluate one counting query on the requested engines and assemble the
     cross-checked report, each note from the first engine in ENGINES order
-    whose own pass gave a second number that differs from its value. A
-    START_GUARDED paths query with u == v is refused before any engine runs."""
+    whose own pass gave a second number that differs from its value. Before
+    any engine runs it refuses an unknown kind or engine, a START_GUARDED
+    paths query with u == v, and a closed kind's query with u != v or a
+    length below its least."""
     if kind not in KIND_TABLE:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    for name in engines:
+        if name not in ENGINES:
+            raise ValueError(f"unknown engine {name!r}; expected some of {ENGINES}")
     if kind == "paths" and variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     spec = KIND_TABLE[kind]
+    if spec.closed and u != v:
+        raise ValueError(f"kind {kind!r} is closed; u must equal v, got {u} and {v}")
+    if spec.closed and length < spec.min_length:
+        raise ValueError(f"kind {kind!r} needs length >= {spec.min_length}, got {length}")
     l_eff = spec.length(g, length)
     values = {name: _timed(lambda name=name: getattr(spec, name)(g, l_eff, u, v, variant)) for name in engines}
 

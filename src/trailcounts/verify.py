@@ -571,7 +571,7 @@ def _guarded_path_check(ctx: _Ctx, t: _Tables, l: int, u: int, v: int, loc: dict
 def _euler_checks(ctx: _Ctx, t: _Tables):
     g, engines = t.g, ctx.config.engines
     m = g.edge_count
-    eulerian = m >= 1 and corpus.is_connected(g) and all(g.degree(u) % 2 == 0 for u in range(1, g.n + 1))
+    eulerian = m >= 1 and not g.odd_vertices and corpus.is_connected(g)
     if not eulerian:
         # non-Eulerian ground truth: the closed-trail count at length |E| is
         # 0; the symbolic side is only exercised at small |E| because the

@@ -1,18 +1,27 @@
 import contextlib
 import csv
 import decimal
+import functools
 import io
 import itertools
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trailcounts import families, nilpotent, reports, verify
+import trailcounts
+from trailcounts import families, limits, nilpotent, reports, verify
 from trailcounts.cli import main
+from trailcounts.graphs import Graph
 from trailcounts.nilpotent import PathVariant
 from trailcounts.reports import (
     DMATRIX_SQUARED,
@@ -356,6 +365,132 @@ class TestCount:
         assert str(tmp_path) in err
 
 
+def _each(value):
+    """One value or error label from every engine of `--engine all`."""
+    return dict.fromkeys(reports.ENGINES, value)
+
+
+@dataclass(frozen=True)
+class Contract:
+    """One `count --format json` run: the graph, the query, the budget
+    variables it runs under (the others unset), and what it must return and
+    print. `engines` maps each engine to its value or error label; every
+    pairwise agreement must hold. `notes` maps each note code, in order, to
+    the end of its message. A row with `peak_mb` runs in a child process
+    whose own peak RSS must stay below it."""
+
+    graph: Callable[[], Graph]
+    query: str
+    engines: dict[str, str]
+    notes: dict[str, str] = field(default_factory=dict)
+    env: dict[str, str] = field(default_factory=dict)
+    code: int = 0
+    peak_mb: int | None = None
+
+
+_K4, _K7, _K9 = (functools.partial(families.complete_graph, n) for n in (4, 7, 9))
+_P3000 = functools.partial(families.path_graph, 3000)
+_EDGELESS = functools.partial(Graph, 3, frozenset())
+_SPARSE = functools.partial(Graph.from_edges, 10**6, [(1, 2), (2, 10**6)])
+
+CONTRACTS = {
+    "C5000-euler": Contract(
+        functools.partial(families.cycle_graph, 5000), "--kind euler --from 1 --engine all", _each("2"),
+        {DMATRIX_SQUARED: ""},
+    ),
+    "P3000-guarded-paths": Contract(
+        _P3000, "--kind paths --variant guarded --length 2999 --from 1 --to 3000 --engine all", _each("1")
+    ),
+    "P3000-literal-paths": Contract(_P3000, "--kind paths --length 2999 --from 1 --to 3000 --engine all", _each("1")),
+    "C3000-cycles": Contract(
+        functools.partial(families.cycle_graph, 3000), "--kind cycles --length 3000 --from 1 --engine all", _each("2")
+    ),
+    "K7-trails-10": Contract(
+        _K7, "--kind trails --length 10 --from 1 --to 2 --engine all", _each("316320"), {DMATRIX_SQUARED: ""}
+    ),
+    "K7-walks-9": Contract(_K7, "--kind walks --length 9 --from 1 --to 2 --engine all", _each("1439671")),
+    "K7-open-euler": Contract(_K7, "--kind euler --from 1 --to 2 --engine all", _each("0")),
+    "K9-hamiltonian": Contract(_K9, "--kind hamiltonian --from 1 --engine all", _each("40320")),  # 8!
+    "K9-guarded-paths-7": Contract(  # P(7, 6)
+        _K9, "--kind paths --variant guarded --length 7 --from 1 --to 2 --engine all", _each("5040")
+    ),
+    "K9-literal-paths-8": Contract(
+        _K9, "--kind paths --length 8 --from 1 --to 2 --engine all", _each("35280"),
+        {PROP2_LITERAL_OVERCOUNT: "the path count is 5040"},
+    ),
+    # past the other engines' reach, and no engine there to give a note
+    "K7-trails-12-symbolic": Contract(
+        _K7, "--kind trails --length 12 --from 1 --to 2 --engine symbolic", {"symbolic": "2502000"}
+    ),
+    "edgeless-euler-closed": Contract(_EDGELESS, "--kind euler --from 1 --to 1 --engine all", _each("1")),
+    "edgeless-euler-open": Contract(_EDGELESS, "--kind euler --from 1 --to 2 --engine all", _each("0")),
+    # every engine answers length 0 from its own length-0 state, unbudgeted
+    "K4-walks-0-budget-1": Contract(
+        _K4, "--kind walks --length 0 --from 1 --to 1 --engine all", _each("1"),
+        env={limits.NODE_BUDGET_ENV: "1"},
+    ),
+    # a query on two edges costs a few pointers per label, not a dense table
+    **{
+        f"sparse-labels-{kind}": Contract(
+            _SPARSE, f"--kind {kind} --length 2 --from 1 --to {to} --engine all", _each("1"), peak_mb=100
+        )
+        for kind, to in (("walks", 1), ("trails", 10**6), ("paths", 10**6))
+    },
+    # 19,900-bit masks: both budgets refuse before memory runs out
+    "K200-trails-3": Contract(
+        functools.partial(families.complete_graph, 200), "--kind trails --length 3 --from 1 --to 2 --engine all",
+        {
+            "oracle": "39006",
+            "symbolic": "polynomial row product exceeded its budget of 10000000",
+            "fock": "normal-ordered evaluation exceeded its budget of 100000000",
+        },
+        code=2, peak_mb=400,
+    ),
+}
+
+
+def _limit_child():
+    # past 1.5 GiB of address space a regression ends in a MemoryError
+    # (exit 1) instead of exhausting the machine; a hang ends after 60 s of CPU
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+def _run_child(tmp_path, argv):
+    """The CLI run in a child process: exit code, stdout, stderr and the
+    child's own peak RSS in MB, read with wait4 (RUSAGE_CHILDREN would give
+    the largest child this process has ever waited for)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trailcounts.__file__).parents[1]))
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "trailcounts", *argv], stdout=stdout, stderr=stderr, env=env, preexec_fn=_limit_child
+        )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, out.read_text(), err.read_text(), usage.ru_maxrss / 1024
+
+
+@pytest.mark.parametrize("row", CONTRACTS.values(), ids=CONTRACTS.keys())
+def test_count_contract(capsys, monkeypatch, tmp_path, row):
+    for name in (limits.TERM_BUDGET_ENV, limits.NODE_BUDGET_ENV):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in row.env.items():
+        monkeypatch.setenv(name, value)
+    argv = ("count", "--input", _edge_file(tmp_path, "g", row.graph()), *row.query.split(), "--format", "json")
+    if row.peak_mb is None:
+        code, out, err = run(capsys, *argv)
+    else:
+        code, out, err, peak_mb = _run_child(tmp_path, argv)
+    assert code == row.code, err
+    assert row.peak_mb is None or peak_mb < row.peak_mb
+    report = json.loads(out)
+    assert {name: e.get("value", e.get("error")) for name, e in report["engines"].items()} == row.engines
+    assert all(report["agreement"].values())
+    assert [note["code"] for note in report["notes"]] == list(row.notes)
+    assert all(note["message"].endswith(row.notes[note["code"]]) for note in report["notes"])
+
+
 class TestReportContract:
     def test_json_round_trip_bytes(self, capsys, c4_file):
         _, out, _ = run(
@@ -418,6 +553,24 @@ class TestReportContract:
         run_count_query(families.complete_graph(5), "K5", "trails", 4, 1, 2, engines=("oracle", "fock"))
         assert sorted(set(runs)) == ["_evolve", "_search"]
 
+    @pytest.mark.parametrize(
+        "kind, length, v, engines",
+        [
+            ("trails", 3, 2, ("numpy",)),
+            ("trails", 3, 2, ("length",)),
+            ("cycles", 4, 3, reports.ENGINES),
+            ("hamiltonian", 4, 3, reports.ENGINES),
+            ("cycles", 2, 1, ("oracle", "fock")),
+        ],
+        ids=["engine-numpy", "engine-length", "cycles-open", "hamiltonian-open", "cycles-too-short"],
+    )
+    def test_inconsistent_query_refused_before_any_engine(self, c4, monkeypatch, kind, length, v, engines):
+        # an unknown engine, or a closed kind asked from 1 to another vertex
+        # or below its least length, has no answer every engine would give
+        monkeypatch.setattr(reports, "_timed", lambda fn: pytest.fail("an engine ran"))
+        with pytest.raises(ValueError):
+            run_count_query(c4, "c4", kind, length, 1, v, engines)
+
     def test_engine_subset(self, c4):
         report = run_count_query(c4, "c4", "trails", 3, 1, 2, engines=("oracle",))
         assert set(report.engines) == {"oracle"}
@@ -472,11 +625,9 @@ class TestVerify:
         assert "WARNING" in out
 
     def test_engine_subset_runs(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--n-max", "3", "--l-max", "2",
-            "--engines", "oracle,symbolic",
-        )
-        assert code == 0
+        for n_max, l_max, engines in (("3", "2", "oracle,symbolic"), ("4", "4", "oracle,fock")):
+            code, _, _ = run(capsys, "verify", "--n-max", n_max, "--l-max", l_max, "--engines", engines)
+            assert code == 0, engines
 
     def test_row_power_invariant_tests_the_row_power(self, monkeypatch):
         real = nilpotent._row_power_entry

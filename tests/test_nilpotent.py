@@ -324,23 +324,22 @@ class TestBudgets:
     @pytest.mark.parametrize(
         "count, smallest, value",
         [
-            (lambda: cycle_count_symbolic(families.cycle_graph(600), 600, 1), 4, 2),
-            (lambda: euler_trail_count_symbolic(families.cycle_graph(600), 1, 1), 2, 2),
-            (lambda: path_count_symbolic(families.path_graph(600), 599, 1, 600, PathVariant.START_GUARDED), 1, 1),
+            (lambda: cycle_count_symbolic(families.cycle_graph(600), 600, 1), 40, 2),
+            (lambda: euler_trail_count_symbolic(families.cycle_graph(600), 1, 1), 20, 2),
+            (lambda: path_count_symbolic(families.path_graph(600), 599, 1, 600, PathVariant.START_GUARDED), 10, 1),
             (lambda: trail_count_symbolic(families.complete_graph(7), 8, 1, 2), 22290, 29040),
         ],
         ids=["C600-cycles", "C600-euler", "P600-guarded-paths", "K7-trails"],
     )
     def test_generator_row_step_boundary(self, set_term_budget, count, smallest, value):
         # the smallest passing budgets of the long row powers and of a
-        # term-heavy one, as the Polynomial-matrix row step charged them;
-        # a budget below 1 cannot be set
+        # term-heavy one; a 600-bit mask is charged its 10 words, a 21-bit
+        # one a single word
         set_term_budget(smallest)
         assert count() == value
-        if smallest > 1:
-            set_term_budget(smallest - 1)
-            with pytest.raises(BudgetExceededError, match="polynomial row product"):
-                count()
+        set_term_budget(smallest - 1)
+        with pytest.raises(BudgetExceededError, match="polynomial row product"):
+            count()
 
     def test_row_power_boundary(self, set_term_budget):
         # the largest level of K6 trails at l=6 holds exactly 935 monomials
@@ -365,6 +364,17 @@ class TestBudgets:
         set_term_budget(2)
         with pytest.raises(BudgetExceededError, match="polynomial matrix product"):
             matrix_power_nilpotent(formal_adjacency_edges(k4), 2)
+
+    def test_matrix_product_charges_each_monomial_its_words(self, set_term_budget):
+        # the widest operand mask is 101 bits, 2 words: the product's two
+        # monomials charge 4
+        x0, x100 = Polynomial.generator(0), Polynomial.generator(100)
+        m = PolyMatrix([{1: x100}, {0: x0}])
+        set_term_budget(4)
+        assert m.mul(m) == PolyMatrix([{0: x0 * x100}, {1: x0 * x100}])
+        set_term_budget(3)
+        with pytest.raises(BudgetExceededError, match="polynomial matrix product"):
+            m.mul(m)
 
     def test_matrix_power_budget_is_cumulative_over_the_product(self, set_term_budget):
         m = formal_adjacency_edges(families.complete_graph(6))

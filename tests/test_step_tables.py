@@ -94,10 +94,10 @@ class TestNilpotentBuilders:
 def test_nilpotent_step_tables(g):
     index = _edge_index(g)
     edge, vertex = nilpotent._edge_steps(g), nilpotent._vertex_steps(g)
-    assert len(edge) == len(vertex) == g.n
+    assert len(edge) == len(vertex) == g.n + 1 and not edge[0] and not vertex[0]
     for a in range(1, g.n + 1):
-        assert list(edge[a - 1]) == [(w - 1, 1 << index[min(a, w), max(a, w)]) for w in g.neighbors(a)]
-        assert list(vertex[a - 1]) == [(w - 1, 1 << (w - 1)) for w in g.neighbors(a)]
+        assert list(edge[a]) == [(w, 1 << index[min(a, w), max(a, w)]) for w in g.neighbors(a)]
+        assert list(vertex[a]) == [(w, 1 << (w - 1)) for w in g.neighbors(a)]
 
 
 def _reference_product(left: dict, right: dict) -> dict:
