@@ -395,7 +395,7 @@ def _evolve(
     merge into one amplitude. Level 0 is yielded before anything is
     charged; only a first step builds the step table (`_step_table`). Before
     it is built, each step-table entry and each step a level will try costs
-    1 + width // 64 nodes, an index's words."""
+    limits.words(width) nodes, an index's words."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
@@ -405,7 +405,7 @@ def _evolve(
     yield level
     if not max_len:
         return
-    budget, words = limits.node_budget(), 1 + register.width // 64
+    budget, words = limits.node_budget(), limits.words(register.width)
     remaining = budget - words * 2 * g.edge_count  # the step table's entries
     if remaining < 0:
         raise BudgetExceededError(what, budget)

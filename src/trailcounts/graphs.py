@@ -97,6 +97,11 @@ class Graph:
             odd.symmetric_difference_update(edge)
         return frozenset(odd)
 
+    @functools.cached_property
+    def top_vertex(self) -> int:
+        """The largest vertex with an edge (0 if none): the widest vertex bit's width."""
+        return max((b for _, b in self.edges), default=0)
+
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Sorted neighbors of u (sorted order drives lexicographic walk
         enumeration everywhere)."""
@@ -158,7 +163,7 @@ def slot_of_pair(n: int, u: int, v: int) -> int:
 
 
 # Largest vertex label or `n` header an edge list may give. Graph.incidence,
-# Graph.adjacency and every engine's step table hold an entry per label in
+# Graph.adjacency and the oracle and Fock step tables hold an entry per label in
 # 1..n, so one huge label would cost memory and time in proportion to it,
 # whatever the edge count; at this bound each engine answers walks, trails
 # and paths at l = 2 within about 0.4 s and 55 MB on a 2 vCPU host.
@@ -338,7 +343,7 @@ def walk_rows(g: Graph, start: int, max_len: int) -> Iterator[dict[int, int]]:
                 nxt = {x: c for x, c in nxt.items() if c}
         row = nxt
         if row:
-            remaining -= len(row) * (1 + max(row.values()).bit_length() // 64)
+            remaining -= len(row) * limits.words(max(row.values()).bit_length())
             if remaining < 0:
                 raise BudgetExceededError("adjacency power", budget)
         yield row

@@ -31,6 +31,11 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
+def words(bits: int) -> int:
+    """The 64-bit words every budget charges for a value `bits` bits wide."""
+    return 1 + bits // 64
+
+
 def term_budget() -> int:
     return _env_int(TERM_BUDGET_ENV, _DEFAULT_TERM_BUDGET)
 

@@ -17,26 +17,26 @@ power starts from). Edge monomial masks are therefore |E| bits wide, not
 C(n,2).
 
 Every count is one entry of a power, taken as row steps: the power starts
-from one row of the identity and steps it through a step table read off
-Graph.incidence (`_edge_steps`, `_vertex_steps`), indexed by vertex as
-incidence is, which gives each vertex its (neighbour, generator bit) pairs
-in ascending neighbour order. Every entry of the base matrix is one
-generator, so a row step (`_row_times`) ORs its bit into each term of a row
-entry that lacks it and drops the others; the term budget is checked inside
-the row step, while a level is being built. Each live monomial is charged
-the 64-bit words of the widest mask it can hold (`_words`), as the Fock
-engine charges a basis index: 1 + |E| // 64 for edge generators.
+from one row of the identity and steps it through Graph.incidence, each
+vertex's (neighbour, edge position) pairs in ascending neighbour order.
+Every entry of the base matrix is one generator, so a row step
+(`_row_times`) makes its bit from the pair, ORs it into each term of a row
+entry that lacks it and drops the others; no table of bits is built. The
+term budget is checked inside the row step, while a level is being built.
+Each live monomial is charged the 64-bit words of the widest mask it can
+hold, as the Fock engine charges a basis index: limits.words(|E|) for edge
+generators, limits.words(g.top_vertex) for vertex generators.
 
 A PolyMatrix stores only its nonzero entries, row by row. The public
-builders are views over the same step tables, each entry a one-term
+builders read the same incidence (`_matrix`), each entry a one-term
 polynomial shared by every entry with the same generator, built past the
-public constructors' zero filter and column range check (`_trusted`,
-`_matrix`): a generator's coefficient is 1, and every column comes from an
-edge of the graph. PolyMatrix.mul is the general product, on the one
-monomial-product helper `_mul_into`, so matrix_power_nilpotent checks the
-row steps against an independent product; it charges each monomial the
-words of the widest mask in either operand. `_mul_into` loops over the right
-factor's terms first.
+public constructors' zero filter and column range check (`_trusted`): a
+generator's coefficient is 1, and every column comes from an edge of the
+graph. PolyMatrix.mul is the general product, on the one monomial-product
+helper `_mul_into`, so matrix_power_nilpotent checks the row steps against
+an independent product; it charges each monomial the words of the widest
+mask in either operand. `_mul_into` loops over the right factor's terms
+first.
 
 Coefficients are plain Python integers; they never go negative here, but zero
 coefficients are always dropped so equality is structural.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import types
-from typing import Callable, Iterator, ValuesView
+from typing import Iterator, ValuesView
 
 from . import limits
 from .errors import BudgetExceededError
@@ -167,12 +167,6 @@ def _trusted(terms: dict[int, int]) -> Polynomial:
     return p
 
 
-def _words(masks) -> int:
-    """The 64-bit words of the widest of `masks`: the term budget's charge
-    for each live monomial built from them."""
-    return 1 + max(masks, default=0).bit_length() // 64
-
-
 def _mask_generators(mask: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -219,7 +213,8 @@ class PolyMatrix:
         if self.n != other.n:
             raise ValueError("matrix dimensions differ")
         budget, live = limits.term_budget(), 0
-        words = _words(max(p._terms) for m in (self, other) for row in m.rows for p in row.values())
+        widest = max((max(p._terms) for m in (self, other) for row in m.rows for p in row.values()), default=0)
+        words = limits.words(widest.bit_length())
         out: list[dict[int, Polynomial]] = []
         for row in self.rows:
             product: dict[int, dict[int, int]] = {}
@@ -235,20 +230,11 @@ class PolyMatrix:
         return PolyMatrix(out)
 
 
-Steps = list[tuple[tuple[int, int], ...]]
+class Generator(enum.Enum):
+    """A power's generators: bit i for the edge at position i, or x - 1 for vertex x."""
 
-
-def _edge_steps(g: Graph) -> Steps:
-    """steps[u]: row u of formal_adjacency_edges as (neighbour, generator
-    bit) pairs in Graph.incidence's ascending order, the bit that of the
-    edge's position; () for entry 0 and each edgeless vertex."""
-    return [tuple((x, 1 << i) for x, i in pairs) if pairs else () for pairs in g.incidence]
-
-
-def _vertex_steps(g: Graph) -> Steps:
-    """steps[u]: row u of vertex_observable_matrix, the bit that of the
-    neighbour stepped to; () for entry 0 and each edgeless vertex."""
-    return [tuple((x, 1 << (x - 1)) for x, _ in pairs) if pairs else () for pairs in g.incidence]
+    EDGE = "edge"
+    VERTEX = "vertex"
 
 
 # an edgeless vertex's row in the matrix views: one shared read-only
@@ -257,30 +243,36 @@ def _vertex_steps(g: Graph) -> Steps:
 _NO_ENTRIES = types.MappingProxyType({})
 
 
-def _matrix(steps: Steps) -> PolyMatrix:
-    """The PolyMatrix a step table stands for, its rows 0-based, past
-    PolyMatrix.__init__'s column range check and empty-entry filter (its
-    columns come from the graph's edges): entry (u, x) is the monomial of
-    its bit, one shared monomial per generator."""
-    monomial = {bit: _trusted({bit: 1}) for bit in {bit for row in steps for _, bit in row}}
+def _matrix(g: Graph, kind: Generator) -> PolyMatrix:
+    """The matrix of g's `kind` generators read off Graph.incidence, rows
+    0-based, past PolyMatrix.__init__'s column range check and empty-entry
+    filter (its columns are edges): one shared monomial per generator."""
+    vertex = kind is Generator.VERTEX
+    monomials: dict[int, Polynomial] = {}
     m = object.__new__(PolyMatrix)
-    m.rows = [{x - 1: monomial[bit] for x, bit in row} if row else _NO_ENTRIES for row in steps[1:]]
+    m.rows = []
+    for pairs in g.incidence[1:]:
+        row = {}
+        for x, i in pairs:
+            k = x - 1 if vertex else i
+            row[x - 1] = monomials.get(k) or monomials.setdefault(k, _trusted({1 << k: 1}))
+        m.rows.append(row or _NO_ENTRIES)
     return m
 
 
-def _row_times(
-    row: dict[int, dict[int, int]], steps: Steps, words: int, budget: int, label: str
-) -> dict[int, dict[int, int]]:
-    """The sparse row vector `row` (vertex -> term dict) times the matrix
-    `steps` stands for: one level of a row power. A step's entry is one
-    generator, so its product ORs the bit into each term that lacks it and
-    drops the rest (x*x = 0). The monomials built so far, `words` each, are
-    checked after every entry product, so a blow-up stops while the level is
-    being built. The product row holds no empty entry."""
+def _row_times(row: dict[int, dict[int, int]], g: Graph, vertex: bool, words: int, budget: int) -> dict[int, dict[int, int]]:
+    """The sparse row vector `row` (vertex -> term dict) times the matrix of
+    g's edge generators, or vertex generators if `vertex`: one level of a row
+    power. A step's entry is one generator, so its product ORs its bit into
+    each term that lacks it and drops the rest (x*x = 0). The monomials built
+    so far, `words` each, are checked after every entry product, so a
+    blow-up stops while the level is being built. No entry is empty."""
+    incidence = g.incidence
     out: dict[int, dict[int, int]] = {}
     live = 0
     for k, left in row.items():
-        for j, bit in steps[k]:
+        for j, i in incidence[k]:
+            bit = 1 << (j - 1 if vertex else i)
             acc = out.get(j) or {}
             before = len(acc)
             for m, c in left.items():
@@ -291,7 +283,7 @@ def _row_times(
                 out[j] = acc
                 live += (len(acc) - before) * words
                 if live > budget:
-                    raise BudgetExceededError(label, budget)
+                    raise BudgetExceededError("polynomial row product", budget)
     return out
 
 
@@ -310,7 +302,7 @@ def formal_adjacency_edges(g: Graph) -> PolyMatrix:
     """Adjacency matrix with each 1 replaced by the generator of its edge,
     indexed by the edge's position in g.sorted_edges(); entries (u, v) and
     (v, u) share one generator, matching one qubit per edge."""
-    return _matrix(_edge_steps(g))
+    return _matrix(g, Generator.EDGE)
 
 
 class PathVariant(enum.Enum):
@@ -333,25 +325,22 @@ def vertex_observable_matrix(g: Graph) -> PolyMatrix:
     """Matrix with entry (a, b) the generator of the destination vertex b
     whenever {a, b} is an edge, else zero. Column b's entries share one
     generator."""
-    return _matrix(_vertex_steps(g))
+    return _matrix(g, Generator.VERTEX)
 
 
-def _row_power_entry(steps_of: Callable[[Graph], Steps], g: Graph, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
-    """Entry (u, v) of m**length for the matrix m that steps_of(g) stands
-    for, via row steps; same value as matrix_power_nilpotent(m,
-    length).entry(u, v) at a fraction of the work. The power starts from row
-    u of the identity, holding the monomial `seed` (the path start guard;
-    seed 0 is the monomial 1), and takes `length` row steps, so length 0 is
-    the identity's entry and builds no step table. Returns zero at the first
-    empty level: every later level is empty too."""
-    budget = limits.term_budget()
-    row = {u: {seed: 1}}
-    steps = steps_of(g) if length else ()
-    words = _words(bit for pairs in steps for _, bit in pairs)
+def _row_power_entry(kind: Generator, g: Graph, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
+    """Entry (u, v) of m**length, m the matrix of g's `kind` generators, via
+    row steps: matrix_power_nilpotent(m, length).entry(u, v) at a fraction of
+    the work. The power starts from row u of the identity holding the
+    monomial `seed` (the path start guard; 0 is the monomial 1) and takes
+    `length` row steps, so length 0 reads no incidence. Returns zero at the
+    first empty level: every later level is empty too."""
+    budget, row, vertex = limits.term_budget(), {u: {seed: 1}}, kind is Generator.VERTEX
+    words = limits.words(g.top_vertex if vertex else g.edge_count) if length else 0  # the widest bit's
     for _ in range(length):
         if not row:
             break
-        row = _row_times(row, steps, words, budget, "polynomial row product")
+        row = _row_times(row, g, vertex, words, budget)
     return _trusted(row.get(v, {}))
 
 
@@ -362,7 +351,7 @@ def trail_count_symbolic(g: Graph, length: int, u: int, v: int) -> int:
     g.require_query(length, u, v, 0)
     if trails_ruled_out(g, length, u, v):
         return 0
-    return _row_power_entry(_edge_steps, g, length, u, v).coefficient_sum()
+    return _row_power_entry(Generator.EDGE, g, length, u, v).coefficient_sum()
 
 
 def euler_trail_count_symbolic(g: Graph, u: int, v: int) -> int:
@@ -390,7 +379,7 @@ def _path_entry(g: Graph, length: int, u: int, v: int, variant: PathVariant) -> 
     if variant is PathVariant.START_GUARDED and u == v:
         raise ValueError("START_GUARDED counts open paths; u must differ from v")
     guard = 1 << (u - 1) if variant is PathVariant.START_GUARDED else 0
-    return _row_power_entry(_vertex_steps, g, length, u, v, guard)
+    return _row_power_entry(Generator.VERTEX, g, length, u, v, guard)
 
 
 def guarded_sum_from_literal(entry: Polynomial, start: int) -> int:
@@ -408,4 +397,4 @@ def cycle_count_symbolic(g: Graph, length: int, u: int) -> int:
     (each undirected cycle traversed in two directions). At length n this is
     the directed Hamiltonian count through u."""
     g.require_query(length, u, u, 3)
-    return _row_power_entry(_vertex_steps, g, length, u, u).coefficient_sum()
+    return _row_power_entry(Generator.VERTEX, g, length, u, u).coefficient_sum()

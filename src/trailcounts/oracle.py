@@ -27,7 +27,9 @@ tested, with one mask operation per walk one step short (the walk tally
 sums, per walk two steps short, how many of its neighbours are next to an
 end vertex). Neither merges equal states, and both charge a node budget the
 same nodes: the root and every admitted step, last steps that miss the end
-vertices included. So the oracle stays a desk-scale ground truth.
+vertices included. A step table or walk-tally stack that would outgrow the
+budget is refused before it is built. So the oracle stays a desk-scale
+ground truth.
 
 The aimed search behind each count:
 
@@ -245,9 +247,13 @@ def _search(
     order. Under the walk rule, whose steps carry no bit and whose mask must
     be 0, the aim bits are the end vertices' bits.
 
-    The steps come from `_step_table`, built before the root is charged.
-    The root and every admitted step charge one node against the budget;
-    each expansion charges its admitted steps together."""
+    The steps come from `_step_table`, built before the root is charged and
+    refused first if its 2|E| entries' words past the first exceed the
+    budget. The root and every admitted step charge one node against the
+    budget; each expansion charges its admitted steps together."""
+    widest = {WalkClass.TRAIL: g.edge_count, WalkClass.DISTINCT_NON_INITIAL: g.top_vertex}.get(rule, 0)
+    if 2 * g.edge_count * (limits.words(widest) - 1) > budget:
+        raise BudgetExceededError(what, budget)
     steps = _step_table(g, rule)
     remaining = budget - 1
     if remaining < 0:
@@ -366,7 +372,9 @@ def _walk_tally(
     It reads the neighbour tuples of Graph.adjacency directly, with no
     step table. The root and every step charge one node against the budget,
     exactly as in `_search`: each vertex a walk visits below the last level
-    charges its degree."""
+    charges its degree. A start with a neighbour pushes a frame of about 8
+    words per depth below rim - 1; if those past the first 1024 would
+    exceed the budget, the search is refused before it starts."""
     adjacency = g.adjacency
     remaining = budget - 1
     if remaining < 0:
@@ -380,9 +388,10 @@ def _walk_tally(
     # soon as its parent admits it. Without ends, each counts its neighbour
     # tuple into the last level. With ends, the rim is one level higher, and
     # each sums how many ends its neighbours are next to.
-    rim = max_len - 1
+    rim = max_len - 1 if ends is None else max_len - 2
+    if adjacency[start] and 8 * (rim - 1 - 1024) > budget:  # the node budget alone bounds a short walk
+        raise BudgetExceededError(what, budget)
     if ends is not None:
-        rim = max_len - 2
         degree = list(map(len, adjacency)).__getitem__
         hits = [0] * len(adjacency)  # how many ends each vertex is next to
         for e in ends:

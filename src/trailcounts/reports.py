@@ -277,7 +277,7 @@ def run_count_query(
     report = CountReport(
         graph_id=graph_id,
         kind=kind,
-        length=length,
+        length=l_eff,
         u=u,
         v=v,
         variant=variant.value if kind == "paths" else None,

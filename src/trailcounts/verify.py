@@ -527,7 +527,7 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
         if t.edge_powers is not None:
             entry = t.edge_powers[l].entry(u, v)
             literal = t.vertex_powers[l].entry(u, v)
-            via_rows = nilpotent._row_power_entry(nilpotent._edge_steps, g, l, u, v)
+            via_rows = nilpotent._row_power_entry(nilpotent.Generator.EDGE, g, l, u, v)
             ctx.check("row-power-matches-matrix-power", via_rows == entry, loc)
             ctx.check("trail-op-matches-table", nilpotent.trail_count_symbolic(g, l, u, v) == entry.coefficient_sum(), loc)
             ctx.check("path-op-literal-matches-table", nilpotent.path_count_symbolic(g, l, u, v) == literal.coefficient_sum(), loc)
@@ -580,7 +580,7 @@ def _euler_checks(ctx: _Ctx, t: _Tables):
         if 1 <= m <= 8 and "symbolic" in engines:
             zero = oracle.count_closed_euler_trails(g, 1)
             # the row power itself: the public op answers 0 from degree parity
-            sym = nilpotent._row_power_entry(nilpotent._edge_steps, g, m, 1, 1).coefficient_sum()
+            sym = nilpotent._row_power_entry(nilpotent.Generator.EDGE, g, m, 1, 1).coefficient_sum()
             ctx.check("euler-closed-agreement", sym == zero, {"graph": t.gid, "u": 1, "symbolic": sym, "oracle": zero})
         return
     diag = None
@@ -751,7 +751,7 @@ def reference_example_checks(graph: Graph | None = None) -> list[ReferenceCheck]
 
 
 def _surviving_monomials(g: Graph):
-    entry = nilpotent._row_power_entry(nilpotent._edge_steps, g, 3, 1, 2)
+    entry = nilpotent._row_power_entry(nilpotent.Generator.EDGE, g, 3, 1, 2)
     edges = g.sorted_edges()
     return [sorted(list(edges[i]) for i in gens) for gens, _ in entry.terms()]
 

@@ -446,6 +446,23 @@ CONTRACTS = {
         },
         code=2, peak_mb=400,
     ),
+    # 124,750-bit masks: symbolic builds no step table and answers; the
+    # oracle's and Fock's tables are refused before they are built
+    "K500-trails-1": Contract(
+        functools.partial(families.complete_graph, 500), "--kind trails --length 1 --from 1 --to 2 --engine all",
+        {
+            "oracle": "trail tally exceeded its budget of 100000000",
+            "symbolic": "1",
+            "fock": "normal-ordered evaluation exceeded its budget of 100000000",
+        },
+        code=2, peak_mb=150,
+    ),
+    # 2 * 10**7 stack frames at 8 words each exceed the budget, though its 2 * 10**7 nodes do not
+    "K2-walks-20000000": Contract(
+        functools.partial(families.complete_graph, 2), "--kind walks --length 20000000 --from 1 --to 2 --engine oracle",
+        {"oracle": "walk tally exceeded its budget of 100000000"},
+        code=2, peak_mb=100,
+    ),
 }
 
 
@@ -504,6 +521,14 @@ class TestReportContract:
         ev = report.engines["fock"]
         ev.value = ev.value + 1  # simulate a divergent engine
         assert not all(report.agreement.values())
+
+    @pytest.mark.parametrize("kind, given, counted", [("euler", 3, 10), ("hamiltonian", 1, 5)])
+    def test_report_gives_the_length_it_counted_at(self, kind, given, counted):
+        # euler counts at |E| and hamiltonian at n, whatever length it is given
+        report = run_count_query(families.complete_graph(5), "k5", kind, given, 1, 1)
+        assert report.length == counted
+        assert report.to_json_obj()["length"] == counted
+        assert {ev.value for ev in report.engines.values()} == {528 if kind == "euler" else 24}
 
     def test_dmatrix_note_on_bowtie_euler(self):
         from trailcounts.families import bowtie_graph

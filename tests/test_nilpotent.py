@@ -1,4 +1,5 @@
 import decimal
+import tracemalloc
 
 import pytest
 
@@ -386,6 +387,19 @@ class TestBudgets:
 
 
 class TestSparseStorage:
+    def test_row_power_builds_no_table_of_generator_bits(self):
+        # K120 has 7140 edges: their 1 << position bits, one at each end of
+        # each edge, would take about 6 MB; each row step makes its own bits
+        g = families.complete_graph(120)
+        g.incidence, g.odd_vertices  # the graph's own tables, built before the trace
+        tracemalloc.start()
+        try:
+            assert trail_count_symbolic(g, 1, 1, 2) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+
     def test_builders_store_one_entry_per_neighbor(self):
         g = families.cycle_graph(600)
         for m in (formal_adjacency_edges(g), vertex_observable_matrix(g)):

@@ -122,18 +122,20 @@ def test_length_zero_is_the_identity(g):
 @pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)
 def test_length_zero_builds_no_symbolic_matrix(g, monkeypatch):
     # the symbolic row power answers length 0 from the identity row and
-    # builds its step table only at its first step
-    def refuse(g):
-        raise AssertionError("built a matrix or step table at length 0")
+    # reads Graph.incidence only at its first step
+    def refuse(*args):
+        raise AssertionError("built a matrix at length 0")
 
-    for builder in ("formal_adjacency_edges", "vertex_observable_matrix", "_edge_steps", "_vertex_steps"):
+    for builder in ("formal_adjacency_edges", "vertex_observable_matrix", "_matrix"):
         monkeypatch.setattr(nilpotent, builder, refuse)
+    g = Graph(g.n, g.edges)  # a fresh graph: no cached table yet
     for u in range(1, g.n + 1):
         for v in range(1, g.n + 1):
             assert nilpotent.trail_count_symbolic(g, 0, u, v) == (u == v)
             assert nilpotent.path_count_symbolic(g, 0, u, v) == (u == v)
             if u != v:
                 assert nilpotent.path_count_symbolic(g, 0, u, v, PathVariant.START_GUARDED) == 0
+    assert "incidence" not in vars(g)
 
 
 @pytest.mark.parametrize("g", LENGTH_ZERO_GRAPHS.values(), ids=LENGTH_ZERO_GRAPHS)

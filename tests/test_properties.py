@@ -24,11 +24,10 @@ from trailcounts.fock import (
 )
 from trailcounts.graphs import Graph, matrix_power, pair_slots, slot_of_pair, walk_count
 from trailcounts.nilpotent import (
+    Generator,
     PathVariant,
     Polynomial,
-    _edge_steps,
     _row_power_entry,
-    _vertex_steps,
     formal_adjacency_edges,
     matrix_power_nilpotent,
     path_count_symbolic,
@@ -147,11 +146,11 @@ def test_row_power_matches_matrix_power_term_for_term(query):
     # the generator row step against the general _mul_into product, in
     # both generator spaces; a start seed multiplies into every term
     g, l, u, v = query
-    for steps_of, build in ((_edge_steps, formal_adjacency_edges), (_vertex_steps, vertex_observable_matrix)):
-        literal = _row_power_entry(steps_of, g, l, u, v)
+    for kind, build in ((Generator.EDGE, formal_adjacency_edges), (Generator.VERTEX, vertex_observable_matrix)):
+        literal = _row_power_entry(kind, g, l, u, v)
         assert literal == matrix_power_nilpotent(build(g), l).entry(u, v)
         if u != v:
-            seeded = _row_power_entry(steps_of, g, l, u, v, 1 << (u - 1))
+            seeded = _row_power_entry(kind, g, l, u, v, 1 << (u - 1))
             assert seeded == Polynomial.generator(u - 1) * literal
 
 

@@ -1,6 +1,6 @@
-"""Graph.incidence and every engine's per-call tables read off it equal the
-per-entry constructions they replace, and the monomial product gives the
-same terms in either operand order."""
+"""Graph.incidence and every engine's steps read off it equal the per-entry
+constructions they replace, and the monomial product gives the same terms in
+either operand order."""
 
 import random
 
@@ -92,12 +92,15 @@ class TestNilpotentBuilders:
 
 @graphs
 def test_nilpotent_step_tables(g):
+    # no table is kept: one row step from each vertex's identity row makes
+    # the (neighbour, generator bit) pairs a table held, from Graph.incidence
     index = _edge_index(g)
-    edge, vertex = nilpotent._edge_steps(g), nilpotent._vertex_steps(g)
-    assert len(edge) == len(vertex) == g.n + 1 and not edge[0] and not vertex[0]
     for a in range(1, g.n + 1):
-        assert list(edge[a]) == [(w, 1 << index[min(a, w), max(a, w)]) for w in g.neighbors(a)]
-        assert list(vertex[a]) == [(w, 1 << (w - 1)) for w in g.neighbors(a)]
+        for vertex in (False, True):
+            stepped = nilpotent._row_times({a: {0: 1}}, g, vertex, 1, 10**9)
+            assert list(stepped) == list(g.neighbors(a))
+            for w, terms in stepped.items():
+                assert terms == {1 << (w - 1 if vertex else index[min(a, w), max(a, w)]): 1}
 
 
 def _reference_product(left: dict, right: dict) -> dict:
