@@ -21,7 +21,9 @@ a power is the sum over walks of the corresponding operator products. Both
 spaces share one kernel, _evolve, which evolves the space's reference state
 level by level, one ladder operator per walk step. A level holds one sparse
 map per current vertex, from basis index to exact amplitude, so a query reads
-its end vertex's map directly; every evaluator reduces one evolution. Terms
+its end vertex's map directly; every evaluator reduces one evolution, and a
+per-query evaluator aims its last step at its end vertex, so that level
+holds that vertex's map only (the sweep's tables read every vertex). Terms
 that reach the same vertex and basis state merge into one amplitude, and a
 term that annihilates to zero (an operator on an empty slot) is dropped as
 soon as it does. No evaluator allocates a 2**width array; beyond tables linear
@@ -377,6 +379,7 @@ def _evolve(
     clears: bool,
     what: str,
     guard_vertex: int | None = None,
+    aim: int | None = None,
 ):
     """Yield the evolved state at each of the lengths 0..max_len, as one
     sparse map per current vertex, {vertex: {basis index: exact amplitude}};
@@ -392,10 +395,13 @@ def _evolve(
     destination vertex in vertex space): an annihilation operator when
     steps clear their slot, a number operator otherwise; either drops the
     term when the slot is empty. Terms that reach the same vertex and index
-    merge into one amplitude. Level 0 is yielded before anything is
-    charged; only a first step builds the step table (`_step_table`). Before
-    it is built, each step-table entry and each step a level will try costs
-    limits.words(width) nodes, an index's words."""
+    merge into one amplitude. With `aim`, the last step is aimed at it: that
+    level is built from aim's neighbours' states alone (`_steps_into`) and
+    holds aim's map only. Level 0 is yielded before anything is charged;
+    only a first step builds the step table (`_step_table`). Before it is
+    built, each step-table entry and each step a level will try costs
+    limits.words(width) nodes, an index's words; an aimed level is charged
+    the steps the unaimed level would try, so aiming moves no budget."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
@@ -410,10 +416,13 @@ def _evolve(
     if remaining < 0:
         raise BudgetExceededError(what, budget)
     steps = _step_table(g, register, clears)
-    for _ in range(max_len):
+    for length in range(1, max_len + 1):
         remaining -= words * sum(map(operator.mul, map(len, level.values()), map(len, map(steps.__getitem__, level))))
         if remaining < 0:
             raise BudgetExceededError(what, budget)
+        if length == max_len and aim is not None:
+            steps = _steps_into(register, steps, aim, clears)
+            level = {k: level[k] for k in steps if k in level}
         nxt: dict[int, dict[int, int]] = {}
         for w, states in level.items():
             for x, bit, flip in steps[w]:
@@ -443,6 +452,17 @@ def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[i
         [(x, (bit := 1 << (top - (i if edge else x - 1))), bit if clears else 0) for x, i in pairs] if pairs else ()
         for pairs in g.incidence
     ]
+
+
+def _steps_into(register: Register, steps, v: int, clears: bool) -> dict[int, tuple[tuple[int, int, int]]]:
+    """{k: ((v, bit, flip),)}: the one step k -> v for each neighbour k of v,
+    as a step table's entry. An edge's slot is the same from both ends, so
+    edge space reuses steps[v]'s bits; in vertex space a step into v needs
+    v's own slot, not the neighbour's that steps[v] carries."""
+    if register.kind is RegisterKind.EDGE_SPACE:
+        return {k: ((v, bit, flip),) for k, bit, flip in steps[v]}
+    bit = 1 << register.bit(v - 1)
+    return {k: ((v, bit, bit if clears else 0),) for k, _, _ in steps[v]}
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:
@@ -509,7 +529,7 @@ def _normal_ordered_pair(
         return 0, 0
     # a term whose slots are distinct and occupied survives annihilating each
     # slot in turn from the reference state, and every other term vanishes
-    levels = _evolve(g, matrix_kind.space, u, length, True, what, guard_vertex)
+    levels = _evolve(g, matrix_kind.space, u, length, True, what, guard_vertex, v)
     amplitudes = _amplitudes_at(levels, v)
     if matrix_kind is MatrixKind.N_EDGE:
         return sum(amplitudes.values()), sum(a * a for a in amplitudes.values())
@@ -535,7 +555,7 @@ def walk_count_expectation(g: Graph, length: int, u: int, v: int) -> int:
     product, which is 1 for every walk inside the graph, so this equals the
     walk count."""
     g.require_query(length, u, v, 0)
-    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation")
+    levels = _evolve(g, RegisterKind.EDGE_SPACE, u, length, False, "plain expectation", None, v)
     return sum(_amplitudes_at(levels, v).values())
 
 
@@ -567,7 +587,7 @@ def f_matrix_amplitude(g: Graph, length: int, u: int) -> int:
     at length n it equals the number of directed Hamiltonian traversals
     through u."""
     g.require_query(length, u, u, 0)
-    levels = _evolve(g, RegisterKind.VERTEX_SPACE, u, length, True, "transition-amplitude evaluation")
+    levels = _evolve(g, RegisterKind.VERTEX_SPACE, u, length, True, "transition-amplitude evaluation", None, u)
     return _amplitudes_at(levels, u).get(0, 0)
 
 

@@ -16,16 +16,19 @@ start-guarded count seeds the start's generator into the identity row the
 power starts from). Edge monomial masks are therefore |E| bits wide, not
 C(n,2).
 
-Every count is one entry of a power, taken as row steps: the power starts
-from one row of the identity and steps it through Graph.incidence, each
-vertex's (neighbour, edge position) pairs in ascending neighbour order.
+Every count is one entry (u, v) of a power, taken as row steps: the power
+starts from row u of the identity and steps it through Graph.incidence,
+each vertex's (neighbour, edge position) pairs in ascending neighbour order.
 Every entry of the base matrix is one generator, so a row step
 (`_row_times`) makes its bit from the pair, ORs it into each term of a row
 entry that lacks it and drops the others; no table of bits is built. The
-term budget is checked inside the row step, while a level is being built.
-Each live monomial is charged the 64-bit words of the widest mask it can
-hold, as the Fock engine charges a basis index: limits.words(|E|) for edge
-generators, limits.words(g.top_vertex) for vertex generators.
+last step is aimed at v, as the oracle's search is: each neighbour of v
+with an entry steps into v alone, so the last level holds entry v only.
+The term budget counts the live monomials of the level being built, and
+is checked inside the row step, while the level is being built. Each live
+monomial is charged the 64-bit words of the widest mask it can hold, as the
+Fock engine charges a basis index: limits.words(|E|) for edge generators,
+limits.words(g.top_vertex) for vertex generators.
 
 A PolyMatrix stores only its nonzero entries, row by row. The public
 builders read the same incidence (`_matrix`), each entry a one-term
@@ -260,18 +263,24 @@ def _matrix(g: Graph, kind: Generator) -> PolyMatrix:
     return m
 
 
-def _row_times(row: dict[int, dict[int, int]], g: Graph, vertex: bool, words: int, budget: int) -> dict[int, dict[int, int]]:
+def _row_times(row: dict[int, dict[int, int]], g: Graph, vertex: bool, words: int, budget: int, aim: int = 0) -> dict[int, dict[int, int]]:
     """The sparse row vector `row` (vertex -> term dict) times the matrix of
     g's edge generators, or vertex generators if `vertex`: one level of a row
     power. A step's entry is one generator, so its product ORs its bit into
     each term that lacks it and drops the rest (x*x = 0). The monomials built
     so far, `words` each, are checked after every entry product, so a
-    blow-up stops while the level is being built. No entry is empty."""
-    incidence = g.incidence
+    blow-up stops while the level is being built. No entry is empty.
+
+    With `aim`, only entry aim is built: each neighbour k of aim that has an
+    entry takes its one step k -> aim, whose bit is the edge's or aim's own."""
+    steps = g.incidence
+    if aim:
+        steps = {k: ((aim, i),) for k, i in steps[aim] if k in row}
+        row = {k: row[k] for k in steps}
     out: dict[int, dict[int, int]] = {}
     live = 0
     for k, left in row.items():
-        for j, i in incidence[k]:
+        for j, i in steps[k]:
             bit = 1 << (j - 1 if vertex else i)
             acc = out.get(j) or {}
             before = len(acc)
@@ -333,14 +342,15 @@ def _row_power_entry(kind: Generator, g: Graph, length: int, u: int, v: int, see
     row steps: matrix_power_nilpotent(m, length).entry(u, v) at a fraction of
     the work. The power starts from row u of the identity holding the
     monomial `seed` (the path start guard; 0 is the monomial 1) and takes
-    `length` row steps, so length 0 reads no incidence. Returns zero at the
+    `length` row steps, so length 0 reads no incidence; the last step is
+    aimed at v, so the last level holds entry v alone. Returns zero at the
     first empty level: every later level is empty too."""
     budget, row, vertex = limits.term_budget(), {u: {seed: 1}}, kind is Generator.VERTEX
     words = limits.words(g.top_vertex if vertex else g.edge_count) if length else 0  # the widest bit's
-    for _ in range(length):
+    for step in range(1, length + 1):
         if not row:
             break
-        row = _row_times(row, g, vertex, words, budget)
+        row = _row_times(row, g, vertex, words, budget, v if step == length else 0)
     return _trusted(row.get(v, {}))
 
 

@@ -60,6 +60,15 @@ MUTANTS = {
     "fock-guard-dropped-without-symbolic": (
         "fock.py", FOCK_GUARD, "pass", "path-op-guarded-matches-filter", ("oracle", "fock")
     ),
+    # the Fock aimed last step in vertex space reuses steps[v]'s triples,
+    # which carry each neighbour's slot, not v's own
+    "fock-aim-wrong-slot": (
+        "fock.py",
+        "return {k: ((v, bit, bit if clears else 0),) for k, _, _ in steps[v]}",
+        "return {k: ((v, bit, flip),) for k, bit, flip in steps[v]}",
+        "path-op-guarded-matches-filter",
+        ALL,
+    ),
 }
 
 

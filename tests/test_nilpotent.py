@@ -308,14 +308,15 @@ class TestBudgets:
         "g, length, smallest, value",
         [
             (families.complete_graph(6), 5, 30, 24),
-            (families.petersen_graph(), 7, 54, 8),
+            (families.petersen_graph(), 7, 48, 8),
             (families.complete_graph(7), 6, 60, 120),
         ],
         ids=["K6", "petersen", "K7"],
     )
     def test_guarded_path_budget_boundary(self, set_term_budget, g, length, smallest, value):
         # the smallest budgets the guarded observable matrix needed: the
-        # start-generator seed charges the same terms
+        # start-generator seed charges the same terms (on Petersen, level 6's
+        # 48 monomials; the aimed last level holds entry 2's 8)
         set_term_budget(smallest)
         assert path_count_symbolic(g, length, 1, 2, PathVariant.START_GUARDED) == value
         set_term_budget(smallest - 1)
@@ -328,7 +329,7 @@ class TestBudgets:
             (lambda: cycle_count_symbolic(families.cycle_graph(600), 600, 1), 40, 2),
             (lambda: euler_trail_count_symbolic(families.cycle_graph(600), 1, 1), 20, 2),
             (lambda: path_count_symbolic(families.path_graph(600), 599, 1, 600, PathVariant.START_GUARDED), 10, 1),
-            (lambda: trail_count_symbolic(families.complete_graph(7), 8, 1, 2), 22290, 29040),
+            (lambda: trail_count_symbolic(families.complete_graph(7), 8, 1, 2), 12270, 29040),
         ],
         ids=["C600-cycles", "C600-euler", "P600-guarded-paths", "K7-trails"],
     )
@@ -343,23 +344,25 @@ class TestBudgets:
             count()
 
     def test_row_power_boundary(self, set_term_budget):
-        # the largest level of K6 trails at l=6 holds exactly 935 monomials
+        # the largest level of K6 trails at l=6 is level 5, with exactly 510
+        # monomials; the aimed last level holds entry 2's 160
         k6 = families.complete_graph(6)
-        set_term_budget(935)
+        set_term_budget(510)
         assert trail_count_symbolic(k6, 6, 1, 2) == count_walks(k6, 6, 1, 2, WalkClass.TRAIL)
-        set_term_budget(934)
+        set_term_budget(509)
         with pytest.raises(BudgetExceededError, match="polynomial row product"):
             trail_count_symbolic(k6, 6, 1, 2)
 
     def test_first_row_step_is_charged(self, set_term_budget):
         # the power starts from the identity row, so its first level is a
-        # row product too: K7 trails at l=1 build vertex 1's 6 edge monomials
+        # row product too: K7 trails at l=2 build vertex 1's 6 edge monomials,
+        # then the aimed last level's 5
         k7 = families.complete_graph(7)
         set_term_budget(6)
-        assert trail_count_symbolic(k7, 1, 1, 2) == 1
+        assert trail_count_symbolic(k7, 2, 1, 2) == 5
         set_term_budget(5)
         with pytest.raises(BudgetExceededError, match="polynomial row product"):
-            trail_count_symbolic(k7, 1, 1, 2)
+            trail_count_symbolic(k7, 2, 1, 2)
 
     def test_matrix_power_raises(self, k4, set_term_budget):
         set_term_budget(2)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trailcounts import fock
 from trailcounts.errors import BudgetExceededError
 from trailcounts.fock import (
     LadderKind,
@@ -19,8 +20,10 @@ from trailcounts.fock import (
     apply_ladder,
     d_matrix_quadratic_form,
     expand_walk_terms,
+    f_matrix_amplitude,
     graph_state,
     normal_ordered_expectation,
+    walk_count_expectation,
 )
 from trailcounts.graphs import Graph, matrix_power, pair_slots, slot_of_pair, walk_count
 from trailcounts.nilpotent import (
@@ -152,6 +155,40 @@ def test_row_power_matches_matrix_power_term_for_term(query):
         if u != v:
             seeded = _row_power_entry(kind, g, l, u, v, 1 << (u - 1))
             assert seeded == Polynomial.generator(u - 1) * literal
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_queries(min_l=1))
+@example((Graph(3, frozenset({(1, 2), (1, 3), (2, 3)})), 2, 1, 2))
+def test_aimed_fock_level_matches_the_unaimed_level(query):
+    # each per-query evaluator aims its evolution's last step at its end
+    # vertex: that level must hold the unaimed level's map there and nothing
+    # else, in both spaces, with clearing and number steps, guarded or not
+    g, l, u, v = query
+    calls = []
+
+    def recording(*args):
+        levels = list(_evolve(*args))
+        calls.append((args, levels[-1]))
+        return iter(levels)
+
+    cases = [
+        (lambda: normal_ordered_expectation(g, l, u, v, MatrixKind.N_EDGE), v),
+        (lambda: normal_ordered_expectation(g, l, u, v, MatrixKind.M_VERTEX), v),
+        (lambda: walk_count_expectation(g, l, u, v), v),
+        (lambda: f_matrix_amplitude(g, l, u), u),
+    ]
+    if u != v:
+        cases.append((lambda: normal_ordered_expectation(g, l, u, v, MatrixKind.M_VERTEX, guard_vertex=u), v))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_evolve", recording)
+        for evaluate, aim in cases:
+            calls.clear()
+            evaluate()
+            for args, last in calls:
+                assert args[7:] == (aim,)
+                unaimed = list(_evolve(*args[:7]))[-1]
+                assert last == ({aim: unaimed[aim]} if aim in unaimed else {})
 
 
 @settings(max_examples=60, deadline=None)
