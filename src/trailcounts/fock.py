@@ -22,13 +22,18 @@ spaces share one kernel, _evolve, which evolves the space's reference state
 level by level, one ladder operator per walk step. A level holds one sparse
 map per current vertex, from basis index to exact amplitude, so a query reads
 its end vertex's map directly; every evaluator reduces one evolution, and a
-per-query evaluator aims its last step at its end vertex, so that level
+per-query evaluator aims its last step at its end vertex: that step keeps
+only the steps into it from the table every other level uses, so that level
 holds that vertex's map only (the sweep's tables read every vertex). Terms
 that reach the same vertex and basis state merge into one amplitude, and a
 term that annihilates to zero (an operator on an empty slot) is dropped as
-soon as it does. No evaluator allocates a 2**width array; beyond tables linear
-in n and |E|, the node budget, charged in words of a basis index before the
-step table and each level are built, bounds every evaluator's memory.
+soon as it does. No evaluator allocates a 2**width array. The node budget
+charges, in words of a basis index, each of the step table's 2|E| entries
+before the table is built (an entry's bit is as wide as the register, so
+an edge-space table grows with |E|**2) and each step a level will try (a
+live state times a step from its vertex) before the level is built; what
+it leaves uncharged, the register's slot labels and the graph's own
+incidence, is linear in n and |E|.
 """
 
 from __future__ import annotations
@@ -379,7 +384,7 @@ def _evolve(
     clears: bool,
     what: str,
     guard_vertex: int | None = None,
-    aim: int | None = None,
+    aim: int = 0,
 ):
     """Yield the evolved state at each of the lengths 0..max_len, as one
     sparse map per current vertex, {vertex: {basis index: exact amplitude}};
@@ -395,13 +400,15 @@ def _evolve(
     destination vertex in vertex space): an annihilation operator when
     steps clear their slot, a number operator otherwise; either drops the
     term when the slot is empty. Terms that reach the same vertex and index
-    merge into one amplitude. With `aim`, the last step is aimed at it: that
-    level is built from aim's neighbours' states alone (`_steps_into`) and
-    holds aim's map only. Level 0 is yielded before anything is charged;
-    only a first step builds the step table (`_step_table`). Before it is
-    built, each step-table entry and each step a level will try costs
+    merge into one amplitude. With `aim`, a vertex, the last step is aimed
+    at it: each live vertex keeps only those of its own steps that lead into
+    aim, whose triples already carry the slot of the step into aim, so that
+    level holds aim's map only. Level 0 is yielded before anything is
+    charged; only a first step builds the step table (`_step_table`). Before
+    it is built, each step-table entry and each step a level will try costs
     limits.words(width) nodes, an index's words; an aimed level is charged
-    the steps the unaimed level would try, so aiming moves no budget."""
+    before its filter, the steps the unaimed level would try, so aiming
+    moves no budget."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
@@ -420,12 +427,12 @@ def _evolve(
         remaining -= words * sum(map(operator.mul, map(len, level.values()), map(len, map(steps.__getitem__, level))))
         if remaining < 0:
             raise BudgetExceededError(what, budget)
-        if length == max_len and aim is not None:
-            steps = _steps_into(register, steps, aim, clears)
-            level = {k: level[k] for k in steps if k in level}
+        target = aim if length == max_len else 0
         nxt: dict[int, dict[int, int]] = {}
         for w, states in level.items():
             for x, bit, flip in steps[w]:
+                if target and x != target:
+                    continue
                 into = nxt.get(x) or {}
                 for index, amp in states.items():
                     if index & bit:
@@ -452,17 +459,6 @@ def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[i
         [(x, (bit := 1 << (top - (i if edge else x - 1))), bit if clears else 0) for x, i in pairs] if pairs else ()
         for pairs in g.incidence
     ]
-
-
-def _steps_into(register: Register, steps, v: int, clears: bool) -> dict[int, tuple[tuple[int, int, int]]]:
-    """{k: ((v, bit, flip),)}: the one step k -> v for each neighbour k of v,
-    as a step table's entry. An edge's slot is the same from both ends, so
-    edge space reuses steps[v]'s bits; in vertex space a step into v needs
-    v's own slot, not the neighbour's that steps[v] carries."""
-    if register.kind is RegisterKind.EDGE_SPACE:
-        return {k: ((v, bit, flip),) for k, bit, flip in steps[v]}
-    bit = 1 << register.bit(v - 1)
-    return {k: ((v, bit, bit if clears else 0),) for k, _, _ in steps[v]}
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:

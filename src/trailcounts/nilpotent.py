@@ -22,8 +22,9 @@ each vertex's (neighbour, edge position) pairs in ascending neighbour order.
 Every entry of the base matrix is one generator, so a row step
 (`_row_times`) makes its bit from the pair, ORs it into each term of a row
 entry that lacks it and drops the others; no table of bits is built. The
-last step is aimed at v, as the oracle's search is: each neighbour of v
-with an entry steps into v alone, so the last level holds entry v only.
+last step is aimed at v, as the oracle's search is: each live entry keeps
+only the steps of its own incidence row that lead into v, so the last level
+holds entry v only.
 The term budget counts the live monomials of the level being built, and
 is checked inside the row step, while the level is being built. Each live
 monomial is charged the 64-bit words of the widest mask it can hold, as the
@@ -35,11 +36,12 @@ builders read the same incidence (`_matrix`), each entry a one-term
 polynomial shared by every entry with the same generator, built past the
 public constructors' zero filter and column range check (`_trusted`): a
 generator's coefficient is 1, and every column comes from an edge of the
-graph. PolyMatrix.mul is the general product, on the one monomial-product
-helper `_mul_into`, so matrix_power_nilpotent checks the row steps against
-an independent product; it charges each monomial the words of the widest
-mask in either operand. `_mul_into` loops over the right factor's terms
-first.
+graph; a view whose monomials' words past one each exceed the term budget
+is refused before it is built. PolyMatrix.mul is the general product, on
+the one monomial-product helper `_mul_into`, so matrix_power_nilpotent
+checks the row steps against an independent product; it charges each
+monomial the words of the widest mask in either operand. `_mul_into` loops
+over the right factor's terms first.
 
 Coefficients are plain Python integers; they never go negative here, but zero
 coefficients are always dropped so equality is structural.
@@ -249,8 +251,16 @@ _NO_ENTRIES = types.MappingProxyType({})
 def _matrix(g: Graph, kind: Generator) -> PolyMatrix:
     """The matrix of g's `kind` generators read off Graph.incidence, rows
     0-based, past PolyMatrix.__init__'s column range check and empty-entry
-    filter (its columns are edges): one shared monomial per generator."""
+    filter (its columns are edges): one shared monomial per generator.
+    Refused before it is built if its distinct monomials hold more 64-bit
+    words past their first than the term budget, as the oracle refuses a
+    step table (one word a monomial is not charged)."""
     vertex = kind is Generator.VERTEX
+    # the bit-lengths of its monomials: vertex x's is x, edge position i's i + 1
+    widths = [x for x, pairs in enumerate(g.incidence) if pairs] if vertex else range(1, g.edge_count + 1)
+    budget = limits.term_budget()
+    if sum(limits.words(w) - 1 for w in widths) > budget:
+        raise BudgetExceededError("polynomial matrix", budget)
     monomials: dict[int, Polynomial] = {}
     m = object.__new__(PolyMatrix)
     m.rows = []
@@ -271,16 +281,15 @@ def _row_times(row: dict[int, dict[int, int]], g: Graph, vertex: bool, words: in
     so far, `words` each, are checked after every entry product, so a
     blow-up stops while the level is being built. No entry is empty.
 
-    With `aim`, only entry aim is built: each neighbour k of aim that has an
-    entry takes its one step k -> aim, whose bit is the edge's or aim's own."""
+    With `aim`, a vertex, only entry aim is built: each entry k keeps only
+    the steps of incidence[k] that lead into aim."""
     steps = g.incidence
-    if aim:
-        steps = {k: ((aim, i),) for k, i in steps[aim] if k in row}
-        row = {k: row[k] for k in steps}
     out: dict[int, dict[int, int]] = {}
     live = 0
     for k, left in row.items():
         for j, i in steps[k]:
+            if aim and j != aim:
+                continue
             bit = 1 << (j - 1 if vertex else i)
             acc = out.get(j) or {}
             before = len(acc)

@@ -60,13 +60,22 @@ MUTANTS = {
     "fock-guard-dropped-without-symbolic": (
         "fock.py", FOCK_GUARD, "pass", "path-op-guarded-matches-filter", ("oracle", "fock")
     ),
-    # the Fock aimed last step in vertex space reuses steps[v]'s triples,
-    # which carry each neighbour's slot, not v's own
-    "fock-aim-wrong-slot": (
+    # the Fock aimed last step keeps the steps that leave v, not those into
+    # it, so the per-query evaluators' last level holds nothing at v
+    "fock-aim-steps-leaving-v": (
         "fock.py",
-        "return {k: ((v, bit, bit if clears else 0),) for k, _, _ in steps[v]}",
-        "return {k: ((v, bit, flip),) for k, bit, flip in steps[v]}",
-        "path-op-guarded-matches-filter",
+        "if target and x != target:",
+        "if target and w != target:",
+        "fock-op-matches-table",
+        ALL,
+    ),
+    # the symbolic aimed last step filters on the step's edge position, not
+    # its end vertex
+    "symbolic-aim-wrong-field": (
+        "nilpotent.py",
+        "if aim and j != aim:",
+        "if aim and i != aim:",
+        "row-power-matches-matrix-power",
         ALL,
     ),
 }

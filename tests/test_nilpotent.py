@@ -369,6 +369,29 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError, match="polynomial matrix product"):
             matrix_power_nilpotent(formal_adjacency_edges(k4), 2)
 
+    def test_matrix_views_are_checked_before_they_are_built(self, set_term_budget):
+        # K300's 44,850 edge monomials hold 15,693,300 words past their
+        # first, over the default budget, so the view is refused before any
+        # monomial is built; K200's 19,900 hold 3,084,190, and a vertex
+        # monomial at most 300 bits
+        k200, k300 = families.complete_graph(200), families.complete_graph(300)
+        k300.incidence  # the graph's own table, built before the trace
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="polynomial matrix exceeded"):
+                formal_adjacency_edges(k300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert vertex_observable_matrix(k300).total_terms() == 300 * 299
+        set_term_budget(3_084_190)
+        assert formal_adjacency_edges(k200).total_terms() == 200 * 199
+        assert vertex_observable_matrix(k200).total_terms() == 200 * 199
+        set_term_budget(3_084_189)
+        with pytest.raises(BudgetExceededError, match="polynomial matrix exceeded"):
+            formal_adjacency_edges(k200)
+
     def test_matrix_product_charges_each_monomial_its_words(self, set_term_budget):
         # the widest operand mask is 101 bits, 2 words: the product's two
         # monomials charge 4
