@@ -21,10 +21,11 @@ starts from row u of the identity and steps it through Graph.incidence,
 each vertex's (neighbour, edge position) pairs in ascending neighbour order.
 Every entry of the base matrix is one generator, so a row step
 (`_row_times`) makes its bit from the pair, ORs it into each term of a row
-entry that lacks it and drops the others; no table of bits is built. The
-last step is aimed at v, as the oracle's search is: each live entry keeps
-only the steps of its own incidence row that lead into v, so the last level
-holds entry v only.
+entry that lacks it and drops the others; no table of bits is built.
+`_row_levels` yields the levels of row u. A count aims the last step at v,
+as the oracle's search is: each live entry keeps only the steps of its own
+incidence row that lead into v, so the last level holds entry v only; the
+verify sweep's symbolic tables are the unaimed levels from every start.
 The term budget counts the live monomials of the level being built, and
 is checked inside the row step, while the level is being built. Each live
 monomial is charged the 64-bit words of the widest mask it can hold, as the
@@ -38,10 +39,10 @@ public constructors' zero filter and column range check (`_trusted`): a
 generator's coefficient is 1, and every column comes from an edge of the
 graph; a view whose monomials' words past one each exceed the term budget
 is refused before it is built. PolyMatrix.mul is the general product, on
-the one monomial-product helper `_mul_into`, so matrix_power_nilpotent
-checks the row steps against an independent product; it charges each
-monomial the words of the widest mask in either operand. `_mul_into` loops
-over the right factor's terms first.
+the one monomial-product helper `_mul_into`: an independent product that
+the sweep checks the row levels against, charging each monomial the words
+of the widest mask in either operand. `_mul_into` loops over the right
+factor's terms first.
 
 Coefficients are plain Python integers; they never go negative here, but zero
 coefficients are always dropped so equality is structural.
@@ -346,20 +347,27 @@ def vertex_observable_matrix(g: Graph) -> PolyMatrix:
     return _matrix(g, Generator.VERTEX)
 
 
-def _row_power_entry(kind: Generator, g: Graph, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
-    """Entry (u, v) of m**length, m the matrix of g's `kind` generators, via
-    row steps: matrix_power_nilpotent(m, length).entry(u, v) at a fraction of
-    the work. The power starts from row u of the identity holding the
-    monomial `seed` (the path start guard; 0 is the monomial 1) and takes
-    `length` row steps, so length 0 reads no incidence; the last step is
-    aimed at v, so the last level holds entry v alone. Returns zero at the
-    first empty level: every later level is empty too."""
+def _row_levels(kind: Generator, g: Graph, length: int, u: int, seed: int = 0, aim: int = 0) -> Iterator[dict[int, dict[int, int]]]:
+    """Levels l = 1..length of row u of m**l, m the matrix of g's `kind`
+    generators, each {v: the terms of entry (u, v)}, stepped from row u of
+    the identity holding the monomial `seed` (the path start guard; 0 is the
+    monomial 1); with `aim`, a vertex, the last level holds entry aim alone.
+    Stops after the first empty level: every later level is empty too."""
     budget, row, vertex = limits.term_budget(), {u: {seed: 1}}, kind is Generator.VERTEX
     words = limits.words(g.top_vertex if vertex else g.edge_count) if length else 0  # the widest bit's
     for step in range(1, length + 1):
+        row = _row_times(row, g, vertex, words, budget, aim if step == length else 0)
+        yield row
         if not row:
-            break
-        row = _row_times(row, g, vertex, words, budget, v if step == length else 0)
+            return
+
+
+def _row_power_entry(kind: Generator, g: Graph, length: int, u: int, v: int, seed: int = 0) -> Polynomial:
+    """matrix_power_nilpotent(m, length).entry(u, v) from the row levels
+    aimed at v, at a fraction of the work; length 0 reads no incidence."""
+    row = {u: {seed: 1}}
+    for row in _row_levels(kind, g, length, u, seed, v):
+        pass
     return _trusted(row.get(v, {}))
 
 

@@ -7,21 +7,20 @@ of the annihilation quadratic form, Eulerian and Hamiltonian ground truth,
 plus structural properties (symmetry, monotonicity, degree bounds).
 
 Each graph's engine tables are built once, into one record (_Tables): the
-adjacency-power rows, the oracle tables and the Fock tables per start
-vertex, the symbolic power chains, and whether the C(n,2)-slot pair register
-fits under the register cap. The (u, v, l) cells are then checked one start
-vertex u at a time against one ordered table, _CELL_ROWS. _Start reads u's
-tables out as columns, one list per quantity over u's cells (v = 1..n, then
-l = 1..l_max), building only the columns some row reads. A row names an
-invariant, the engines it needs, a predicate over named columns and, unless
-it applies to every cell, the column listing the cells it applies to (e.g.
-only v != u); an equality row whose two columns are equal lists passes
-without a test per cell. A failure detail is built only for a failure or
-flag that is stored. Rows whose engines are
-off are dropped before the sweep starts. Results read as if every cell were
-checked in turn: an invariant enters the summary at its first applicable
-cell in (graph, u, v, l, row) order, and failures and flags are stored in
-that order.
+adjacency-power rows, the oracle, Fock and symbolic tables per start vertex
+(the symbolic ones the row levels `count` steps through), and whether the
+C(n,2)-slot pair register fits under the cap. The (u, v, l) cells are then
+checked one start vertex u at a time against one ordered table, _CELL_ROWS.
+_Start reads u's tables out as columns, one list per quantity over u's cells
+(v = 1..n, then l = 1..l_max), building only the columns some row reads. A
+row names an invariant, the engines it needs, a predicate over named columns
+and, unless it applies to every cell, the column listing the cells it
+applies to (e.g. only v != u); an equality row whose two columns are equal
+lists passes without a test per cell. A failure detail is built only for a
+failure or flag that is stored. Rows whose engines are off are dropped
+before the sweep starts. Results read as if every cell were checked in turn:
+an invariant enters the summary at its first applicable cell in (graph, u,
+v, l, row) order, and failures and flags are stored in that order.
 
 Characterized discrepancies are not failures: the sweep records them as
 flags with fixed machine-readable codes (the two flag rows of the table) and
@@ -46,7 +45,7 @@ from .errors import BudgetExceededError, CapacityError
 from .families import gnp_random_graph
 from .fock import Amplitudes, LadderKind, LadderOp, MatrixKind, Register, RegisterKind, StateVector, apply_ladder
 from .graphs import Graph, adjacency_matrix, parse_edge_list, walk_count, walk_rows
-from .nilpotent import PathVariant, Polynomial
+from .nilpotent import Generator, PathVariant, PolyMatrix, Polynomial
 from .oracle import WalkClass
 from .reports import DMATRIX_SQUARED, KIND_TABLE, PROP2_LITERAL_OVERCOUNT, canonical_json, matrix_to_decimal_rows
 
@@ -174,8 +173,9 @@ class _Tables:
     """One graph's engine tables, built once per sweep. rows[u][l] is row u
     of A^l as {vertex: walk count}, l = 0..l_max. The oracle and Fock tables
     map a start vertex to its all-lengths table (fock_edge to the pair of
-    trail-count and annihilation-form tables); an engine that is off leaves
-    its tables empty (chains None)."""
+    trail-count and annihilation-form tables), the symbolic ones to its
+    unaimed row levels 1..l_max (nilpotent._row_levels); an engine that is
+    off leaves its tables empty."""
 
     gid: str
     g: Graph
@@ -184,8 +184,8 @@ class _Tables:
     walk: dict = field(default_factory=dict)
     trail: dict = field(default_factory=dict)
     dni: dict = field(default_factory=dict)
-    edge_powers: dict | None = None
-    vertex_powers: dict | None = None
+    edge_levels: dict = field(default_factory=dict)
+    vertex_levels: dict = field(default_factory=dict)
     fock_edge: dict = field(default_factory=dict)
     fock_m: dict = field(default_factory=dict)
 
@@ -200,8 +200,8 @@ def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
         t.trail = {u: oracle._trail_tables(g, u, l_max, budget) for u in vertices}
         t.dni = {u: oracle._dni_tables(g, u, l_max, budget) for u in vertices}
     if "symbolic" in engines:
-        t.edge_powers = _power_chain(nilpotent.formal_adjacency_edges(g), l_max)
-        t.vertex_powers = _power_chain(nilpotent.vertex_observable_matrix(g), l_max)
+        t.edge_levels = {u: list(nilpotent._row_levels(Generator.EDGE, g, l_max, u)) for u in vertices}
+        t.vertex_levels = {u: list(nilpotent._row_levels(Generator.VERTEX, g, l_max, u)) for u in vertices}
     if "fock" in engines:
         # the normal-ordered trail counts are the amplitude sums of the
         # edge-space annihilation evolution, and its forms their squares
@@ -213,15 +213,14 @@ def _build_tables(gid: str, g: Graph, l_max: int, engines) -> _Tables:
     return t
 
 
-def _power_chain(m, l_max: int):
-    chain = {1: m}
-    for l in range(2, l_max + 1):
-        chain[l] = chain[l - 1].mul(m)
-    return chain
-
-
 _ZERO = Polynomial.zero()
 _NO_TRAILS: dict[int, int] = {}
+
+
+def _level_entry(levels: list, l: int, v: int) -> Polynomial:
+    """Entry v of level l of one start's row levels (zero past the last)."""
+    terms = levels[l - 1].get(v) if l <= len(levels) else None
+    return nilpotent._trusted(terms) if terms else _ZERO
 
 
 class _Start:
@@ -238,10 +237,6 @@ class _Start:
     def _by_cell(self, table: dict) -> list:
         return list(map(table.get, self.cells, repeat(0)))
 
-    def _entries(self, chain: dict) -> list[Polynomial]:
-        row = {l: m.rows[self.u - 1] for l, m in chain.items()}
-        return [row[l].get(v - 1, _ZERO) for l, v in self.cells]
-
     lengths = cached_property(lambda s: [l for l, _ in s.cells])
     oracle_walks = cached_property(lambda s: s._by_cell(s.t.walk[s.u]))
     trails = cached_property(lambda s: s._by_cell(s.t.trail[s.u][0]))
@@ -254,8 +249,8 @@ class _Start:
     histogram_totals = cached_property(lambda s: [sum(h.values()) for h in s.histogram])
     squared = cached_property(lambda s: [sum(map(operator.mul, h.values(), h.values())) for h in s.histogram])
     repeats = cached_property(lambda s: [max(h.values(), default=0) for h in s.histogram])
-    edge_entries = cached_property(lambda s: s._entries(s.t.edge_powers))
-    literal_entries = cached_property(lambda s: s._entries(s.t.vertex_powers))
+    edge_entries = cached_property(lambda s: [_level_entry(s.t.edge_levels[s.u], l, v) for l, v in s.cells])
+    literal_entries = cached_property(lambda s: [_level_entry(s.t.vertex_levels[s.u], l, v) for l, v in s.cells])
     symbolic_trails = cached_property(lambda s: [p.coefficient_sum() for p in s.edge_entries])
     literal = cached_property(lambda s: [p.coefficient_sum() for p in s.literal_entries])
     fock_trails = cached_property(lambda s: s._by_cell(s.t.fock_edge[s.u][0]))
@@ -512,6 +507,7 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
     (two kernels for walks: `_search` lists them, `_walk_tally` counts them)."""
     g, rng = t.g, ctx.rng
     psi = fock.graph_state(g) if t.fock_edge and t.pair_fits else None
+    m = nilpotent.formal_adjacency_edges(g) if t.edge_levels else None
     for _ in range(2):
         l = rng.randint(1, min(4, ctx.config.l_max))
         u = rng.randint(1, g.n)
@@ -524,11 +520,16 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
             if cls is WalkClass.WALK:
                 walks = seqs
         ctx.check("enumerate-lexicographic-unique", walks == sorted(set(walks)), loc)
-        if t.edge_powers is not None:
-            entry = t.edge_powers[l].entry(u, v)
-            literal = t.vertex_powers[l].entry(u, v)
-            via_rows = nilpotent._row_power_entry(nilpotent.Generator.EDGE, g, l, u, v)
-            ctx.check("row-power-matches-matrix-power", via_rows == entry, loc)
+        if m is not None:
+            entry = _level_entry(t.edge_levels[u], l, v)
+            literal = _level_entry(t.vertex_levels[u], l, v)
+            # the aimed row power and the unaimed table level must equal an
+            # independent product: row u of the identity times m, l times
+            power = PolyMatrix([{u - 1: Polynomial.one()} if k == u else {} for k in range(1, g.n + 1)])
+            for _ in range(l):
+                power = power.mul(m)
+            via_rows = nilpotent._row_power_entry(Generator.EDGE, g, l, u, v)
+            ctx.check("row-power-matches-matrix-power", via_rows == entry == power.entry(u, v), loc)
             ctx.check("trail-op-matches-table", nilpotent.trail_count_symbolic(g, l, u, v) == entry.coefficient_sum(), loc)
             ctx.check("path-op-literal-matches-table", nilpotent.path_count_symbolic(g, l, u, v) == literal.coefficient_sum(), loc)
             if u != v:
@@ -537,11 +538,11 @@ def _spot_check_ops(ctx: _Ctx, t: _Tables):
             if l >= 3:
                 ctx.check(
                     "cycle-op-matches-table",
-                    nilpotent.cycle_count_symbolic(g, l, u) == t.vertex_powers[l].entry(u, u).coefficient_sum(),
+                    nilpotent.cycle_count_symbolic(g, l, u) == _level_entry(t.vertex_levels[u], l, u).coefficient_sum(),
                     loc,
                 )
         if t.fock_edge:
-            if t.edge_powers is None and u != v:
+            if m is None and u != v:
                 _guarded_path_check(ctx, t, l, u, v, loc)
             sums, squares = t.fock_edge[u]
             trails = sums.get((l, v), 0)
@@ -580,7 +581,7 @@ def _euler_checks(ctx: _Ctx, t: _Tables):
         if 1 <= m <= 8 and "symbolic" in engines:
             zero = oracle.count_closed_euler_trails(g, 1)
             # the row power itself: the public op answers 0 from degree parity
-            sym = nilpotent._row_power_entry(nilpotent.Generator.EDGE, g, m, 1, 1).coefficient_sum()
+            sym = nilpotent._row_power_entry(Generator.EDGE, g, m, 1, 1).coefficient_sum()
             ctx.check("euler-closed-agreement", sym == zero, {"graph": t.gid, "u": 1, "symbolic": sym, "oracle": zero})
         return
     diag = None
@@ -751,7 +752,7 @@ def reference_example_checks(graph: Graph | None = None) -> list[ReferenceCheck]
 
 
 def _surviving_monomials(g: Graph):
-    entry = nilpotent._row_power_entry(nilpotent.Generator.EDGE, g, 3, 1, 2)
+    entry = nilpotent._row_power_entry(Generator.EDGE, g, 3, 1, 2)
     edges = g.sorted_edges()
     return [sorted(list(edges[i]) for i in gens) for gens, _ in entry.terms()]
 

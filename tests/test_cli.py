@@ -650,9 +650,20 @@ class TestVerify:
         assert "WARNING" in out
 
     def test_engine_subset_runs(self, capsys):
-        for n_max, l_max, engines in (("3", "2", "oracle,symbolic"), ("4", "4", "oracle,fock")):
+        # without the oracle the symbolic tables are still read, and the
+        # spot checks are skipped
+        for n_max, l_max, engines in (
+            ("3", "2", "oracle,symbolic"), ("4", "4", "oracle,fock"), ("4", "4", "symbolic"), ("4", "4", "symbolic,fock"),
+        ):
             code, _, _ = run(capsys, "verify", "--n-max", n_max, "--l-max", l_max, "--engines", engines)
             assert code == 0, engines
+
+    def test_term_budget_refuses_the_row_levels(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRAILCOUNTS_TERM_BUDGET", "1")
+        code, out, err = run(capsys, "verify", "--n-max", "3", "--l-max", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: polynomial row product exceeded its budget of 1\n"
 
     def test_row_power_invariant_tests_the_row_power(self, monkeypatch):
         real = nilpotent._row_power_entry
@@ -666,6 +677,23 @@ class TestVerify:
         )
         summary = verify.run_sweep(config)
         invariant = summary.invariant("row-power-matches-matrix-power")
+        assert invariant.cases > 0
+        assert invariant.failure_count == invariant.cases
+
+    def test_row_power_invariant_tests_the_matrix_product(self, monkeypatch):
+        # the independent PolyMatrix.mul product runs on every spot draw,
+        # length 1 included; the corruption adds x0 to every entry, zeros too
+        real, zero, x0 = nilpotent.PolyMatrix.mul, nilpotent.Polynomial.zero(), nilpotent.Polynomial.generator(0)
+
+        def corrupted(self, other):
+            rows = real(self, other).rows
+            return nilpotent.PolyMatrix([{j: row.get(j, zero) + x0 for j in range(len(rows))} for row in rows])
+
+        monkeypatch.setattr(nilpotent.PolyMatrix, "mul", corrupted)
+        config = verify.SweepConfig(
+            n_max=3, l_max=3, engines=("oracle", "symbolic"), include_named=False,
+        )
+        invariant = verify.run_sweep(config).invariant("row-power-matches-matrix-power")
         assert invariant.cases > 0
         assert invariant.failure_count == invariant.cases
 

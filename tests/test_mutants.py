@@ -78,6 +78,16 @@ MUTANTS = {
         "row-power-matches-matrix-power",
         ALL,
     ),
+    # the symbolic row step keeps a term whose monomial already holds the
+    # step's generator, so trails count as walks; the sweep's tables read
+    # the same row steps, so the every-cell agreement row fails first
+    "symbolic-row-step-keeps-repeats": (
+        "nilpotent.py",
+        "if not m & bit:",
+        "if True:",
+        "trail-agreement-oracle-vs-nilpotent",
+        ALL,
+    ),
 }
 
 

@@ -6,7 +6,8 @@ import inspect
 
 import pytest
 
-from trailcounts import fock, nilpotent, oracle, verify
+from trailcounts import families, fock, nilpotent, oracle, verify
+from trailcounts.graphs import Graph
 
 SMALL = verify.SweepConfig(n_max=4, l_max=4)
 
@@ -109,3 +110,36 @@ def test_sweep_without_the_oracle_calls_no_oracle_op(monkeypatch, engines):
             monkeypatch.setattr(oracle, name, spy)
     assert verify.run_sweep(verify.SweepConfig(n_max=4, l_max=4, engines=engines)).passed
     assert calls == []
+
+
+LEVEL_GRAPHS = {
+    "K2": families.complete_graph(2),
+    "P3": families.path_graph(3),
+    "C5": families.cycle_graph(5),
+    "K4": families.complete_graph(4),
+    "petersen": families.petersen_graph(),
+    "edgeless-vertex": Graph.from_edges(4, [(1, 2), (2, 4)]),  # vertex 3 has no edge
+    "disconnected": Graph.from_edges(5, [(1, 2), (2, 3), (4, 5)]),  # every level empty by l = 3
+}
+
+
+@pytest.mark.parametrize("name", LEVEL_GRAPHS)
+def test_sweep_levels_are_rows_of_the_matrix_power(name):
+    g, l_max = LEVEL_GRAPHS[name], 6
+    t = verify._build_tables(name, g, l_max, ("symbolic",))
+    kinds = ((t.edge_levels, nilpotent.formal_adjacency_edges(g)), (t.vertex_levels, nilpotent.vertex_observable_matrix(g)))
+    for levels, m in kinds:
+        assert sorted(levels) == list(range(1, g.n + 1))
+        for l in range(1, l_max + 1):
+            power = nilpotent.matrix_power_nilpotent(m, l)
+            for u, row in levels.items():
+                level = row[l - 1] if l <= len(row) else {}
+                assert {v - 1: nilpotent.Polynomial(terms) for v, terms in level.items()} == power.rows[u - 1], (u, l)
+                assert [verify._level_entry(row, l, v) for v in range(1, g.n + 1)] == [
+                    power.entry(u, v) for v in range(1, g.n + 1)
+                ]
+        # the levels stop after the first empty one
+        if name == "edgeless-vertex":
+            assert levels[3] == [{}]
+        if name == "disconnected":
+            assert all(0 < len(row) < l_max and not row[-1] for row in levels.values())
