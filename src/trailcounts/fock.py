@@ -23,17 +23,17 @@ level by level, one ladder operator per walk step. A level holds one sparse
 map per current vertex, from basis index to exact amplitude, so a query reads
 its end vertex's map directly; every evaluator reduces one evolution, and a
 per-query evaluator aims its last step at its end vertex: that step keeps
-only the steps into it from the table every other level uses, so that level
-holds that vertex's map only (the sweep's tables read every vertex). Terms
-that reach the same vertex and basis state merge into one amplitude, and a
-term that annihilates to zero (an operator on an empty slot) is dropped as
-soon as it does. No evaluator allocates a 2**width array. The node budget
-charges, in words of a basis index, each of the step table's 2|E| entries
-before the table is built (an entry's bit is as wide as the register, so
-an edge-space table grows with |E|**2) and each step a level will try (a
-live state times a step from its vertex) before the level is built; what
-it leaves uncharged, the register's slot labels and the graph's own
-incidence, is linear in n and |E|.
+only the steps into it, so that level holds that vertex's map only (the
+sweep's tables read every vertex). Each step is read off Graph.incidence as
+the level is built, its bit made from the (neighbour, edge position) pair;
+no table of bits is kept. Terms that reach the same vertex and basis state
+merge into one amplitude, and a term that annihilates to zero (an operator
+on an empty slot) is dropped as soon as it does. No evaluator allocates a
+2**width array. The node budget charges, in words of a basis index, each
+step a level will try (a live state times a step from its vertex, or only
+the steps into the end vertex on an aimed level) before the level is
+built; what it leaves uncharged, the register's slot labels and the
+graph's own incidence, is linear in n and |E|.
 """
 
 from __future__ import annotations
@@ -402,13 +402,15 @@ def _evolve(
     term when the slot is empty. Terms that reach the same vertex and index
     merge into one amplitude. With `aim`, a vertex, the last step is aimed
     at it: each live vertex keeps only those of its own steps that lead into
-    aim, whose triples already carry the slot of the step into aim, so that
-    level holds aim's map only. Level 0 is yielded before anything is
-    charged; only a first step builds the step table (`_step_table`). Before
-    it is built, each step-table entry and each step a level will try costs
-    limits.words(width) nodes, an index's words; an aimed level is charged
-    before its filter, the steps the unaimed level would try, so aiming
-    moves no budget."""
+    aim, so that level holds aim's map only. Each step w -> x reads its
+    (x, edge position i) pair off Graph.incidence and makes its bit there,
+    slot i in edge space and x - 1 in vertex space; it needs that bit set
+    and moves a surviving state to index ^ flip, flip being the bit when
+    steps clear their slot, else 0. Level 0 is yielded before anything is
+    charged. Before a level is built, each step it will try costs
+    limits.words(width) nodes, an index's words: a live state times a step
+    from its vertex, or on the aimed level only the states of aim's
+    neighbours, one step each."""
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
     reference = register.dimension - 1  # |11...1>
     if guard_vertex is not None:
@@ -419,20 +421,24 @@ def _evolve(
     if not max_len:
         return
     budget, words = limits.node_budget(), limits.words(register.width)
-    remaining = budget - words * 2 * g.edge_count  # the step table's entries
-    if remaining < 0:
-        raise BudgetExceededError(what, budget)
-    steps = _step_table(g, register, clears)
+    remaining, steps = budget, g.incidence
+    top, vertex = register.width - 1, space is RegisterKind.VERTEX_SPACE  # slot s is bit top - s
     for length in range(1, max_len + 1):
-        remaining -= words * sum(map(operator.mul, map(len, level.values()), map(len, map(steps.__getitem__, level))))
+        target = aim if length == max_len else 0
+        if target:  # the states of aim's neighbours, one step into aim each
+            tried = sum(len(level.get(x, ())) for x, _ in steps[target])
+        else:
+            tried = sum(map(operator.mul, map(len, level.values()), map(len, map(steps.__getitem__, level))))
+        remaining -= words * tried
         if remaining < 0:
             raise BudgetExceededError(what, budget)
-        target = aim if length == max_len else 0
         nxt: dict[int, dict[int, int]] = {}
         for w, states in level.items():
-            for x, bit, flip in steps[w]:
+            for x, i in steps[w]:
                 if target and x != target:
                     continue
+                bit = 1 << (top - (x - 1 if vertex else i))
+                flip = bit if clears else 0
                 into = nxt.get(x) or {}
                 for index, amp in states.items():
                     if index & bit:
@@ -444,21 +450,6 @@ def _evolve(
         yield level
         if not level:
             return
-
-
-def _step_table(g: Graph, register: Register, clears: bool) -> list[list[tuple[int, int, int]] | tuple[()]]:
-    """steps[w]: one (x, bit, flip) triple per step w -> x, in
-    Graph.incidence's ascending x; steps[0] and an edgeless vertex's entry
-    are (). The step needs `bit` set and moves a surviving state to
-    index ^ flip (flip is bit when steps clear their slot, else 0). Its slot
-    is its edge's position in edge space (the |E|-slot register) and x - 1
-    in vertex space; a bit is built per step, so a wide register with few
-    edges builds few wide integers."""
-    top, edge = register.width - 1, register.kind is RegisterKind.EDGE_SPACE  # slot s is bit top - s
-    return [
-        [(x, (bit := 1 << (top - (i if edge else x - 1))), bit if clears else 0) for x, i in pairs] if pairs else ()
-        for pairs in g.incidence
-    ]
 
 
 def _amplitudes_at(levels, v: int) -> dict[int, int]:

@@ -163,10 +163,11 @@ def slot_of_pair(n: int, u: int, v: int) -> int:
 
 
 # Largest vertex label or `n` header an edge list may give. Graph.incidence,
-# Graph.adjacency and the oracle and Fock step tables hold an entry per label in
-# 1..n, so one huge label would cost memory and time in proportion to it,
-# whatever the edge count; at this bound each engine answers walks, trails
-# and paths at l = 2 within about 0.4 s and 55 MB on a 2 vCPU host.
+# Graph.adjacency and the oracle's step table hold an entry per label in 1..n,
+# and a Fock vertex-space index a bit per label, so one huge label would cost
+# memory and time in proportion to it, whatever the edge count; at this bound
+# each engine answers walks, trails and paths at l = 2 within about 0.4 s and
+# 55 MB on a 2 vCPU host.
 MAX_LABEL = 10**6
 
 

@@ -157,15 +157,15 @@ class TestCount:
 
     def test_wide_register_is_refused_under_the_default_budget(self, capsys, monkeypatch, tmp_path):
         # K20 on 10**6 vertices: each basis index is 10**6 bits, so each node
-        # costs 1 + 10**6 // 64 = 15626, and the 6,498 steps into l = 3
-        # (about 800 MB of indices) are refused before they are tried
+        # costs 1 + 10**6 // 64 = 15626, and at l = 4 the 6,859 steps into
+        # level 3 (about 860 MB of indices) are refused before they are
+        # tried; at l = 3 the aimed last level tries only the 343 steps into
+        # 2 (the K20-wide-paths-3 contract)
         monkeypatch.delenv("TRAILCOUNTS_NODE_BUDGET", raising=False)
-        path = tmp_path / "wide.txt"
-        edges = (f"{u} {v}" for u in range(1, 21) for v in range(u + 1, 21))
-        path.write_text("\n".join(("n 1000000", *edges)) + "\n")
+        path = _edge_file(tmp_path, "wide", _WIDE_K20())
         code, out, _ = run(
-            capsys, "count", "--input", str(path), "--kind", "paths",
-            "--length", "3", "--from", "1", "--to", "2", "--engine", "fock", "--format", "json",
+            capsys, "count", "--input", path, "--kind", "paths",
+            "--length", "4", "--from", "1", "--to", "2", "--engine", "fock", "--format", "json",
         )
         assert code == 2
         assert json.loads(out)["engines"] == {
@@ -392,6 +392,7 @@ _K4, _K7, _K9 = (functools.partial(families.complete_graph, n) for n in (4, 7, 9
 _P3000 = functools.partial(families.path_graph, 3000)
 _EDGELESS = functools.partial(Graph, 3, frozenset())
 _SPARSE = functools.partial(Graph.from_edges, 10**6, [(1, 2), (2, 10**6)])
+_WIDE_K20 = functools.partial(Graph.from_edges, 10**6, tuple(itertools.combinations(range(1, 21), 2)))
 
 CONTRACTS = {
     "C5000-euler": Contract(
@@ -436,26 +437,40 @@ CONTRACTS = {
         )
         for kind, to in (("walks", 1), ("trails", 10**6), ("paths", 10**6))
     },
-    # 19,900-bit masks: both budgets refuse before memory runs out
+    # 19,900-bit masks: the term budget refuses the symbolic level before
+    # memory runs out; Fock's aimed last level tries only the steps into 2
     "K200-trails-3": Contract(
         functools.partial(families.complete_graph, 200), "--kind trails --length 3 --from 1 --to 2 --engine all",
         {
             "oracle": "39006",
             "symbolic": "polynomial row product exceeded its budget of 10000000",
-            "fock": "normal-ordered evaluation exceeded its budget of 100000000",
+            "fock": "39006",
         },
         code=2, peak_mb=400,
     ),
-    # 124,750-bit masks: symbolic builds no step table and answers; the
-    # oracle's and Fock's tables are refused before they are built
+    # 124,750-bit masks: symbolic and Fock build no step table and answer;
+    # the oracle's table is refused before it is built
     "K500-trails-1": Contract(
         functools.partial(families.complete_graph, 500), "--kind trails --length 1 --from 1 --to 2 --engine all",
         {
             "oracle": "trail tally exceeded its budget of 100000000",
             "symbolic": "1",
-            "fock": "normal-ordered evaluation exceeded its budget of 100000000",
+            "fock": "1",
         },
         code=2, peak_mb=150,
+    ),
+    # Fock's memory is linear in |E|: a step's bit is made as it is taken
+    **{
+        f"K{n}-trails-1-fock": Contract(
+            functools.partial(families.complete_graph, n), "--kind trails --length 1 --from 1 --to 2 --engine fock",
+            {"fock": "1"}, peak_mb=100,
+        )
+        for n in (300, 500)
+    },
+    # 10**6-bit indices: 723 steps at 15,626 words each fit the node budget
+    "K20-wide-paths-3": Contract(
+        _WIDE_K20, "--kind paths --length 3 --from 1 --to 2 --engine fock", {"fock": "324"},
+        {PROP2_LITERAL_OVERCOUNT: "the path count is 306"}, peak_mb=150,
     ),
     # 2 * 10**7 stack frames at 8 words each exceed the budget, though its 2 * 10**7 nodes do not
     "K2-walks-20000000": Contract(
@@ -741,17 +756,17 @@ class TestBench:
         assert len(rows) == 1 + 3 * 2
 
     def test_complete_family_fock_capacity_dnf(self, capsys, monkeypatch):
-        # trails from 1 at l = 3 cost the step table's n (n-1) entries and
-        # (n-1) + (n-1)**2 + (n-1)**2 (n-2) steps
-        monkeypatch.setenv("TRAILCOUNTS_NODE_BUDGET", "300")
+        # trails from 1 to 2 at l = 3 cost (n-1) + (n-1)**2 steps, then
+        # (n-2) + (n-2) (n-3) into 2 on the aimed last level
+        monkeypatch.setenv("TRAILCOUNTS_NODE_BUDGET", "80")
         code, out, _ = run(
             capsys, "bench", "--family", "complete", "--min-n", "7", "--max-n", "8",
             "--kind", "trails", "--length", "3", "--engines", "fock",
         )
         assert code == 0
         rows = {r[1]: r[5] for r in list(csv.reader(io.StringIO(out)))[1:]}
-        assert rows["7"] == "20"  # 42 + 222
-        assert rows["8"] == "DNF"  # 56 + 350 refused
+        assert rows["7"] == "20"  # 6 + 36 + 25 = 67
+        assert rows["8"] == "DNF"  # 7 + 49 + 36 = 92 refused
 
     def test_complete_family_hamiltonian_from_k2(self, capsys):
         code, out, _ = run(

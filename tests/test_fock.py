@@ -468,6 +468,23 @@ class TestReferenceState:
                 levels = fock._evolve(g, fock.RegisterKind.EDGE_SPACE, u, 0, True, "test")
                 assert next(levels) == {u: {2**g.edge_count - 1: 1}}
 
+    def test_memory_is_linear_in_the_edge_count(self):
+        # trails at l = 1 make one |E|-bit index per step taken, so K200
+        # (4x K100's edges) peaks at under 8x K100's; a table of 2|E| entries,
+        # each |E| bits wide, would grow about 16x
+        peaks = []
+        for n in (100, 200):
+            g = families.complete_graph(n)
+            g.incidence, g.sorted_edges()  # the graph's own tables, built before the trace
+            tracemalloc.start()
+            try:
+                assert normal_ordered_expectation(g, 1, 1, 2, MatrixKind.N_EDGE) == 1
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 8 * peaks[0], peaks
+
 
 class TestEvolutionBudget:
     @pytest.mark.parametrize(
@@ -489,18 +506,18 @@ class TestEvolutionBudget:
         evaluate(k4)
 
     # smallest passing node budget on K4, K6, the bowtie and Petersen: the
-    # step table's 2|E| entries, then the steps every level but the last
-    # tries, its live states times their degrees
+    # steps every unaimed level tries, its live states times their degrees,
+    # and on an aimed last level only the steps into the end vertex
     @pytest.mark.parametrize(
         "evaluate, budgets",
         [
-            (lambda g: normal_ordered_expectation(g, 5, 1, 2, MatrixKind.N_EDGE), (96, 1560, 48, 168)),
-            (lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), (51, 310, 32, 96)),
-            (lambda g: normal_ordered_expectation_table(g, 1, 5, MatrixKind.M_VERTEX), (99, 785, 104, 231)),
-            (lambda g: walk_count_expectation(g, 5, 1, 2), (60, 150, 60, 120)),
-            (lambda g: d_matrix_quadratic_form(g, 5, 1, 2), (96, 1560, 48, 168)),
-            (lambda g: annihilation_form_table(g, 1, 5), (96, 1560, 48, 168)),
-            (lambda g: f_matrix_amplitude(g, g.n, 1), (87, 935, 104, 1698)),
+            (lambda g: normal_ordered_expectation(g, 5, 1, 2, MatrixKind.N_EDGE), (64, 654, 29, 70)),
+            (lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), (32, 154, 20, 34)),
+            (lambda g: normal_ordered_expectation_table(g, 1, 5, MatrixKind.M_VERTEX), (87, 755, 92, 201)),
+            (lambda g: walk_count_expectation(g, 5, 1, 2), (39, 95, 38, 63)),
+            (lambda g: d_matrix_quadratic_form(g, 5, 1, 2), (64, 654, 29, 70)),
+            (lambda g: annihilation_form_table(g, 1, 5), (84, 1530, 36, 138)),
+            (lambda g: f_matrix_amplitude(g, g.n, 1), (48, 780, 80, 1443)),
         ],
         ids=["n-edge", "m-vertex-guarded", "m-vertex-table", "walks", "d-form", "d-form-table", "f-amplitude"],
     )
@@ -514,21 +531,23 @@ class TestEvolutionBudget:
 
     def test_budget_counts_merged_live_states(self, k4, set_node_budget):
         # 3**20 walks, but at most 4 live states per level, each trying its 3
-        # steps: the 12-entry step table, then 3 * (1 + 3 + 18 * 4)
-        set_node_budget(240)
+        # steps, 3 * (1 + 3 + 17 * 4), then the 3 states of 2's neighbours
+        # stepping into 2
+        set_node_budget(219)
         assert walk_count_expectation(k4, 20, 1, 2) == walk_count(k4, 20, 1, 2)
-        set_node_budget(239)
+        set_node_budget(218)
         with pytest.raises(BudgetExceededError):
             walk_count_expectation(k4, 20, 1, 2)
 
     def test_budget_is_charged_per_word_of_the_basis_index(self, k4, set_node_budget):
         # K4 on 128 vertices: the vertex register's indices are 128 bits, so
-        # each node costs 1 + 128 // 64 = 3, and K4 alone passes with 51;
-        # K12's 66-slot edge register costs 2 a node: (132 + 11 + 121) * 2
+        # each node costs 1 + 128 // 64 = 3, and K4 alone passes with 32;
+        # K12's 66-slot edge register costs 2 a node: (11 + 10) * 2, the
+        # 10 states of 2's neighbours each stepping into 2
         for g, evaluate, budget in (
             (Graph.from_edges(128, k4.edges),
-             lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), 3 * 51),
-            (families.complete_graph(12), lambda g: walk_count_expectation(g, 2, 1, 2), 528),
+             lambda g: normal_ordered_expectation(g, 4, 1, 2, MatrixKind.M_VERTEX, guard_vertex=1), 3 * 32),
+            (families.complete_graph(12), lambda g: walk_count_expectation(g, 2, 1, 2), 42),
         ):
             set_node_budget(budget)
             evaluate(g)
@@ -537,9 +556,9 @@ class TestEvolutionBudget:
                 evaluate(g)
 
     def test_budget_refuses_a_level_before_building_it(self, monkeypatch, k4, set_node_budget):
-        # K4 trails at l = 5 cost 12 step-table entries and 84 steps; one
-        # node short, the last level is refused before any state of it is
-        # stored
+        # K4 trails at l = 5 cost 57 steps over levels 1..4 and 7 into 2 on
+        # the aimed last level; one node short, that level is refused before
+        # any state of it is stored
         built = []
         real = fock._evolve
 
@@ -549,7 +568,7 @@ class TestEvolutionBudget:
                 yield level
 
         monkeypatch.setattr(fock, "_evolve", recording)
-        set_node_budget(95)
+        set_node_budget(63)
         with pytest.raises(BudgetExceededError):
             normal_ordered_expectation(k4, 5, 1, 2, MatrixKind.N_EDGE)
         assert len(built) == 5  # levels 0..4

@@ -69,6 +69,15 @@ MUTANTS = {
         "fock-op-matches-table",
         ALL,
     ),
+    # the Fock vertex-space step occupies the source's slot, not the
+    # destination's, so the vertex observable counts the wrong walks
+    "fock-step-slot-of-source": (
+        "fock.py",
+        "x - 1 if vertex",
+        "w - 1 if vertex",
+        "vertex-observable-agreement-fock",
+        ALL,
+    ),
     # the symbolic aimed last step filters on the step's edge position, not
     # its end vertex
     "symbolic-aim-wrong-field": (

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from trailcounts import families, fock, nilpotent, oracle
-from trailcounts.fock import Register, RegisterKind
+from trailcounts.fock import LadderKind, LadderOp, Register, RegisterKind, StateVector, apply_ladder
 from trailcounts.graphs import Graph
 from trailcounts.nilpotent import PathVariant, PolyMatrix, Polynomial
 from trailcounts.oracle import WalkClass
@@ -150,12 +150,17 @@ def test_oracle_step_table(g, rule):
 @pytest.mark.parametrize("space", list(RegisterKind), ids=lambda s: s.value)
 @pytest.mark.parametrize("clears", [True, False], ids=["clears", "keeps"])
 def test_fock_step_table(g, space, clears):
+    # no table is kept: one evolution step from each vertex's reference state
+    # is the literal ladder operator on the step's slot, for every neighbour,
+    # aimed at it or not
     register = Register.present_edges(g) if space is RegisterKind.EDGE_SPACE else Register.vertices(g.n)
-    steps = fock._step_table(g, register, clears)
-    assert len(steps) == g.n + 1 and not steps[0]
+    reference = StateVector.all_ones(register)
+    kind = LadderKind.ANNIHILATE if clears else LadderKind.NUMBER
     for a in range(1, g.n + 1):
-        expected = []
-        for w in g.neighbors(a):
-            bit = 1 << register.bit(fock._step_slot(register, a, w))
-            expected.append((w, bit, bit if clears else 0))
-        assert list(steps[a]) == expected
+        _, stepped = fock._evolve(g, space, a, 1, clears, "test")
+        assert list(stepped) == list(g.neighbors(a))
+        for w, states in stepped.items():
+            expected = apply_ladder(LadderOp(kind, fock._step_slot(register, a, w)), reference)
+            assert states == expected.amplitudes
+            _, aimed = fock._evolve(g, space, a, 1, clears, "test", None, w)
+            assert aimed == {w: states}
