@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -98,27 +99,15 @@ def _load_graph(path: str) -> tuple[str, Graph]:
 
 
 def _engines(arg: str) -> tuple[str, ...]:
-    names = tuple(e.strip() for e in arg.split(",") if e.strip())
-    for e in names:
-        if e not in reports.ENGINES:
-            raise _UsageError(f"unknown engine {e!r}; choose from {reports.ENGINES}")
-    if not names:
-        raise _UsageError("at least one engine is required")
-    return names
+    return tuple(e.strip() for e in arg.split(",") if e.strip())
 
 
-def _check_length(kind: str, length: int | None) -> None:
-    """Refuse a given length below the kind's least; a derived length is
-    not checked. A length below 1 (below 0 for walks) gets the general
-    message; a kind with a higher least length (cycles) names its own."""
-    spec = reports.KIND_TABLE[kind]
-    if spec.derived_length is not None:
-        return
-    floor = min(spec.min_length, 1)
-    if length < floor:
-        raise _UsageError(f"--length must be >= {floor} for --kind {kind}")
-    if length < spec.min_length:
-        raise _UsageError(f"{kind} need --length >= {spec.min_length}")
+def _check_query(*query) -> None:
+    """reports.check_query's refusal as a usage error, before any output."""
+    try:
+        reports.check_query(*query)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_count(args) -> int:
@@ -127,22 +116,17 @@ def _cmd_count(args) -> int:
     if args.variant is not None and kind != "paths":
         raise _UsageError("--variant applies to --kind paths only")
     variant = PathVariant(args.variant) if args.variant else PathVariant.LITERAL
+    derived = reports.KIND_TABLE[kind].derived_length is not None
+    if derived and args.length is not None:
+        raise _UsageError(f"--length is derived for --kind {kind} (|E| resp. n)")
+    if not derived and args.length is None:
+        raise _UsageError(f"--kind {kind} requires --length")
 
     u = args.u
     v = args.v if args.v is not None else u
-    g.require_vertex(u)
-    g.require_vertex(v)
-    spec = reports.KIND_TABLE[kind]
-    if spec.derived_length is not None and args.length is not None:
-        raise _UsageError(f"--length is derived for --kind {kind} (|E| resp. n)")
-    if spec.derived_length is None and args.length is None:
-        raise _UsageError(f"--kind {kind} requires --length")
-    _check_length(kind, args.length)
-    if spec.closed and v != u:
-        raise _UsageError(f"--kind {kind} is closed; --to must equal --from")
-
     engines = reports.ENGINES if args.engine == "all" else (args.engine,)
-    report = reports.run_count_query(g, graph_id, kind, spec.length(g, args.length), u, v, engines, variant)
+    _check_query(g, kind, args.length, u, v, engines, variant)
+    report = reports.run_count_query(g, graph_id, kind, args.length, u, v, engines, variant)
 
     if args.format == "json":
         print(report.to_json())
@@ -214,26 +198,27 @@ def _bench_graph(family: str, n: int) -> Graph:
 
 
 def _cmd_bench(args) -> int:
-    engines = _engines(args.engines)
-    _check_length(args.kind, args.length)
-    spec = reports.KIND_TABLE[args.kind]
     if args.family != "petersen" and args.min_n > args.max_n:
         raise _UsageError(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
     sizes = [args.min_n] if args.family == "petersen" else range(args.min_n, args.max_n + 1)
-    try:  # every size is checked before the header is written
-        graphs = [_bench_graph(args.family, n) for n in sizes]
+    try:  # the smallest size is checked before the header; a larger one then builds too
+        first = _bench_graph(args.family, sizes[0])
     except ValueError as exc:
         raise _UsageError(f"--family {args.family}: {exc}") from None
+    engines = _engines(args.engines)
+    # a row's ends, 1 and 1 or min(2, n), break no rule, so 1 to 1 stands for every row
+    _check_query(first, args.kind, args.length, 1, 1, engines)
+    closed = reports.KIND_TABLE[args.kind].closed
     writer = csv.writer(sys.stdout)
     writer.writerow(["family", "n", "kind", "length", "engine", "value", "wall_time_ms"])
-    for g in graphs:
-        length = spec.length(g, args.length)
-        u, v = 1, (1 if spec.closed else min(2, g.n))
-        report = reports.run_count_query(g, args.family, args.kind, length, u, v, engines)
+    # each later graph is built when its row runs
+    for g in itertools.chain([first], (_bench_graph(args.family, n) for n in sizes[1:])):
+        v = 1 if closed else min(2, g.n)
+        report = reports.run_count_query(g, args.family, args.kind, args.length, 1, v, engines)
         for engine, ev in report.engines.items():
             # a refused engine prints DNF, and its None time an empty cell
             value = "DNF" if ev.error is not None else decimal_str(ev.value)
-            writer.writerow([args.family, g.n, args.kind, length, engine, value, ev.wall_time_ms])
+            writer.writerow([args.family, g.n, args.kind, report.length, engine, value, ev.wall_time_ms])
     return EXIT_OK
 
 

@@ -181,7 +181,7 @@ class Kind:
 
 
 _TRAILS = Kind(
-    1, False, note=DMATRIX_SQUARED,
+    0, False, note=DMATRIX_SQUARED,
     oracle=lambda g, l, u, v, variant: (oracle.count_walks(g, l, u, v, WalkClass.TRAIL), None),
     symbolic=lambda g, l, u, v, variant: (nilpotent.trail_count_symbolic(g, l, u, v), None),
     fock=lambda g, l, u, v, variant: fock._normal_ordered_pair(g, l, u, v, fock.MatrixKind.N_EDGE),
@@ -221,7 +221,7 @@ KIND_TABLE: dict[str, Kind] = {
     ),
     "trails": _TRAILS,
     "paths": Kind(
-        1, False, oracle=_paths_oracle, symbolic=_paths_symbolic, fock=_paths_fock, note=PROP2_LITERAL_OVERCOUNT
+        0, False, oracle=_paths_oracle, symbolic=_paths_symbolic, fock=_paths_fock, note=PROP2_LITERAL_OVERCOUNT
     ),
     # the trails at length |E|; on an edgeless graph, the empty trail
     "euler": replace(_TRAILS, derived_length=lambda g: g.edge_count),
@@ -232,7 +232,7 @@ KIND_TABLE: dict[str, Kind] = {
         fock=lambda g, l, u, v, variant: (fock.normal_ordered_expectation(g, l, u, u, fock.MatrixKind.M_VERTEX), None),
     ),
     "hamiltonian": Kind(
-        1, True, derived_length=lambda g: g.n,
+        0, True, derived_length=lambda g: g.n,
         oracle=lambda g, l, u, v, variant: (oracle.count_hamiltonian_cycles_through(g, u, directed=True), None),
         # the literal closed entry: cycle_count_symbolic at n >= 3, and it
         # also counts K2's back-and-forth traversal as the oracle does
@@ -243,11 +243,37 @@ KIND_TABLE: dict[str, Kind] = {
 KINDS = tuple(KIND_TABLE)
 
 
+def check_query(g: Graph | None = None, kind="walks", length=0, u=1, v=1, engines=ENGINES, variant=PathVariant.LITERAL):
+    """Refuse, with a ValueError, every query no engine answers: no engine or
+    an unknown one, an unknown kind, an end outside 1..n, a given length
+    below the kind's least (a derived length is not checked), a closed kind
+    with u != v, and a START_GUARDED paths query with u == v. Without a graph
+    only the engine names are checked, as a sweep over many graphs needs."""
+    if not engines:
+        raise ValueError("at least one engine is required")
+    for name in engines:
+        if name not in ENGINES:
+            raise ValueError(f"unknown engine {name!r}; expected some of {ENGINES}")
+    if g is None:
+        return
+    if kind not in KIND_TABLE:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    g.require_vertex(u)
+    g.require_vertex(v)
+    spec = KIND_TABLE[kind]
+    if spec.derived_length is None and length < spec.min_length:
+        raise ValueError(f"kind {kind!r} needs length >= {spec.min_length}, got {length}")
+    if spec.closed and u != v:
+        raise ValueError(f"kind {kind!r} is closed; u must equal v, got {u} and {v}")
+    if kind == "paths" and variant is PathVariant.START_GUARDED and u == v:
+        raise ValueError("START_GUARDED counts open paths; u must differ from v")
+
+
 def run_count_query(
     g: Graph,
     graph_id: str,
     kind: str,
-    length: int,
+    length: int | None,
     u: int,
     v: int,
     engines=ENGINES,
@@ -256,21 +282,10 @@ def run_count_query(
     """Evaluate one counting query on the requested engines and assemble the
     cross-checked report, each note from the first engine in ENGINES order
     whose own pass gave a second number that differs from its value. Before
-    any engine runs it refuses an unknown kind or engine, a START_GUARDED
-    paths query with u == v, and a closed kind's query with u != v or a
-    length below its least."""
-    if kind not in KIND_TABLE:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    for name in engines:
-        if name not in ENGINES:
-            raise ValueError(f"unknown engine {name!r}; expected some of {ENGINES}")
-    if kind == "paths" and variant is PathVariant.START_GUARDED and u == v:
-        raise ValueError("START_GUARDED counts open paths; u must differ from v")
+    any engine runs, check_query refuses a query no engine answers. A kind
+    with a derived length ignores the given one."""
+    check_query(g, kind, length, u, v, engines, variant)
     spec = KIND_TABLE[kind]
-    if spec.closed and u != v:
-        raise ValueError(f"kind {kind!r} is closed; u must equal v, got {u} and {v}")
-    if spec.closed and length < spec.min_length:
-        raise ValueError(f"kind {kind!r} needs length >= {spec.min_length}, got {length}")
     l_eff = spec.length(g, length)
     values = {name: _timed(lambda name=name: getattr(spec, name)(g, l_eff, u, v, variant)) for name in engines}
 

@@ -47,7 +47,7 @@ from .fock import Amplitudes, LadderKind, LadderOp, MatrixKind, Register, Regist
 from .graphs import Graph, adjacency_matrix, parse_edge_list, walk_count, walk_rows
 from .nilpotent import Generator, PathVariant, PolyMatrix, Polynomial
 from .oracle import WalkClass
-from .reports import DMATRIX_SQUARED, KIND_TABLE, PROP2_LITERAL_OVERCOUNT, canonical_json, matrix_to_decimal_rows
+from .reports import DMATRIX_SQUARED, KIND_TABLE, PROP2_LITERAL_OVERCOUNT, canonical_json, check_query, matrix_to_decimal_rows
 
 _MAX_STORED_FAILURES = 20
 _MAX_STORED_FLAGS_PER_CODE = 2000
@@ -85,9 +85,7 @@ class SweepConfig:
             raise ValueError(f"edge_probability must be in [0, 1], got {self.edge_probability}")
         if self.source == "all-connected-up-to-n" and self.n_max > 6:
             raise ValueError("the exhaustive corpus is limited to n_max <= 6")
-        unknown = set(self.engines) - {"oracle", "symbolic", "fock"}
-        if unknown:
-            raise ValueError(f"unknown engines: {sorted(unknown)}")
+        check_query(engines=self.engines)
 
 
 @dataclass
@@ -413,11 +411,9 @@ def build_corpus(config: SweepConfig) -> list[tuple[str, Graph]]:
     if config.source == "all-connected-up-to-n":
         out.extend(corpus.all_connected_up_to(config.n_max))
     else:
-        sizes = list(range(2, config.n_max + 1)) or [config.n_max]
         for i in range(config.random_count):
-            n = sizes[i % len(sizes)]
-            draw = corpus.random_graphs(1, n, config.edge_probability, config.seed + i)
-            out.extend(draw)
+            n = 2 + i % (config.n_max - 1) if config.n_max > 1 else 1
+            out.extend(corpus.random_graphs(1, n, config.edge_probability, config.seed + i))
     seen = set()
     unique = []
     for gid, g in out:

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -280,21 +281,16 @@ class TestCount:
         assert values == {expected}
 
     def test_usage_errors(self, capsys, c4_file):
-        assert run(capsys, "count", "--input", c4_file, "--kind", "trails", "--from", "1")[0] == 1
-        assert (
-            run(
-                capsys, "count", "--input", c4_file, "--kind", "trails",
-                "--length", "2", "--from", "1", "--variant", "literal",
-            )[0]
-            == 1
-        )
-        assert (
-            run(
-                capsys, "count", "--input", c4_file, "--kind", "cycles",
-                "--length", "3", "--from", "1", "--to", "2",
-            )[0]
-            == 1
-        )
+        for query, message in [
+            (("--kind", "trails"), "--kind trails requires --length"),
+            (("--kind", "trails", "--length", "2", "--variant", "literal"), "--variant applies to --kind paths only"),
+            (("--kind", "cycles", "--length", "3", "--to", "2"), "kind 'cycles' is closed; u must equal v, got 1 and 2"),
+        ]:
+            code, out, err = run(capsys, "count", "--input", c4_file, "--from", "1", *query)
+            assert code == 1
+            assert out == ""
+            assert f"error: {message}\n" in err
+            assert "usage:" in err
 
     def test_negative_walk_length_names_the_walk_bound(self, capsys, c4_file):
         code, out, err = run(
@@ -302,7 +298,7 @@ class TestCount:
         )
         assert code == 1
         assert out == ""
-        assert "--length must be >= 0 for --kind walks" in err
+        assert "error: kind 'walks' needs length >= 0, got -1" in err
         assert "usage:" in err
         code, out, _ = run(
             capsys, "count", "--input", c4_file, "--kind", "walks", "--length", "0", "--from", "1",
@@ -521,6 +517,92 @@ def test_count_contract(capsys, monkeypatch, tmp_path, row):
     assert all(report["agreement"].values())
     assert [note["code"] for note in report["notes"]] == list(row.notes)
     assert all(note["message"].endswith(row.notes[note["code"]]) for note in report["notes"])
+
+
+@dataclass(frozen=True)
+class Refusal:
+    """One query on the cycle 1-2-3-4 that no engine answers, and the message
+    reports.check_query refuses it with. run_count_query raises it as a
+    ValueError before any engine runs; every door in `doors` exits 1 with it
+    and a usage line, and writes no output. `count` asks the query on each
+    --engine choice; `bench` asks 1 to 1 on a closed kind and 1 to 2
+    otherwise; `verify` sweeps with the engines."""
+
+    kind: str
+    length: int | None
+    u: int
+    v: int
+    message: str
+    doors: tuple[str, ...] = ("count",)
+    engines: tuple[str, ...] = reports.ENGINES
+    variant: PathVariant = PathVariant.LITERAL
+
+
+REFUSALS = {
+    "cycles-open": Refusal("cycles", 4, 1, 2, "kind 'cycles' is closed; u must equal v, got 1 and 2"),
+    "hamiltonian-open": Refusal("hamiltonian", None, 1, 3, "kind 'hamiltonian' is closed; u must equal v, got 1 and 3"),
+    "cycles-2": Refusal("cycles", 2, 1, 1, "kind 'cycles' needs length >= 3, got 2", ("count", "bench")),
+    **{
+        f"{kind}-negative": Refusal(
+            kind, -1, 1, 1 if kind == "cycles" else 2, f"kind {kind!r} needs length >= {least}, got -1", ("count", "bench")
+        )
+        for kind, least in (("walks", 0), ("trails", 0), ("paths", 0), ("cycles", 3))
+    },
+    "guarded-closed": Refusal(
+        "paths", 3, 2, 2, "START_GUARDED counts open paths; u must differ from v", variant=PathVariant.START_GUARDED
+    ),
+    "engine-unknown": Refusal(
+        "trails", 3, 1, 2, "unknown engine 'quantum'; expected some of ('oracle', 'symbolic', 'fock')",
+        ("bench", "verify"), engines=("quantum",),
+    ),
+    "engine-none": Refusal("trails", 3, 1, 2, "at least one engine is required", ("bench", "verify"), engines=()),
+    "vertex-0": Refusal("walks", 2, 0, 1, "vertex 0 out of range 1..4"),
+    "vertex-5": Refusal("trails", 2, 1, 5, "vertex 5 out of range 1..4"),
+}
+
+
+@pytest.mark.parametrize("row", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_door_refuses_alike(capsys, monkeypatch, tmp_path, row):
+    monkeypatch.setattr(reports, "_timed", lambda fn: pytest.fail("an engine ran"))
+    monkeypatch.setattr(verify, "build_corpus", lambda config: pytest.fail("swept a graph"))
+    g = families.cycle_graph(4)
+    with pytest.raises(ValueError) as refused:
+        run_count_query(g, "c4", row.kind, row.length, row.u, row.v, row.engines, row.variant)
+    assert str(refused.value) == row.message
+    length = () if row.length is None else ("--length", str(row.length))
+    argvs = {
+        "count": [
+            ["count", "--input", _edge_file(tmp_path, "c4", g), "--kind", row.kind, *length, "--from", str(row.u),
+             "--to", str(row.v), *(("--variant", row.variant.value) if row.kind == "paths" else ()), "--engine", engine]
+            for engine in ("all",) + reports.ENGINES
+        ],
+        "bench": [
+            ["bench", "--family", "cycle", "--min-n", "4", "--max-n", "4", "--kind", row.kind, *length,
+             "--engines", ",".join(row.engines)]
+        ],
+        "verify": [["verify", "--engines", ",".join(row.engines)]],
+    }
+    for argv in itertools.chain.from_iterable(argvs[door] for door in row.doors):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: {row.message}\nusage:"), argv
+
+
+@pytest.mark.parametrize("kind", ["trails", "paths"])
+def test_length_zero_counts_alike(capsys, tmp_path, kind):
+    # the empty trail or path: 1 from a vertex to itself, else 0
+    g = families.cycle_graph(4)
+    for v, value in ((1, "1"), (2, "0")):
+        report = run_count_query(g, "c4", kind, 0, 1, v)
+        assert {name: str(ev.value) for name, ev in report.engines.items()} == _each(value)
+        code, out, _ = run(
+            capsys, "count", "--input", _edge_file(tmp_path, "c4", g), "--kind", kind, "--length", "0",
+            "--from", "1", "--to", str(v), "--format", "json",
+        )
+        assert code == 0
+        printed = json.loads(out)
+        assert {name: e["value"] for name, e in printed["engines"].items()} == _each(value)
+        assert all(printed["agreement"].values())
 
 
 class TestReportContract:
@@ -787,7 +869,8 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "kind, length, message",
-        [("cycles", "2", "cycles need --length >= 3"), ("paths", "0", "--length must be >= 1 for --kind paths")],
+        [("cycles", "2", "kind 'cycles' needs length >= 3, got 2"), ("paths", "-1", "kind 'paths' needs length >= 0, got -1")],
+        ids=["cycles-2", "paths--1"],
     )
     def test_bad_length_refused_before_output(self, capsys, kind, length, message):
         # the same length rules as count, checked before the header is written
@@ -797,7 +880,24 @@ class TestBench:
         )
         assert code == 1
         assert out == ""
-        assert message in err
+        assert f"error: {message}\n" in err
+        assert "usage:" in err
+
+    def test_one_graph_per_row(self, capsys):
+        # each graph is built when its row runs; K120 alone takes about
+        # 2.3 MiB, and all 118 graphs together about 80
+        tracemalloc.start()
+        try:
+            code, out, _ = run(
+                capsys, "bench", "--family", "complete", "--min-n", "3", "--max-n", "120",
+                "--kind", "walks", "--length", "1", "--engines", "symbolic",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[-1] == ["complete", "120", "walks", "1", "symbolic", "1", mock.ANY]
+        assert peak < 8 << 20
 
     def test_bad_family_size_refused_before_output(self, capsys):
         code, out, err = run(

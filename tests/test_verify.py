@@ -3,6 +3,11 @@ reaches. The expected summaries were recorded from the cell-by-cell checks
 that the per-start checks replaced."""
 
 import inspect
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +148,48 @@ def test_sweep_levels_are_rows_of_the_matrix_power(name):
             assert levels[3] == [{}]
         if name == "disconnected":
             assert all(0 < len(row) < l_max and not row[-1] for row in levels.values())
+
+
+@pytest.mark.parametrize(
+    "n_max, count, seed, ids",
+    [
+        (1, 2, 3, ["gnp-s3-0-n1-0", "gnp-s4-0-n1-0"]),
+        (2, 3, 0, ["gnp-s0-0-n2-0", "gnp-s1-0-n2-1", "gnp-s2-0-n2-0"]),
+        (4, 5, 3, ["gnp-s3-0-n2-1", "gnp-s4-0-n3-7", "gnp-s5-0-n4-0", "gnp-s6-0-n2-0", "gnp-s7-0-n3-3"]),
+        (6, 7, 1729, [
+            "gnp-s1729-0-n2-0", "gnp-s1730-0-n3-3", "gnp-s1731-0-n4-1f", "gnp-s1732-0-n5-365",
+            "gnp-s1733-0-n6-1e45", "gnp-s1734-0-n2-1", "gnp-s1735-0-n3-4",
+        ]),
+    ],
+)
+def test_random_corpus_cycles_through_the_sizes(n_max, count, seed, ids):
+    # draw i has 2 + i % (n_max - 1) vertices (1 when n_max is 1): the sizes
+    # 2..n_max in turn, as they were drawn from a list of them
+    config = verify.SweepConfig(n_max=n_max, source="random", random_count=count, seed=seed, include_named=False)
+    assert [gid for gid, _ in verify.build_corpus(config)] == ids
+
+
+_TRACED_CORPUS = """
+import tracemalloc
+from trailcounts import verify
+config = verify.SweepConfig(n_max=3 * 10**9, source="random", random_count=1, include_named=False)
+tracemalloc.start()
+ids = [gid for gid, _ in verify.build_corpus(config)]
+print(ids, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_random_corpus_memory_does_not_follow_n_max():
+    # a child capped at 1 GiB of address space, so a size list 3e9 long ends
+    # in a MemoryError instead of exhausting the machine
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", _TRACED_CORPUS], capture_output=True, text=True, env=env, preexec_fn=cap
+    )
+    assert child.returncode == 0, child.stderr
+    ids, peak = child.stdout.rsplit(" ", 1)
+    assert ids == "['gnp-s1729-0-n2-0']"
+    assert int(peak) < 1 << 20
